@@ -286,12 +286,15 @@ func chainModule(n int) *ir.Module {
 
 // BenchmarkOptimalPrunedVsExhaustive measures the branch-and-bound search
 // (component memo + admissible bounds, the default) against the exhaustive
-// recursion (-no-prune) on the same translation unit: a 16-call chain whose
-// recursive space holds 732 tree evaluations (>= 500). Both searches return
-// byte-identical optima; the reported evals metric counts real configuration
-// evaluations (lower is cheaper), memo-hit-pct is the component memo's hit
-// rate, and pruned-subtrees the admissible bound's cuts on the pruned run.
-// Recorded in BENCH_search.json.
+// recursion on the same translation unit: a 16-call chain whose recursive
+// space holds 732 tree evaluations (>= 500). The exhaustive recursion only
+// runs on a checked compiler (the reference evaluator, which cannot price
+// bounds), so its time also carries per-pass verification and whole-module
+// builds; the evals metric — real configuration evaluations, lower is
+// cheaper — is the like-for-like comparison. Both searches return
+// byte-identical optima; memo-hit-pct is the component memo's hit rate and
+// pruned-subtrees the admissible bound's cuts on the pruned run. Recorded
+// in BENCH_search.json.
 func BenchmarkOptimalPrunedVsExhaustive(b *testing.B) {
 	m := chainModule(16)
 	{
@@ -303,16 +306,16 @@ func BenchmarkOptimalPrunedVsExhaustive(b *testing.B) {
 		b.Logf("unit: %d-evaluation recursive space", space)
 	}
 	for _, mode := range []struct {
-		name    string
-		noPrune bool
+		name  string
+		check bool
 	}{{"pruned", false}, {"exhaustive", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var evals int64
 			var stats search.PruneStats
 			for i := 0; i < b.N; i++ {
-				comp := compile.New(m, codegen.TargetX86)
-				res, ok := search.Optimal(comp, search.Options{NoPrune: mode.noPrune, MaxSpace: 1 << 13})
+				comp := compile.NewWithOptions(m, codegen.TargetX86, compile.Options{Check: mode.check})
+				res, ok := search.Optimal(comp, search.Options{MaxSpace: 1 << 13})
 				if !ok {
 					b.Fatal("aborted")
 				}
@@ -329,10 +332,11 @@ func BenchmarkOptimalPrunedVsExhaustive(b *testing.B) {
 }
 
 // BenchmarkSizeCachedVsUncached measures an autotuner-shaped workload — a
-// base configuration plus every single-site toggle — with the per-component
-// memo cache on and off. With the cache, toggling one site only recompiles
-// that site's connected component; without it, every probe pays a full
-// whole-module pipeline. Recorded in BENCH_search.json.
+// base configuration plus every single-site toggle — priced by the memoized
+// Size and by a plain whole-module Build + ModuleSize. With the cache,
+// toggling one site only recompiles that site's connected component;
+// without it, every probe pays a full whole-module pipeline. Recorded in
+// BENCH_search.json.
 func BenchmarkSizeCachedVsUncached(b *testing.B) {
 	// The memo path pays off when the candidate graph has several
 	// components (a toggle recompiles one component, not the module), so
@@ -375,20 +379,27 @@ func BenchmarkSizeCachedVsUncached(b *testing.B) {
 		c.Set(s, !base.Inline(s))
 		configs = append(configs, c)
 	}
-	run := func(b *testing.B, memo bool) {
+	run := func(b *testing.B, size func(*compile.Compiler, *callgraph.Config) int) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			comp := compile.New(f.Module, codegen.TargetX86)
-			comp.SetMemoize(memo)
 			for _, cfg := range configs {
-				if comp.Size(cfg) <= 0 {
+				if size(comp, cfg) <= 0 {
 					b.Fatal("bad size")
 				}
 			}
 		}
 	}
-	b.Run("memoized", func(b *testing.B) { run(b, true) })
-	b.Run("uncached", func(b *testing.B) { run(b, false) })
+	b.Run("memoized", func(b *testing.B) { run(b, (*compile.Compiler).Size) })
+	b.Run("uncached", func(b *testing.B) {
+		run(b, func(c *compile.Compiler, cfg *callgraph.Config) int {
+			m, err := c.Build(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return codegen.ModuleSize(m, c.Target())
+		})
+	})
 }
 
 // BenchmarkFnCacheColdVsWarm measures the content-addressed per-function
@@ -448,12 +459,13 @@ func BenchmarkFnCacheColdVsWarm(b *testing.B) {
 // BenchmarkAutotuneRoundDeltaVsFull measures one single-edge-toggle
 // autotuner round (Algorithm 3, n+2 compilations) at the Table 2 workload's
 // scale — a translation unit carrying the SPEC-profile corpus' aggregate
-// candidate-edge budget — with the incremental delta engine on and off.
-// On: each probe recompiles only the toggled edge's dirty closure against
-// the round's Sized handle. Off: each probe is a whole-configuration memo
-// walk over every function. Results are byte-identical; only the time
-// differs, and the gap widens with module size (the walk is O(functions)
-// per probe, the delta O(dirty closure)). Recorded in BENCH_search.json.
+// candidate-edge budget — priced incrementally and through plain Size.
+// delta: the autotuner itself, where each probe recompiles only the toggled
+// edge's dirty closure against the round's Sized handle. full: the same
+// round's probes through SizeParallel, each a whole-configuration memo walk
+// over every function. Results are byte-identical; only the time differs, and
+// the gap widens with module size (the walk is O(functions) per probe, the
+// delta O(dirty closure)). Recorded in BENCH_search.json.
 func BenchmarkAutotuneRoundDeltaVsFull(b *testing.B) {
 	edges := 0
 	for _, p := range workload.SPECProfiles() {
@@ -469,22 +481,37 @@ func BenchmarkAutotuneRoundDeltaVsFull(b *testing.B) {
 		c := compile.New(f.Module, codegen.TargetX86)
 		b.Logf("unit: %d functions, %d candidate edges", len(c.Module().Funcs), len(c.Graph().Edges))
 	}
-	for _, mode := range []struct {
-		name  string
-		delta bool
-	}{{"delta", true}, {"full", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				comp := compile.New(f.Module, codegen.TargetX86)
-				comp.SetDelta(mode.delta)
-				res := autotune.CleanSlate(comp, autotune.Options{Rounds: 1})
-				if res.Size <= 0 {
-					b.Fatal("no size")
+	b.Run("delta", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			comp := compile.New(f.Module, codegen.TargetX86)
+			res := autotune.CleanSlate(comp, autotune.Options{Rounds: 1})
+			if res.Size <= 0 {
+				b.Fatal("no size")
+			}
+		}
+	})
+	b.Run("full", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			comp := compile.New(f.Module, codegen.TargetX86)
+			baseSize := comp.Size(callgraph.NewConfig())
+			sites := comp.Graph().Sites()
+			probes := make([]*callgraph.Config, len(sites))
+			for j, s := range sites {
+				probes[j] = callgraph.NewConfig().Set(s, true)
+			}
+			next := callgraph.NewConfig()
+			for j, size := range comp.SizeParallel(probes, 0) {
+				if size <= baseSize {
+					next.Set(sites[j], true)
 				}
 			}
-		})
-	}
+			if comp.Size(next) <= 0 {
+				b.Fatal("no size")
+			}
+		}
+	})
 }
 
 // BenchmarkCycleRepriceVsReinterp measures what making runtime a
@@ -493,7 +520,9 @@ func BenchmarkAutotuneRoundDeltaVsFull(b *testing.B) {
 // the interpreter finishes within fuel) three ways. "delta" builds a cycle
 // pricer over one baseline profile and reprices each toggle incrementally
 // (dirty-closure walk + i-cache replay); "oracle" prices each toggle with
-// the whole-module model evaluation (-no-cycledelta); "reinterp" is the
+// the whole-module model evaluation of a checked compiler's pricer (the
+// reference evaluator, so its time also carries per-pass verification);
+// "reinterp" is the
 // naive alternative the pricer exists to avoid — rebuild the module and
 // re-run the interpreter for every probe. The one-off profile collection
 // runs outside the timed loop in every mode, and delta/oracle agree with
@@ -524,18 +553,18 @@ func BenchmarkCycleRepriceVsReinterp(b *testing.B) {
 	b.Logf("unit: %d functions, %d candidate edges, %d profiled frame events, %d probes",
 		len(comp.Module().Funcs), len(edges), len(prof.Events), len(sites))
 
-	newPricer := func(delta bool) *compile.CyclePricer {
-		pr, err := comp.NewCyclePricer(prof, compile.CycleOptions{})
+	checked := compile.NewWithOptions(f.Module, codegen.TargetX86, compile.Options{Check: true})
+	newPricer := func(c *compile.Compiler) *compile.CyclePricer {
+		pr, err := c.NewCyclePricer(prof, compile.CycleOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		pr.SetCycleDelta(delta)
 		return pr
 	}
 	b.Run("delta", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			pr := newPricer(true)
+			pr := newPricer(comp)
 			base := pr.Priced(callgraph.NewConfig())
 			var sum int64
 			for _, s := range sites {
@@ -549,7 +578,7 @@ func BenchmarkCycleRepriceVsReinterp(b *testing.B) {
 	b.Run("oracle", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			pr := newPricer(false)
+			pr := newPricer(checked)
 			var sum int64
 			for _, s := range sites {
 				cfg := callgraph.NewConfig()

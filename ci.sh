@@ -37,20 +37,6 @@ if [[ -n "${lint_out}" ]]; then
   exit 1
 fi
 
-echo "== interproc lint differential smoke =="
-# The interprocedural summary cache and the -no-interproc-cache scratch
-# oracle must render byte-identical findings over the examples plus the
-# interproc lint fixtures (the cache is shared across files, so this also
-# exercises cross-module core reuse).
-ip_files=(examples/minc/*.minc testdata/lint/interproc/*.minc)
-ip_cached="$(go run ./cmd/inlinelint "${ip_files[@]}")" || true
-ip_scratch="$(go run ./cmd/inlinelint -no-interproc-cache "${ip_files[@]}")" || true
-if [[ "${ip_cached}" != "${ip_scratch}" ]]; then
-  echo "interproc cache / -no-interproc-cache disagree:"
-  diff <(echo "${ip_cached}") <(echo "${ip_scratch}") || true
-  exit 1
-fi
-
 echo "== interproc summary fuzz smoke =="
 # A handful of executions of the cached-vs-scratch differential fuzzer
 # (full seed corpus runs under `go test -race ./...` above).
@@ -63,21 +49,11 @@ echo "== delta-engine bench smoke =="
 go test -run '^$' -bench 'DeltaVsFull|ConfigKey|OptimalPrunedVsExhaustive|FnCacheColdVsWarm|CycleRepriceVsReinterp' -benchtime=1x . >/dev/null
 go test -run '^$' -bench 'ICacheNaive|ICacheIndexed' -benchtime=1x ./internal/interp >/dev/null
 
-echo "== fn content cache differential smoke =="
-# The content-addressed per-function cache and the -no-fncache legacy-key
-# oracle must report identical optima on the example corpus, and a warm
-# -cache-dir rerun must reproduce the cold run's stdout byte for byte.
+echo "== fn content cache persistence smoke =="
+# A warm -cache-dir rerun must reproduce the cold run's stdout byte for
+# byte.
 fncache_dir="$(mktemp -d)"
 trap 'rm -rf "${fncache_dir}"' EXIT
-for f in examples/minc/*.minc; do
-  cached="$(go run ./cmd/inlinesearch -max-space 65536 "$f" 2>/dev/null | grep -E '^(optimal:|optimal inline sites:)')" || continue
-  oracle="$(go run ./cmd/inlinesearch -max-space 65536 -no-fncache "$f" 2>/dev/null | grep -E '^(optimal:|optimal inline sites:)')"
-  if [[ "${cached}" != "${oracle}" ]]; then
-    echo "fncache / -no-fncache disagree on ${f}:"
-    diff <(echo "${cached}") <(echo "${oracle}") || true
-    exit 1
-  fi
-done
 cold_out="$(go run ./cmd/mincc -inline optimal -S -cache-dir "${fncache_dir}" testdata/matrixsum.minc 2>/dev/null)"
 warm_out="$(go run ./cmd/mincc -inline optimal -S -cache-dir "${fncache_dir}" testdata/matrixsum.minc 2>/dev/null)"
 if [[ "${cold_out}" != "${warm_out}" ]]; then
@@ -86,102 +62,14 @@ if [[ "${cold_out}" != "${warm_out}" ]]; then
   exit 1
 fi
 
-echo "== pruned-search differential smoke =="
-# The branch-and-bound search and the -no-prune exhaustive recursion must
-# report identical optima (size and site set) on the example corpus.
-for f in examples/minc/*.minc; do
-  pruned="$(go run ./cmd/inlinesearch -max-space 65536 "$f" 2>/dev/null | grep -E '^(optimal:|optimal inline sites:)')" || continue
-  exhaustive="$(go run ./cmd/inlinesearch -max-space 65536 -no-prune "$f" 2>/dev/null | grep -E '^(optimal:|optimal inline sites:)')"
-  if [[ "${pruned}" != "${exhaustive}" ]]; then
-    echo "pruned / -no-prune disagree on ${f}:"
-    diff <(echo "${pruned}") <(echo "${exhaustive}") || true
-    exit 1
-  fi
-done
-
-echo "== cycle-delta differential smoke =="
-# The incremental cycle pricer and the -no-cycledelta whole-module oracle
-# must render byte-identical stdout for cycle-aware tuning on every
-# example, and the pareto sweep must print a frontier. The same identity
-# must hold for the pareto experiment over a scaled corpus, where the
-# repricer sees thousands of probes.
-for f in examples/minc/*.minc; do
-  cdelta="$(go run ./cmd/inlinetune -objective weighted "$f" 2>/dev/null)"
-  coracle="$(go run ./cmd/inlinetune -objective weighted -no-cycledelta "$f" 2>/dev/null)"
-  if [[ "${cdelta}" != "${coracle}" ]]; then
-    echo "cycle delta / -no-cycledelta disagree on ${f}:"
-    diff <(echo "${cdelta}") <(echo "${coracle}") || true
-    exit 1
-  fi
-done
-pareto_out="$(go run ./cmd/inlinetune -objective pareto examples/minc/collatz.minc 2>/dev/null)"
-if ! grep -q 'lambda' <<<"${pareto_out}"; then
-  echo "pareto sweep printed no frontier:"
-  echo "${pareto_out}"
-  exit 1
-fi
-pexp_delta="$(go run ./cmd/inlinebench -exp pareto -scale 0.1 2>/dev/null)"
-pexp_oracle="$(go run ./cmd/inlinebench -exp pareto -scale 0.1 -no-cycledelta -jobs 2 2>/dev/null)"
-if [[ "${pexp_delta}" != "${pexp_oracle}" ]]; then
-  echo "pareto experiment: cycle delta / -no-cycledelta disagree:"
-  diff <(echo "${pexp_delta}") <(echo "${pexp_oracle}") || true
-  exit 1
-fi
-
-echo "== linked-module differential smoke =="
-# Cross-module (LTO-style) mode: link the whole example corpus into one
-# module (every example exports `entry`, so duplicate exports exercise the
-# -link-dup rename path) and require the component-sharded optimal search
-# and the -no-shard merged-compiler oracle to render byte-identical stdout.
-link_files=(examples/minc/*.minc examples/minc/linked/*.minc)
-link_sharded="$(go run ./cmd/inlinesearch -link -link-dup rename "${link_files[@]}" 2>/dev/null)"
-link_merged="$(go run ./cmd/inlinesearch -link -link-dup rename -no-shard "${link_files[@]}" 2>/dev/null)"
-if [[ "${link_sharded}" != "${link_merged}" ]]; then
-  echo "linked search: sharded / -no-shard disagree:"
-  diff <(echo "${link_sharded}") <(echo "${link_merged}") || true
-  exit 1
-fi
-if ! grep -q '^optimal:' <<<"${link_sharded}"; then
-  echo "linked search did not report an optimum:"
-  echo "${link_sharded}"
-  exit 1
-fi
-# Sharded bench smoke: one iteration of the plan-build scaling benchmark
-# (all four linked profiles, including the 10x/30x mega-modules) catches
-# linker or generator regressions without paying search time.
+echo "== linked and relink fuzz/bench smokes =="
+# One iteration of the plan-build scaling benchmark (all four linked
+# profiles, including the 10x/30x mega-modules) catches linker or generator
+# regressions without paying search time; a few executions of the
+# random-edit-script relink differential fuzzer (the seed corpus runs in
+# full under `go test -race ./...` above); one iteration of the
+# edit-one-TU bench to catch assertion failures without paying bench time.
 go test -run '^$' -bench 'LinkedPlanBuildScale' -benchtime=1x ./internal/link >/dev/null
-
-echo "== incremental re-link differential smoke =="
-# The warm relink session (unchanged components replayed from the
-# content-keyed result cache) and the -no-relink cold oracle (a fresh link
-# plus full search per step) must render byte-identical stdout over the
-# shipped edit scripts, for all three CLIs.
-relink_args=(examples/minc/linked/app.minc examples/minc/linked/mathlib.minc)
-relink_warm="$(go run ./cmd/inlinesearch -relink examples/minc/linked/edits.txt -link-dup rename "${relink_args[@]}" 2>/dev/null)"
-relink_cold="$(go run ./cmd/inlinesearch -relink examples/minc/linked/edits.txt -no-relink -link-dup rename "${relink_args[@]}" 2>/dev/null)"
-if [[ "${relink_warm}" != "${relink_cold}" ]]; then
-  echo "inlinesearch: -relink / -no-relink disagree:"
-  diff <(echo "${relink_warm}") <(echo "${relink_cold}") || true
-  exit 1
-fi
-relinktune_warm="$(go run ./cmd/inlinetune -relink examples/minc/linked/edits_tune.txt -rounds 3 -link-dup rename "${relink_args[@]}" 2>/dev/null)"
-relinktune_cold="$(go run ./cmd/inlinetune -relink examples/minc/linked/edits_tune.txt -rounds 3 -no-relink -link-dup rename "${relink_args[@]}" 2>/dev/null)"
-if [[ "${relinktune_warm}" != "${relinktune_cold}" ]]; then
-  echo "inlinetune: -relink / -no-relink disagree:"
-  diff <(echo "${relinktune_warm}") <(echo "${relinktune_cold}") || true
-  exit 1
-fi
-relinkcc_warm="$(go run ./cmd/mincc -inline optimal -relink examples/minc/linked/edits.txt -link-dup rename "${relink_args[@]}" 2>/dev/null)"
-relinkcc_cold="$(go run ./cmd/mincc -inline optimal -relink examples/minc/linked/edits.txt -no-relink -link-dup rename "${relink_args[@]}" 2>/dev/null)"
-if [[ "${relinkcc_warm}" != "${relinkcc_cold}" ]]; then
-  echo "mincc: -relink / -no-relink disagree:"
-  diff <(echo "${relinkcc_warm}") <(echo "${relinkcc_cold}") || true
-  exit 1
-fi
-# A few executions of the random-edit-script relink differential fuzzer
-# (the seed corpus runs in full under `go test -race ./...` above), plus
-# one iteration of the edit-one-TU bench to catch assertion failures
-# without paying bench time.
 go test -run '^$' -fuzz FuzzRelinkDifferential -fuzztime 30x ./internal/link >/dev/null
 go test -run '^$' -bench 'RelinkEditOneTU' -benchtime=1x ./internal/link >/dev/null
 
@@ -235,11 +123,69 @@ if ! grep -q "drained" "${inlined_dir}/inlined.log"; then
   exit 1
 fi
 
-echo "== checked-mode smoke =="
-# Per-step invariant verification across all three CLIs; each run fails
-# loudly (with stage/pass attribution) if any pipeline step breaks the IR.
-go run ./cmd/mincc -check -inline os -run trace -arg 6 testdata/matrixsum.minc >/dev/null
-go run ./cmd/inlinesearch -check testdata/matrixsum.minc >/dev/null
-go run ./cmd/inlinebench -check -exp fig3 -scale 0.05 >/dev/null
+echo "== reference evaluator: default vs -check =="
+# -check runs every CLI on the reference evaluator: each configuration is
+# compiled fresh with IR invariants verified after every inline step and
+# opt pass; no function cache, delta engine, pruning, shard or relink
+# replay, or interprocedural summary cache. Every fast path must reproduce
+# its whole stdout byte for byte (counters and cache statistics go to
+# stderr), and a checked run fails loudly, with stage/pass attribution, if
+# any pipeline step breaks the IR.
+ref_bin="$(mktemp -d)"
+trap 'rm -rf "${fncache_dir}" "${inlined_dir}" "${ref_bin}"' EXIT
+for tool in inlinesearch inlinetune mincc inlinelint inlinebench; do
+  go build -o "${ref_bin}/${tool}" "./cmd/${tool}"
+done
+# ref_gate TOOL ARGS...: TOOL ARGS and TOOL -check ARGS must print the same
+# stdout, and the checked run must succeed.
+ref_gate() {
+  local tool="$1"
+  shift
+  local fast ref
+  fast="$("${ref_bin}/${tool}" "$@" 2>/dev/null)" || true
+  if ! ref="$("${ref_bin}/${tool}" -check "$@" 2>"${ref_bin}/check.err")"; then
+    echo "${tool} -check $*: failed"
+    cat "${ref_bin}/check.err"
+    exit 1
+  fi
+  if [[ "${fast}" != "${ref}" ]]; then
+    echo "${tool} $*: default and -check disagree:"
+    diff <(echo "${fast}") <(echo "${ref}") || true
+    exit 1
+  fi
+}
+for f in examples/minc/*.minc testdata/matrixsum.minc; do
+  ref_gate inlinesearch -max-space 65536 "$f"
+done
+for f in examples/minc/*.minc; do
+  ref_gate inlinetune -objective weighted "$f"
+done
+pareto_out="$("${ref_bin}/inlinetune" -objective pareto examples/minc/collatz.minc 2>/dev/null)"
+if ! grep -q 'lambda' <<<"${pareto_out}"; then
+  echo "pareto sweep printed no frontier:"
+  echo "${pareto_out}"
+  exit 1
+fi
+ref_gate inlinelint examples/minc/*.minc testdata/lint/interproc/*.minc
+ref_gate mincc -inline optimal -S -run trace -arg 6 testdata/matrixsum.minc
+# Cross-module (LTO-style) mode: the whole example corpus linked into one
+# module (every example exports `entry`, so duplicate exports exercise the
+# -link-dup rename path); -check solves it on one merged compiler.
+link_files=(examples/minc/*.minc examples/minc/linked/*.minc)
+ref_gate inlinesearch -link -link-dup rename "${link_files[@]}"
+if ! "${ref_bin}/inlinesearch" -link -link-dup rename "${link_files[@]}" 2>/dev/null | grep -q '^optimal:'; then
+  echo "linked search did not report an optimum"
+  exit 1
+fi
+# Incremental re-link replays: warm sessions replay unchanged components
+# from the content-keyed result cache; -check links cold at every step.
+relink_args=(-link-dup rename examples/minc/linked/app.minc examples/minc/linked/mathlib.minc)
+ref_gate inlinesearch -relink examples/minc/linked/edits.txt "${relink_args[@]}"
+ref_gate inlinetune -relink examples/minc/linked/edits_tune.txt -rounds 3 "${relink_args[@]}"
+ref_gate mincc -inline optimal -relink examples/minc/linked/edits.txt "${relink_args[@]}"
+# Every experiment but linked-case (whose checked merged search is 456k
+# verified evaluations) over a scaled corpus.
+bench_ids="$("${ref_bin}/inlinebench" -list | grep -vx 'linked-case' | paste -sd, -)"
+ref_gate inlinebench -exp "${bench_ids}" -scale 0.05
 
 echo "CI OK"

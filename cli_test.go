@@ -96,9 +96,10 @@ func TestInlineTuneCLI(t *testing.T) {
 	}
 }
 
-// TestMinccFnCacheColdVsWarm: a warm -cache-dir rerun and the -no-fncache
-// oracle must produce byte-identical stdout; the warm run's -cache-stats
-// line must show that it reused the persisted entries.
+// TestMinccFnCacheColdVsWarm: a warm -cache-dir rerun and the -check
+// reference (which uses no function cache) must produce byte-identical
+// stdout; the warm run's -cache-stats line must show that it reused the
+// persisted entries.
 func TestMinccFnCacheColdVsWarm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI test")
@@ -108,11 +109,11 @@ func TestMinccFnCacheColdVsWarm(t *testing.T) {
 		base := []string{"./cmd/mincc", "-inline", "optimal", "-S"}
 		return append(append(base, extra...), "testdata/matrixsum.minc")
 	}
-	oracle, _ := runCLISplit(t, argv("-no-fncache")...)
+	oracle, _ := runCLISplit(t, argv("-check")...)
 	cold, coldErr := runCLISplit(t, argv("-cache-dir", dir, "-cache-stats")...)
 	warm, warmErr := runCLISplit(t, argv("-cache-dir", dir, "-cache-stats")...)
 	if cold != oracle {
-		t.Fatalf("cold fncache stdout differs from -no-fncache oracle:\n--- oracle\n%s--- cold\n%s", oracle, cold)
+		t.Fatalf("cold fncache stdout differs from -check reference:\n--- reference\n%s--- cold\n%s", oracle, cold)
 	}
 	if warm != cold {
 		t.Fatalf("warm -cache-dir rerun stdout differs from cold run:\n--- cold\n%s--- warm\n%s", cold, warm)

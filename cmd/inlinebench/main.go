@@ -9,36 +9,26 @@
 //	              llvm-case, sqlite-case, linked-case, or "all"
 //	              (default all); linked-scale is extra-heavy and only
 //	              runs when named explicitly
-//	-no-shard     linked-module experiments: solve components on one merged
-//	              compiler instead of per-component shards (differential
-//	              oracle — stdout is byte-identical)
 //	-list         list experiment IDs and exit
 //	-scale F      workload scale, 1.0 = full corpus (default 1.0)
 //	-rounds N     autotuning rounds (default 4)
 //	-cap N        recursive-space cap for exhaustive experiments (default 2^14)
 //	-jobs N       parallelism: files, subtrees, and experiment cases
 //	              (default GOMAXPROCS; -jobs 1 forces a sequential run)
-//	-workers N    deprecated alias for -jobs
-//	-check        checked compilation: verify IR invariants after every
-//	              inline step and opt pass of every evaluation (slow)
-//	-no-delta     disable the incremental delta-evaluation engine; every
-//	              probe prices a whole configuration (differential oracle)
-//	-no-prune     disable the branch-and-bound layer of the optimal search;
-//	              exhaustive experiments run the plain recursion instead
-//	              (differential oracle — stdout is byte-identical)
-//	-no-fncache   disable the content-addressed per-function compile cache,
-//	              falling back to per-module memo keys (differential oracle)
-//	-no-cycledelta cycle pricers (the pareto experiment) evaluate whole
-//	              configurations instead of repricing incrementally
-//	              (differential oracle — stdout is byte-identical)
+//	-check        run the reference evaluator: every configuration compiled
+//	              fresh with IR invariants verified after every inline step
+//	              and opt pass, no function cache, delta engines or search
+//	              pruning, linked modules solved on one merged compiler
+//	              (slow; linked-case is the exhaustive merged reference over
+//	              456,360 evaluations)
 //	-cache-dir d  persist the content cache in directory d: entries from a
 //	              previous run are reused, and this run's are saved back
 //	-cpuprofile f write a CPU profile to f
 //	-memprofile f write a heap profile to f at exit
 //
-// Results are bit-identical for every -jobs value, for -no-delta and
-// -no-fncache, and for warm -cache-dir reruns; the run ends with
-// compile-cache statistics and total wall-clock time on stderr.
+// Results are bit-identical for every -jobs value, for -check, and for warm
+// -cache-dir reruns; the run ends with compile-cache statistics and total
+// wall-clock time on stderr.
 package main
 
 import (
@@ -63,23 +53,16 @@ func main() {
 
 func run() error {
 	var (
-		exp       = flag.String("exp", "all", "experiment id or 'all'")
-		list      = flag.Bool("list", false, "list experiment IDs")
-		scale     = flag.Float64("scale", 1.0, "workload scale")
-		rounds    = flag.Int("rounds", 4, "autotuning rounds")
-		spaceCap  = flag.Uint64("cap", 1<<14, "recursive-space cap for exhaustive experiments")
-		jobs      = flag.Int("jobs", 0, "parallel jobs (0 = GOMAXPROCS)")
-		workers   = flag.Int("workers", 0, "deprecated alias for -jobs")
-		noMemo    = flag.Bool("no-memo", false, "disable the per-component memoized compile path (for measuring its effect)")
-		noDelta   = flag.Bool("no-delta", false, "disable the incremental delta-evaluation engine (differential oracle)")
-		noPrune   = flag.Bool("no-prune", false, "disable the branch-and-bound search layer (differential oracle)")
-		noShard   = flag.Bool("no-shard", false, "linked-module experiments: one merged compiler instead of per-component shards (differential oracle)")
-		noFnCache = flag.Bool("no-fncache", false, "disable the content-addressed per-function cache (differential oracle)")
-		noCycleDelta = flag.Bool("no-cycledelta", false, "cycle pricers evaluate whole configurations instead of repricing incrementally (differential oracle)")
-		cacheDir  = flag.String("cache-dir", "", "persist the per-function content cache in this directory")
-		check     = flag.Bool("check", false, "checked compilation: verify IR invariants after every inline step and opt pass (slow)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		exp      = flag.String("exp", "all", "experiment id or 'all'")
+		list     = flag.Bool("list", false, "list experiment IDs")
+		scale    = flag.Float64("scale", 1.0, "workload scale")
+		rounds   = flag.Int("rounds", 4, "autotuning rounds")
+		spaceCap = flag.Uint64("cap", 1<<14, "recursive-space cap for exhaustive experiments")
+		jobs     = flag.Int("jobs", 0, "parallel jobs (0 = GOMAXPROCS)")
+		cacheDir = flag.String("cache-dir", "", "persist the per-function content cache in this directory")
+		check    = flag.Bool("check", false, "reference evaluator: every configuration compiled fresh and verified (slow)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
 	if *cpuProf != "" {
@@ -107,9 +90,6 @@ func run() error {
 			}
 		}()
 	}
-	if *jobs == 0 && *workers != 0 {
-		*jobs = *workers
-	}
 	if *list {
 		for _, id := range experiments.IDs() {
 			fmt.Println(id)
@@ -123,18 +103,12 @@ func run() error {
 		return err
 	}
 	h := experiments.NewHarness(experiments.Config{
-		Scale:          *scale,
-		Workers:        *jobs,
-		ExhaustiveCap:  *spaceCap,
-		Rounds:         *rounds,
-		DisableMemo:    *noMemo,
-		DisableDelta:   *noDelta,
-		Checked:        *check,
-		DisablePrune:   *noPrune,
-		DisableFnCache: *noFnCache,
-		FnCache:           fncache,
-		DisableShard:      *noShard,
-		DisableCycleDelta: *noCycleDelta,
+		Scale:         *scale,
+		Workers:       *jobs,
+		ExhaustiveCap: *spaceCap,
+		Rounds:        *rounds,
+		Checked:       *check,
+		FnCache:       fncache,
 	})
 	fmt.Fprintf(os.Stderr, "corpus generated in %v\n", time.Since(start).Round(time.Millisecond))
 

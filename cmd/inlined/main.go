@@ -21,14 +21,12 @@
 //	-fsync-every N        fsync the store every N appended records
 //	-compact              compact the -cache-dir store offline and exit
 //	-allow-delay          honor requests' delayMs field (testing only)
-//	-no-interproc-cache   recompute /analyze summaries from scratch
-//	                      (differential oracle for the summary cache)
 //	-max-link-sessions N  incremental re-link session registry bound
 //	                      (default 32, FIFO eviction)
-//	-no-relink-cache      re-solve every component from scratch instead of
-//	                      sharing the content-keyed result cache across link
-//	                      sessions (differential oracle: /link responses are
-//	                      byte-identical either way)
+//	-check                serve from the reference evaluator: checked
+//	                      compilers, /analyze summaries from scratch, and
+//	                      /link queries answered by cold links; response
+//	                      bodies are byte-identical to a default daemon's
 //	-drain-timeout d      how long SIGTERM waits for in-flight work (default 30s)
 //
 // Endpoints: POST /analyze, POST /compile, POST /search, POST /tune
@@ -51,10 +49,9 @@
 // objectives profile entry(args...) on the no-inline baseline once — the
 // profile and its incremental cycle pricer are pooled across requests —
 // and report initCycles/bestCycles plus per-round cycles alongside the
-// size trace. "noCycleDelta": true prices every probe with the
-// whole-module oracle instead; the response is byte-identical either way.
-// GET /stats exposes the pricer pool (profiles cached, repricings,
-// whole-module fallbacks, replay events) under "cyclePricers".
+// size trace. GET /stats exposes the pricer pool (profiles cached, repricings,
+// a -check daemon's whole-module evaluations, replay events) under
+// "cyclePricers".
 package main
 
 import (
@@ -82,21 +79,20 @@ func main() {
 
 func run() error {
 	var (
-		addr          = flag.String("addr", "127.0.0.1:7433", "listen address (use :0 for an ephemeral port)")
-		jobs          = flag.Int("jobs", 0, "global worker-token pool (0 = GOMAXPROCS)")
-		queueBound    = flag.Int("queue", 0, "max waiting requests before 503 (0 = 64, negative = none)")
-		timeout       = flag.Duration("timeout", 2*time.Minute, "per-request queueing deadline")
-		maxCompilers  = flag.Int("max-compilers", 0, "per-module compiler pool bound (0 = 128)")
-		maxSpace      = flag.Uint64("max-space", 1<<16, "default search space cap")
-		cacheDir      = flag.String("cache-dir", "", "persist the per-function cache in this directory")
-		cacheMax      = flag.Int("cache-max-entries", 0, "LRU bound on cached functions (0 = unbounded)")
-		fsyncEvery    = flag.Int("fsync-every", 0, "fsync the store every N appended records (0 = default)")
-		compact       = flag.Bool("compact", false, "compact the -cache-dir store offline and exit")
-		allowDelay    = flag.Bool("allow-delay", false, "honor requests' delayMs field (testing only)")
-		noIPCache     = flag.Bool("no-interproc-cache", false, "recompute /analyze summaries from scratch")
-		maxLinkSess   = flag.Int("max-link-sessions", 0, "incremental re-link session bound (0 = 32)")
-		noRelinkCache = flag.Bool("no-relink-cache", false, "re-solve every component instead of sharing the relink result cache")
-		drainWait     = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight work")
+		addr         = flag.String("addr", "127.0.0.1:7433", "listen address (use :0 for an ephemeral port)")
+		jobs         = flag.Int("jobs", 0, "global worker-token pool (0 = GOMAXPROCS)")
+		queueBound   = flag.Int("queue", 0, "max waiting requests before 503 (0 = 64, negative = none)")
+		timeout      = flag.Duration("timeout", 2*time.Minute, "per-request queueing deadline")
+		maxCompilers = flag.Int("max-compilers", 0, "per-module compiler pool bound (0 = 128)")
+		maxSpace     = flag.Uint64("max-space", 1<<16, "default search space cap")
+		cacheDir     = flag.String("cache-dir", "", "persist the per-function cache in this directory")
+		cacheMax     = flag.Int("cache-max-entries", 0, "LRU bound on cached functions (0 = unbounded)")
+		fsyncEvery   = flag.Int("fsync-every", 0, "fsync the store every N appended records (0 = default)")
+		compact      = flag.Bool("compact", false, "compact the -cache-dir store offline and exit")
+		allowDelay   = flag.Bool("allow-delay", false, "honor requests' delayMs field (testing only)")
+		maxLinkSess  = flag.Int("max-link-sessions", 0, "incremental re-link session bound (0 = 32)")
+		check        = flag.Bool("check", false, "serve from the reference evaluator (checked compilers, no result caches)")
+		drainWait    = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight work")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -124,10 +120,8 @@ func run() error {
 		DefaultMaxSpace: *maxSpace,
 		FnCache:         fncache,
 		AllowDelay:      *allowDelay,
-
-		DisableSummaryCache: *noIPCache,
-		MaxLinkSessions:     *maxLinkSess,
-		DisableRelinkCache:  *noRelinkCache,
+		MaxLinkSessions: *maxLinkSess,
+		Check:           *check,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -19,12 +19,11 @@
 //	-sarif          emit findings as a SARIF 2.1.0 log instead of text
 //	-severity s     only report findings at severity s (info|warning|error)
 //	                or above; default info reports everything
-//	-no-interproc-cache
-//	                recompute interprocedural summaries from scratch
-//	                (differential oracle for the summary cache)
-//	-check          additionally push the module through the checked
-//	                compilation pipeline (no-inline and -Os configurations)
-//	                and report any invariant violation
+//	-check          run the reference evaluator: compute interprocedural
+//	                summaries from scratch instead of through the shared
+//	                summary cache, and additionally push the module through
+//	                the checked compilation pipeline (no-inline and -Os
+//	                configurations), reporting any invariant violation
 //	-target x86|wasm  size model for -check (default x86)
 //
 // Exit status is 2 on usage or load errors, 1 if any finding of error
@@ -60,8 +59,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		jsonOut    = fs.Bool("json", false, "emit findings as JSON")
 		sarifOut   = fs.Bool("sarif", false, "emit findings as SARIF 2.1.0")
 		sevName    = fs.String("severity", "info", "minimum severity to report: info|warning|error")
-		noIPCache  = fs.Bool("no-interproc-cache", false, "recompute interprocedural summaries from scratch")
-		check      = fs.Bool("check", false, "run the checked compilation pipeline as well")
+		check      = fs.Bool("check", false, "summaries from scratch, and run the checked compilation pipeline as well")
 		targetName = fs.String("target", "x86", "size model for -check: x86|wasm")
 	)
 	if err := fs.Parse(argv); err != nil {
@@ -98,9 +96,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	// One summary cache per run: structurally identical functions across
-	// the file list share their summary cores.
+	// the file list share their summary cores. The reference evaluator
+	// computes every summary from scratch.
 	var ipCache *interproc.Cache
-	if !*noIPCache {
+	if !*check {
 		ipCache = interproc.NewCache()
 	}
 

@@ -243,18 +243,20 @@ func TestSARIFGolden(t *testing.T) {
 	}
 }
 
-// TestNoInterprocCacheParity: the cached and scratch analyses must render
-// byte-identical findings over the whole fixture corpus in one process
-// (the cache is shared across files, so cross-file reuse is exercised).
+// TestNoInterprocCacheParity: the cached analyses and the -check reference
+// (scratch summaries, plus the checked pipeline, which must add nothing on
+// this corpus) must render byte-identical findings over the whole fixture
+// corpus in one process (the cache is shared across files, so cross-file
+// reuse is exercised).
 func TestNoInterprocCacheParity(t *testing.T) {
 	repoRoot(t)
 	files := interprocCorpus(t)
 	files = append(files, corpus(t)...)
 	var cached, scratch bytes.Buffer
 	ccode := run(files, &cached, &bytes.Buffer{})
-	scode := run(append([]string{"-no-interproc-cache"}, files...), &scratch, &bytes.Buffer{})
+	scode := run(append([]string{"-check"}, files...), &scratch, &bytes.Buffer{})
 	if ccode != scode || cached.String() != scratch.String() {
-		t.Errorf("cached (exit %d) and -no-interproc-cache (exit %d) disagree:\n--- cached ---\n%s--- scratch ---\n%s",
+		t.Errorf("cached (exit %d) and -check (exit %d) disagree:\n--- cached ---\n%s--- scratch ---\n%s",
 			ccode, scode, cached.String(), scratch.String())
 	}
 }

@@ -10,37 +10,30 @@
 //
 //	-link               link all argument files into one module (LTO-style)
 //	                    and run the component-sharded optimal search on it
-//	-no-shard           with -link: solve the same components on one merged
-//	                    compiler instead of per-component sub-modules
-//	                    (differential oracle — stdout is byte-identical)
 //	-link-dup p         with -link: exported symbols defined in several units
 //	                    are an error (default) or are renamed apart (rename)
 //	-relink script      replay an edit script (patch <tu> <path> / search
 //	                    lines) against an incremental re-link session:
 //	                    content-unchanged components replay their cached
 //	                    optimum, only dirty components are re-searched
-//	-no-relink          with -relink: re-link and search from scratch at
-//	                    every step (differential oracle — stdout is
-//	                    byte-identical to the incremental session)
 //	-target x86|wasm    size model (default x86)
 //	-max-space N        abort if the recursive space exceeds N evaluations
 //	                    (with -link the bound applies per component)
 //	-jobs N             parallel subtree evaluations (default GOMAXPROCS;
 //	                    results are bit-identical for every value)
-//	-workers N          deprecated alias for -jobs
 //	-dot                print optimal-vs-heuristic call graphs as DOT
-//	-check              checked compilation: verify IR invariants after
-//	                    every inline step and opt pass of every evaluation
-//	-no-delta           disable the incremental delta-evaluation engine;
-//	                    leaf/combine evaluations price whole configurations
-//	-no-prune           disable the branch-and-bound layer (component memo +
-//	                    admissible bounds); run the exhaustive recursion
-//	                    instead (differential oracle — output is identical)
-//	-no-fncache         disable the content-addressed per-function compile
-//	                    cache (differential oracle — sizes are identical)
+//	-check              run the reference evaluator: compile every
+//	                    configuration fresh with IR invariants verified
+//	                    after every inline step and opt pass, no function
+//	                    cache, delta engine or pruning; -link solves one
+//	                    merged module and -relink links cold at every step.
+//	                    stdout is byte-identical to the default run
 //	-cache-dir d        persist the per-function content cache in directory d
 //	-cpuprofile f       write a CPU profile to f
 //	-memprofile f       write a heap profile to f at exit
+//
+// stdout carries only answers; evaluation counters, cache statistics and
+// the checked-mode verdict go to stderr.
 package main
 
 import (
@@ -74,21 +67,15 @@ func run() error {
 		targetName = flag.String("target", "x86", "size model: x86|wasm")
 		maxSpace   = flag.Uint64("max-space", 1<<20, "abort beyond this many evaluations")
 		jobs       = flag.Int("jobs", 0, "parallel subtree evaluations (0 = GOMAXPROCS)")
-		workers    = flag.Int("workers", 0, "deprecated alias for -jobs")
 		dot        = flag.Bool("dot", false, "print DOT call graphs (optimal vs heuristic)")
 		tree       = flag.Bool("tree", false, "print the materialized inlining tree (paper Figure 6)")
-		check      = flag.Bool("check", false, "checked compilation: verify IR invariants after every inline step and opt pass")
-		noDelta    = flag.Bool("no-delta", false, "disable the incremental delta-evaluation engine (differential oracle)")
-		noPrune    = flag.Bool("no-prune", false, "disable the branch-and-bound search layer (differential oracle)")
-		noFnCache  = flag.Bool("no-fncache", false, "disable the content-addressed per-function cache (differential oracle)")
+		check      = flag.Bool("check", false, "reference evaluator: every configuration compiled fresh and verified after every inline step and opt pass")
 		cacheDir   = flag.String("cache-dir", "", "persist the per-function content cache in this directory")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		doLink     = flag.Bool("link", false, "link all argument files into one module and search it component-sharded")
-		noShard    = flag.Bool("no-shard", false, "with -link: single merged compiler instead of per-component shards (oracle)")
 		linkDup    = flag.String("link-dup", "error", "with -link: duplicate exported symbol policy: error|rename")
 		relink     = flag.String("relink", "", "with -link: replay an edit script against an incremental session")
-		noRelink   = flag.Bool("no-relink", false, "with -relink: cold full link at every step (differential oracle)")
 	)
 	flag.Parse()
 	if *cpuProf != "" {
@@ -116,9 +103,6 @@ func run() error {
 			}
 		}()
 	}
-	if *jobs == 0 && *workers != 0 {
-		*jobs = *workers
-	}
 	if *jobs == 0 {
 		*jobs = runtime.GOMAXPROCS(0)
 	}
@@ -136,9 +120,8 @@ func run() error {
 	if *doLink || *relink != "" {
 		return runLink(linkRun{
 			files: flag.Args(), target: target, maxSpace: *maxSpace, jobs: *jobs,
-			check: *check, noDelta: *noDelta, noPrune: *noPrune, noFnCache: *noFnCache,
-			fncache: fncache, cacheDir: *cacheDir, noShard: *noShard, dup: *linkDup,
-			relink: *relink, noRelink: *noRelink,
+			check: *check, fncache: fncache, cacheDir: *cacheDir, dup: *linkDup,
+			relink: *relink,
 		})
 	}
 	mod, err := source.Load(flag.Arg(0))
@@ -146,12 +129,6 @@ func run() error {
 		return err
 	}
 	comp := compile.NewWithOptions(mod, target, compile.Options{Check: *check, FnCache: fncache})
-	if *noDelta {
-		comp.SetDelta(false)
-	}
-	if *noFnCache {
-		comp.SetFnCache(false)
-	}
 	g := comp.Graph()
 	fmt.Printf("%s: %d functions, %d inlinable call sites\n", flag.Arg(0), len(g.Nodes), len(g.Edges))
 	fmt.Printf("naive space: 2^%.0f configurations\n", search.NaiveSpaceLog2(g))
@@ -161,7 +138,7 @@ func run() error {
 	}
 	fmt.Printf("recursively partitioned space: %d evaluations (2^%.1f)\n", rec, math.Log2(float64(rec)))
 
-	res, ok := search.Optimal(comp, search.Options{Workers: *jobs, MaxSpace: *maxSpace, NoPrune: *noPrune})
+	res, ok := search.Optimal(comp, search.Options{Workers: *jobs, MaxSpace: *maxSpace})
 	if !ok {
 		return fmt.Errorf("search aborted")
 	}
@@ -179,8 +156,8 @@ func run() error {
 	fmt.Printf("\nno inlining:    %6d bytes\n", noInline)
 	fmt.Printf("-Os heuristic:  %6d bytes (%.1f%% of optimal)\n", heurSize, f(heurSize, res.Size))
 	fmt.Printf("optimal:        %6d bytes, inlining %d of %d sites\n", res.Size, res.Config.InlineCount(), len(g.Edges))
-	fmt.Printf("evaluations: %d configurations compiled (config cache %v)\n", res.Evaluations, comp.ConfigCacheStats())
-	fmt.Printf("function cache: %v\n", comp.FuncCacheStats())
+	fmt.Fprintf(os.Stderr, "evaluations: %d configurations compiled (config cache %v)\n", res.Evaluations, comp.ConfigCacheStats())
+	fmt.Fprintf(os.Stderr, "function cache: %v\n", comp.FuncCacheStats())
 	fmt.Printf("optimal inline sites: %v\n", res.Config.InlineSites())
 
 	matrix := callgraph.Agreement(g.Sites(), res.Config, hc)
@@ -191,7 +168,7 @@ func run() error {
 		if err := comp.CheckFailure(); err != nil {
 			return fmt.Errorf("invariant violation during search: %w", err)
 		}
-		fmt.Printf("checked mode: all %d evaluations passed per-step verification\n", comp.Evaluations())
+		fmt.Fprintf(os.Stderr, "checked mode: all %d evaluations passed per-step verification\n", comp.Evaluations())
 	}
 
 	if *dot {
@@ -218,16 +195,14 @@ func f(a, b int) float64 {
 
 // linkRun carries the parsed flags of a -link invocation.
 type linkRun struct {
-	files                              []string
-	target                             codegen.Target
-	maxSpace                           uint64
-	jobs                               int
-	check, noDelta, noPrune, noFnCache bool
-	noShard                            bool
-	dup, cacheDir                      string
-	fncache                            *compile.FnCache
-	relink                             string // edit-script path; "" = one-shot
-	noRelink                           bool   // replay with cold full links (oracle)
+	files         []string
+	target        codegen.Target
+	maxSpace      uint64
+	jobs          int
+	check         bool
+	dup, cacheDir string
+	fncache       *compile.FnCache
+	relink        string // edit-script path; "" = one-shot
 }
 
 func parseDupPolicy(name string) (link.DupPolicy, error) {
@@ -246,19 +221,9 @@ func (p linkRun) searchOptions() link.SearchOptions {
 		ShardOptions: link.ShardOptions{
 			Target:  p.target,
 			Compile: compile.Options{Check: p.check, FnCache: p.fncache},
-			Configure: func(c *compile.Compiler) {
-				if p.noDelta {
-					c.SetDelta(false)
-				}
-				if p.noFnCache {
-					c.SetFnCache(false)
-				}
-			},
 			Workers: p.jobs,
-			NoShard: p.noShard,
 		},
 		MaxSpace: p.maxSpace,
-		NoPrune:  p.noPrune,
 	}
 }
 
@@ -268,8 +233,8 @@ func printLinkPlanLine(pl *link.Plan) {
 }
 
 // printLinkSearchReport renders the mode-independent stdout block of one
-// linked search; the -no-shard and -no-relink differential gates byte-diff
-// it, so nothing schedule- or cache-dependent may appear here.
+// linked search; the -check differential gates byte-diff it, so nothing
+// schedule- or cache-dependent may appear here.
 func printLinkSearchReport(pl *link.Plan, res link.SearchResult) {
 	fmt.Printf("components: %d, recursive space %d evaluations total\n", len(res.Components), res.SpaceTotal)
 	for _, cs := range res.Components {
@@ -293,8 +258,8 @@ func reportCapped(res link.SearchResult, maxSpace uint64) error {
 }
 
 // runLink links the argument files and runs the component-sharded optimal
-// search (or the -no-shard merged oracle). Everything printed on stdout is
-// mode-independent — the CI gate byte-diffs the two modes — while
+// search (with -check, the merged reference). Everything printed on stdout
+// is mode-independent — the CI gate byte-diffs the two modes — while
 // schedule- and mode-dependent counters go to stderr.
 func runLink(p linkRun) error {
 	if len(p.files) == 0 {
@@ -349,15 +314,12 @@ func fileTUs(files []string) []link.TU {
 
 // runRelink replays a -relink edit script: each patch step swaps one TU's
 // contents, each search step reports the optimal search over the current
-// unit set. Warm mode drives an incremental link.Session (dirty components
-// re-solved, the rest replayed from the content-keyed result cache);
-// -no-relink re-links and re-searches from scratch at every step — the
-// differential oracle the ci.sh gate byte-diffs against. All stdout is
+// unit set. It drives an incremental link.Session (dirty components
+// re-solved, the rest replayed from the content-keyed result cache); with
+// -check the session answers every search from a cold link instead — the
+// reference the ci.sh gate byte-diffs against. All stdout is
 // mode-independent; patch/replay accounting goes to stderr.
 func runRelink(p linkRun, dup link.DupPolicy) error {
-	if p.noShard {
-		return fmt.Errorf("-relink replay is always sharded; -no-shard applies to one-shot -link runs")
-	}
 	scriptData, err := os.ReadFile(p.relink)
 	if err != nil {
 		return fmt.Errorf("-relink: %w", err)
@@ -368,15 +330,8 @@ func runRelink(p linkRun, dup link.DupPolicy) error {
 	}
 	scriptDir := filepath.Dir(p.relink)
 
-	tus := fileTUs(p.files)
-	var sess *link.Session
-	cur := append([]link.TU(nil), tus...) // -no-relink: current contents
-	if !p.noRelink {
-		sess, err = link.NewSession(tus, link.SessionOptions{Link: link.Options{DupExported: dup}})
-		if err != nil {
-			return err
-		}
-	} else if _, err := link.New(cur, link.Options{DupExported: dup}); err != nil {
+	sess, err := link.NewSession(fileTUs(p.files), link.SessionOptions{Link: link.Options{DupExported: dup}})
+	if err != nil {
 		return err
 	}
 
@@ -390,66 +345,29 @@ func runRelink(p linkRun, dup link.DupPolicy) error {
 			}
 			fmt.Printf("== step %d: patch %s <- %s ==\n", step+1, op.TU, op.Path)
 			tu := link.LazyTU(op.TU, func() (*ir.Module, error) { return source.Load(path) })
-			if p.noRelink {
-				idx := -1
-				for i := range cur {
-					if cur[i].Name == op.TU {
-						idx = i
-						break
-					}
-				}
-				if idx < 0 {
-					return fmt.Errorf("step %d: link: no unit named %q", step+1, op.TU)
-				}
-				cur[idx] = tu
-				if _, err := link.New(cur, link.Options{DupExported: dup}); err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
+			rep, err := sess.ReplaceNamed(tu)
+			if err != nil {
+				return fmt.Errorf("step %d: %w", step+1, err)
+			}
+			if rep.PlanReused {
+				fmt.Fprintf(os.Stderr, "step %d: body-only edit, plan reused\n", step+1)
 			} else {
-				rep, err := sess.ReplaceNamed(tu)
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-				if rep.PlanReused {
-					fmt.Fprintf(os.Stderr, "step %d: body-only edit, plan reused\n", step+1)
-				} else {
-					fmt.Fprintf(os.Stderr, "step %d: link surface changed, plan rebuilt\n", step+1)
-				}
+				fmt.Fprintf(os.Stderr, "step %d: link surface changed, plan rebuilt\n", step+1)
 			}
 		case "search":
 			fmt.Printf("== step %d: search ==\n", step+1)
-			var (
-				pl   *link.Plan
-				res  link.SearchResult
-				info link.RelinkInfo
-				ok   bool
-			)
-			if p.noRelink {
-				l, err := link.New(cur, link.Options{DupExported: dup})
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-				pl = l.Plan()
-				res, ok, err = l.OptimalSearch(opts)
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-			} else {
-				pl = sess.Plan()
-				res, info, ok, err = sess.Search(opts)
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
+			pl := sess.Plan()
+			res, info, ok, err := sess.Search(opts)
+			if err != nil {
+				return fmt.Errorf("step %d: %w", step+1, err)
 			}
 			if !ok {
 				return reportCapped(res, p.maxSpace)
 			}
 			printLinkPlanLine(pl)
 			printLinkSearchReport(pl, res)
-			if !p.noRelink {
-				fmt.Fprintf(os.Stderr, "step %d: components solved %d, replayed %d; residual solved %d, replayed %d\n",
-					step+1, info.ComponentsSolved, info.ComponentsReplayed, info.ResidualSolved, info.ResidualReplayed)
-			}
+			fmt.Fprintf(os.Stderr, "step %d: components solved %d, replayed %d; residual solved %d, replayed %d\n",
+				step+1, info.ComponentsSolved, info.ComponentsReplayed, info.ResidualSolved, info.ResidualReplayed)
 		case "tune":
 			return fmt.Errorf("step %d: tune steps replay with inlinetune -relink", step+1)
 		}

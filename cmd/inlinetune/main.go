@@ -8,32 +8,30 @@
 //
 //	-link                 link all argument files into one module (LTO-style)
 //	                      and autotune it with per-component lockstep sessions
-//	-no-shard             with -link: run the classic whole-module tuner on
-//	                      one merged compiler (differential oracle — stdout
-//	                      is byte-identical)
 //	-link-dup p           with -link: exported symbols defined in several
 //	                      units are an error (default) or renamed (rename)
 //	-relink script        replay an edit script (patch <tu> <path> / tune
 //	                      lines) against an incremental re-link session:
 //	                      content-unchanged components replay their recorded
 //	                      tuning trace, only dirty components probe edges
-//	-no-relink            with -relink: cold full link at every step
-//	                      (differential oracle — stdout is byte-identical)
 //	-init clean|os|both   starting configuration(s) (default both)
 //	-rounds N             tuning rounds (default 4)
 //	-target x86|wasm      size model (default x86)
-//	-workers N            parallel per-edge evaluations
+//	-jobs N               parallel per-edge evaluations (default GOMAXPROCS)
 //	-dot                  print the tuned call graph as DOT
-//	-no-delta             disable the incremental delta-evaluation engine;
-//	                      every probe prices a whole configuration
 //	-exact-components N   after the rounds, re-solve exactly (branch-and-
 //	                      bound) every call-graph component whose recursive
 //	                      space fits N tree evaluations, under the tuned
 //	                      labels of the rest (0 disables; try 4096)
-//	-no-prune             make the exact-component polish use the exhaustive
-//	                      recursion instead of branch-and-bound (oracle)
-//	-no-fncache           disable the content-addressed per-function compile
-//	                      cache (differential oracle)
+//	-check                run the reference evaluator: compile every probed
+//	                      configuration fresh with IR invariants verified
+//	                      after every inline step and opt pass, no function
+//	                      cache or delta engines for size and cycles, no
+//	                      pruning in the exact-component polish; -link tunes
+//	                      one merged module and -relink links cold at every
+//	                      step. stdout is byte-identical (the compilation
+//	                      count aside under -exact-components, whose checked
+//	                      polish runs the exhaustive recursion)
 //	-objective o          tuned objective: size (default), weighted
 //	                      (bytes + lambda*cycles), cycles, or pareto (a
 //	                      lambda sweep printing the size/speed frontier);
@@ -44,9 +42,6 @@
 //	-entry f, -args a,b   profiled root and arguments (default entry(7))
 //	-fuel N               profiling interpretation fuel
 //	-cache-bytes N        modelled i-cache capacity (0 = default)
-//	-no-cycledelta        cycle pricer evaluates whole configurations
-//	                      instead of repricing incrementally (differential
-//	                      oracle — stdout is byte-identical)
 //	-cache-dir d          persist the per-function content cache in directory d
 //	-cpuprofile f         write a CPU profile to f
 //	-memprofile f         write a heap profile to f at exit
@@ -83,33 +78,28 @@ func main() {
 
 func run() error {
 	var (
-		initMode     = flag.String("init", "both", "starting point: clean|os|both")
-		rounds       = flag.Int("rounds", 4, "tuning rounds")
-		targetName   = flag.String("target", "x86", "size model: x86|wasm")
-		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel per-edge evaluations")
-		dot          = flag.Bool("dot", false, "print tuned call graph as DOT")
-		groups       = flag.Bool("groups", false, "also test per-callee group inlining (paper 5.2.1 extension)")
-		incr         = flag.Bool("incremental", false, "incremental rounds: only re-tune changed regions (paper 6 extension)")
-		noDelta      = flag.Bool("no-delta", false, "disable the incremental delta-evaluation engine (differential oracle)")
-		exactComps   = flag.Uint64("exact-components", 0, "re-solve components whose recursive space fits N evaluations exactly after the rounds (0 = off)")
-		noPrune      = flag.Bool("no-prune", false, "exhaustive recursion instead of branch-and-bound in the exact-component polish (differential oracle)")
-		noFnCache    = flag.Bool("no-fncache", false, "disable the content-addressed per-function cache (differential oracle)")
-		objective    = flag.String("objective", "size", "tuned objective: size|weighted|cycles|pareto")
-		lambda       = flag.Float64("lambda", 0.1, "cycle weight for -objective weighted")
-		lambdas      = flag.String("lambdas", "0.01,0.1,1", "interior weights for -objective pareto (comma-separated)")
-		entryName    = flag.String("entry", "entry", "profiled root function for cycle objectives")
-		entryArgs    = flag.String("args", "7", "profiled root arguments (comma-separated integers)")
-		fuel         = flag.Int64("fuel", 20_000_000, "profiling interpretation fuel")
-		cacheBytes   = flag.Int("cache-bytes", 0, "modelled i-cache capacity in bytes (0 = interpreter default)")
-		noCycleDelta = flag.Bool("no-cycledelta", false, "cycle pricer evaluates whole configurations instead of repricing incrementally (differential oracle)")
-		cacheDir     = flag.String("cache-dir", "", "persist the per-function content cache in this directory")
-		cpuProf      = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf      = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		doLink       = flag.Bool("link", false, "link all argument files into one module and autotune it component-sharded")
-		noShard      = flag.Bool("no-shard", false, "with -link: whole-module tuner on one merged compiler (oracle)")
-		linkDup      = flag.String("link-dup", "error", "with -link: duplicate exported symbol policy: error|rename")
-		relink       = flag.String("relink", "", "with -link: replay an edit script against an incremental session")
-		noRelink     = flag.Bool("no-relink", false, "with -relink: cold full link at every step (differential oracle)")
+		initMode   = flag.String("init", "both", "starting point: clean|os|both")
+		rounds     = flag.Int("rounds", 4, "tuning rounds")
+		targetName = flag.String("target", "x86", "size model: x86|wasm")
+		jobs       = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel per-edge evaluations")
+		dot        = flag.Bool("dot", false, "print tuned call graph as DOT")
+		groups     = flag.Bool("groups", false, "also test per-callee group inlining (paper 5.2.1 extension)")
+		incr       = flag.Bool("incremental", false, "incremental rounds: only re-tune changed regions (paper 6 extension)")
+		exactComps = flag.Uint64("exact-components", 0, "re-solve components whose recursive space fits N evaluations exactly after the rounds (0 = off)")
+		check      = flag.Bool("check", false, "reference evaluator: every configuration compiled fresh and verified after every inline step and opt pass")
+		objective  = flag.String("objective", "size", "tuned objective: size|weighted|cycles|pareto")
+		lambda     = flag.Float64("lambda", 0.1, "cycle weight for -objective weighted")
+		lambdas    = flag.String("lambdas", "0.01,0.1,1", "interior weights for -objective pareto (comma-separated)")
+		entryName  = flag.String("entry", "entry", "profiled root function for cycle objectives")
+		entryArgs  = flag.String("args", "7", "profiled root arguments (comma-separated integers)")
+		fuel       = flag.Int64("fuel", 20_000_000, "profiling interpretation fuel")
+		cacheBytes = flag.Int("cache-bytes", 0, "modelled i-cache capacity in bytes (0 = interpreter default)")
+		cacheDir   = flag.String("cache-dir", "", "persist the per-function content cache in this directory")
+		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf    = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		doLink     = flag.Bool("link", false, "link all argument files into one module and autotune it component-sharded")
+		linkDup    = flag.String("link-dup", "error", "with -link: duplicate exported symbol policy: error|rename")
+		relink     = flag.String("relink", "", "with -link: replay an edit script against an incremental session")
 	)
 	flag.Parse()
 	if *cpuProf != "" {
@@ -145,7 +135,7 @@ func run() error {
 		target = codegen.TargetWASM
 	}
 	cf, err := parseCycleFlags(*objective, *lambda, *lambdas, *entryName, *entryArgs,
-		*fuel, *cacheBytes, *noCycleDelta)
+		*fuel, *cacheBytes)
 	if err != nil {
 		return err
 	}
@@ -156,31 +146,23 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	compileOpts := compile.Options{Check: *check, FnCache: fncache}
 	if *doLink || *relink != "" {
 		if cf.objective == "pareto" {
 			return fmt.Errorf("-objective pareto does not combine with -link")
 		}
 		if *relink != "" {
-			if *noShard {
-				return fmt.Errorf("-relink replay is always sharded; -no-shard applies to one-shot -link runs")
-			}
-			return runRelinkTune(flag.Args(), target, fncache, *cacheDir, *linkDup, *initMode,
-				*rounds, *workers, *noDelta, *noFnCache, cf, *relink, *noRelink)
+			return runRelinkTune(flag.Args(), target, compileOpts, *cacheDir, *linkDup, *initMode,
+				*rounds, *jobs, cf, *relink)
 		}
-		return runLinkTune(flag.Args(), target, fncache, *cacheDir, *linkDup, *initMode,
-			*rounds, *workers, *noShard, *noDelta, *noFnCache, cf)
+		return runLinkTune(flag.Args(), target, compileOpts, *cacheDir, *linkDup, *initMode,
+			*rounds, *jobs, cf)
 	}
 	mod, err := source.Load(flag.Arg(0))
 	if err != nil {
 		return err
 	}
-	comp := compile.NewWithOptions(mod, target, compile.Options{FnCache: fncache})
-	if *noDelta {
-		comp.SetDelta(false)
-	}
-	if *noFnCache {
-		comp.SetFnCache(false)
-	}
+	comp := compile.NewWithOptions(mod, target, compileOpts)
 	g := comp.Graph()
 	osCfg := heuristic.OsConfig(comp.Module(), g)
 	osSize := comp.Size(osCfg)
@@ -188,15 +170,18 @@ func run() error {
 	fmt.Printf("%s: %d inlinable calls; no-inline %d bytes, -Os %d bytes\n",
 		flag.Arg(0), len(g.Edges), noInline, osSize)
 	if cf.objective != "size" {
-		return runCycleTune(comp, osCfg, cf, *initMode, *rounds, *workers)
+		if err := runCycleTune(comp, osCfg, cf, *initMode, *rounds, *jobs); err != nil {
+			return err
+		}
+		return comp.CheckFailure()
 	}
 
-	opts := autotune.Options{Rounds: *rounds, Workers: *workers}
+	opts := autotune.Options{Rounds: *rounds, Workers: *jobs}
 	tune := func(init *callgraph.Config) autotune.Result {
 		if *groups || *incr || *exactComps > 0 {
 			return autotune.TuneExtended(comp, init, autotune.ExtOptions{
 				Options: opts, GroupCallees: *groups, Incremental: *incr,
-				ExactComponents: *exactComps, NoPrune: *noPrune,
+				ExactComponents: *exactComps,
 			})
 		}
 		return autotune.Tune(comp, init, opts)
@@ -234,17 +219,12 @@ func run() error {
 
 	fmt.Printf("\nfinal: %d bytes = %.1f%% of -Os (%.1f%% of no-inline), %d compilations\n",
 		best.Size, pct(best.Size, osSize), pct(best.Size, noInline), comp.Evaluations())
-	if *cacheDir != "" {
-		if err := fncache.Save(); err != nil {
-			fmt.Fprintln(os.Stderr, "inlinetune:", err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "fn content cache: %v\n", fncache.Stats())
+	saveFnCache(fncache, *cacheDir)
 	if *dot {
 		fmt.Println()
 		fmt.Println(g.DOT(flag.Arg(0), best.Config))
 	}
-	return nil
+	return comp.CheckFailure()
 }
 
 func pct(a, b int) float64 {
@@ -257,21 +237,20 @@ func pct(a, b int) float64 {
 // cycleFlags bundles the cycle-objective knobs shared by the single-file
 // and -link paths.
 type cycleFlags struct {
-	objective    string // size|weighted|cycles|pareto
-	lambda       float64
-	lambdas      []float64
-	entry        string
-	args         []int64
-	fuel         int64
-	cacheBytes   int
-	noCycleDelta bool
+	objective  string // size|weighted|cycles|pareto
+	lambda     float64
+	lambdas    []float64
+	entry      string
+	args       []int64
+	fuel       int64
+	cacheBytes int
 }
 
 func parseCycleFlags(objective string, lambda float64, lambdas, entry, args string,
-	fuel int64, cacheBytes int, noCycleDelta bool) (cycleFlags, error) {
+	fuel int64, cacheBytes int) (cycleFlags, error) {
 	cf := cycleFlags{
 		objective: objective, lambda: lambda, entry: entry,
-		fuel: fuel, cacheBytes: cacheBytes, noCycleDelta: noCycleDelta,
+		fuel: fuel, cacheBytes: cacheBytes,
 	}
 	switch objective {
 	case "size", "weighted", "cycles", "pareto":
@@ -317,14 +296,11 @@ func pricerFor(comp *compile.Compiler, cf cycleFlags) (*compile.CyclePricer, *in
 	if err != nil {
 		return nil, nil, err
 	}
-	if cf.noCycleDelta {
-		pricer.SetCycleDelta(false)
-	}
 	return pricer, prof, nil
 }
 
 // runCycleTune tunes one translation unit for a cycle-aware objective.
-// stdout is byte-identical with and without -no-cycledelta.
+// stdout is byte-identical with and without -check.
 func runCycleTune(comp *compile.Compiler, osCfg *callgraph.Config, cf cycleFlags,
 	initMode string, rounds, workers int) error {
 	pricer, prof, err := pricerFor(comp, cf)
@@ -414,11 +390,10 @@ func objectiveLabel(cf cycleFlags) string {
 }
 
 // runLinkTune links the argument files and autotunes the merged module with
-// per-component lockstep sessions (or the -no-shard whole-module oracle).
-// stdout is mode-independent; counters go to stderr.
-func runLinkTune(files []string, target codegen.Target, fncache *compile.FnCache,
-	cacheDir, dupPolicy, initMode string, rounds, workers int,
-	noShard, noDelta, noFnCache bool, cf cycleFlags) error {
+// per-component lockstep sessions (with -check, the whole-module
+// reference). stdout is mode-independent; counters go to stderr.
+func runLinkTune(files []string, target codegen.Target, compileOpts compile.Options,
+	cacheDir, dupPolicy, initMode string, rounds, jobs int, cf cycleFlags) error {
 	if len(files) == 0 {
 		return fmt.Errorf("usage: inlinetune -link [flags] a.minc b.minc ...")
 	}
@@ -431,14 +406,7 @@ func runLinkTune(files []string, target codegen.Target, fncache *compile.FnCache
 	default:
 		return fmt.Errorf("-link-dup: unknown policy %q (want error or rename)", dupPolicy)
 	}
-	tus := make([]link.TU, 0, len(files))
-	for _, path := range files {
-		path := path
-		tus = append(tus, link.LazyTU(path, func() (*ir.Module, error) {
-			return source.Load(path)
-		}))
-	}
-	l, err := link.New(tus, link.Options{DupExported: dup})
+	l, err := link.New(fileTUs(files), link.Options{DupExported: dup})
 	if err != nil {
 		return err
 	}
@@ -446,21 +414,8 @@ func runLinkTune(files []string, target codegen.Target, fncache *compile.FnCache
 	printLinkTunePlanLine(pl)
 
 	opts := link.TuneOptions{
-		ShardOptions: link.ShardOptions{
-			Target:  target,
-			Compile: compile.Options{FnCache: fncache},
-			Configure: func(c *compile.Compiler) {
-				if noDelta {
-					c.SetDelta(false)
-				}
-				if noFnCache {
-					c.SetFnCache(false)
-				}
-			},
-			Workers: workers,
-			NoShard: noShard,
-		},
-		Rounds: rounds,
+		ShardOptions: link.ShardOptions{Target: target, Compile: compileOpts, Workers: jobs},
+		Rounds:       rounds,
 	}
 	cycleAware := cf.objective != "size"
 	if cycleAware {
@@ -475,7 +430,6 @@ func runLinkTune(files []string, target codegen.Target, fncache *compile.FnCache
 		opts.Args = cf.args
 		opts.Fuel = cf.fuel
 		opts.CacheBytes = cf.cacheBytes
-		opts.NoCycleDelta = cf.noCycleDelta
 	}
 	report := func(name string, tr link.TuneResult) {
 		if !cycleAware {
@@ -555,13 +509,19 @@ func runLinkTune(files []string, target codegen.Target, fncache *compile.FnCache
 
 	fmt.Fprintf(os.Stderr, "evaluations: %d compilations (config cache %v)\n", evals, best.ConfigCache)
 	fmt.Fprintf(os.Stderr, "function cache: %v\n", best.FuncCache)
+	saveFnCache(compileOpts.FnCache, cacheDir)
+	return nil
+}
+
+// saveFnCache persists the content cache when -cache-dir is set and
+// reports its counters on stderr.
+func saveFnCache(fncache *compile.FnCache, cacheDir string) {
 	if cacheDir != "" {
 		if err := fncache.Save(); err != nil {
 			fmt.Fprintln(os.Stderr, "inlinetune:", err)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "fn content cache: %v\n", fncache.Stats())
-	return nil
 }
 
 func printLinkTunePlanLine(pl *link.Plan) {
@@ -577,8 +537,8 @@ func printTuneComponents(tr link.TuneResult) {
 }
 
 // reportLinkTuneSize renders one size-objective tuning report. Both the
-// one-shot -link path and both -relink replay modes print through it, so
-// the -no-relink byte-diff gate holds by construction.
+// one-shot -link path and the -relink replay print through it, so the
+// -check byte-diff gates hold by construction.
 func reportLinkTuneSize(pl *link.Plan, name string, tr link.TuneResult) {
 	res := tr.Result
 	fmt.Printf("\n%s (init %d bytes):\n", name, res.InitSize)
@@ -591,17 +551,15 @@ func reportLinkTuneSize(pl *link.Plan, name string, tr link.TuneResult) {
 	printTuneComponents(tr)
 }
 
-// runRelinkTune replays a -relink edit script of patch and tune steps.
-// Warm mode drives an incremental link.Session: a tune step replays the
-// recorded per-round trace of every content-unchanged component and probes
-// edges only in dirty ones. -no-relink re-links and re-tunes from scratch
-// at every step — the differential oracle whose stdout must byte-match.
-// Cycle objectives are rejected up front in BOTH modes (the session's
-// typed link.CycleObjectiveError would only fire warm, and a mode-
-// dependent error would break the byte-diff).
-func runRelinkTune(files []string, target codegen.Target, fncache *compile.FnCache,
-	cacheDir, dupPolicy, initMode string, rounds, workers int,
-	noDelta, noFnCache bool, cf cycleFlags, script string, noRelink bool) error {
+// runRelinkTune replays a -relink edit script of patch and tune steps. It
+// drives an incremental link.Session: a tune step replays the recorded
+// per-round trace of every content-unchanged component and probes edges
+// only in dirty ones. With -check the session re-links and re-tunes from
+// scratch at every step — the reference whose stdout must byte-match.
+// Cycle objectives are rejected up front (they need a whole-program
+// profile that edits invalidate).
+func runRelinkTune(files []string, target codegen.Target, compileOpts compile.Options,
+	cacheDir, dupPolicy, initMode string, rounds, jobs int, cf cycleFlags, script string) error {
 	if len(files) == 0 {
 		return fmt.Errorf("usage: inlinetune -relink script [flags] a.minc b.minc ...")
 	}
@@ -632,39 +590,13 @@ func runRelinkTune(files []string, target codegen.Target, fncache *compile.FnCac
 	}
 	scriptDir := filepath.Dir(script)
 
-	tus := make([]link.TU, 0, len(files))
-	for _, path := range files {
-		path := path
-		tus = append(tus, link.LazyTU(path, func() (*ir.Module, error) {
-			return source.Load(path)
-		}))
-	}
-	var sess *link.Session
-	cur := append([]link.TU(nil), tus...) // -no-relink: current contents
-	if !noRelink {
-		sess, err = link.NewSession(tus, link.SessionOptions{Link: link.Options{DupExported: dup}})
-		if err != nil {
-			return err
-		}
-	} else if _, err := link.New(cur, link.Options{DupExported: dup}); err != nil {
+	sess, err := link.NewSession(fileTUs(files), link.SessionOptions{Link: link.Options{DupExported: dup}})
+	if err != nil {
 		return err
 	}
-
 	opts := link.TuneOptions{
-		ShardOptions: link.ShardOptions{
-			Target:  target,
-			Compile: compile.Options{FnCache: fncache},
-			Configure: func(c *compile.Compiler) {
-				if noDelta {
-					c.SetDelta(false)
-				}
-				if noFnCache {
-					c.SetFnCache(false)
-				}
-			},
-			Workers: workers,
-		},
-		Rounds: rounds,
+		ShardOptions: link.ShardOptions{Target: target, Compile: compileOpts, Workers: jobs},
+		Rounds:       rounds,
 	}
 	for step, op := range ops {
 		switch op.Verb {
@@ -675,63 +607,25 @@ func runRelinkTune(files []string, target codegen.Target, fncache *compile.FnCac
 			}
 			fmt.Printf("== step %d: patch %s <- %s ==\n", step+1, op.TU, op.Path)
 			tu := link.LazyTU(op.TU, func() (*ir.Module, error) { return source.Load(path) })
-			if noRelink {
-				idx := -1
-				for i := range cur {
-					if cur[i].Name == op.TU {
-						idx = i
-						break
-					}
-				}
-				if idx < 0 {
-					return fmt.Errorf("step %d: link: no unit named %q", step+1, op.TU)
-				}
-				cur[idx] = tu
-				if _, err := link.New(cur, link.Options{DupExported: dup}); err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
+			rep, err := sess.ReplaceNamed(tu)
+			if err != nil {
+				return fmt.Errorf("step %d: %w", step+1, err)
+			}
+			if rep.PlanReused {
+				fmt.Fprintf(os.Stderr, "step %d: body-only edit, plan reused\n", step+1)
 			} else {
-				rep, err := sess.ReplaceNamed(tu)
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-				if rep.PlanReused {
-					fmt.Fprintf(os.Stderr, "step %d: body-only edit, plan reused\n", step+1)
-				} else {
-					fmt.Fprintf(os.Stderr, "step %d: link surface changed, plan rebuilt\n", step+1)
-				}
+				fmt.Fprintf(os.Stderr, "step %d: link surface changed, plan rebuilt\n", step+1)
 			}
 		case "tune":
 			fmt.Printf("== step %d: tune ==\n", step+1)
-			var (
-				pl      *link.Plan
-				tuneOne func(link.TuneInit) (link.TuneResult, link.RelinkInfo, error)
-			)
-			if noRelink {
-				l, err := link.New(cur, link.Options{DupExported: dup})
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-				pl = l.Plan()
-				tuneOne = func(init link.TuneInit) (link.TuneResult, link.RelinkInfo, error) {
-					o := opts
-					o.Init = init
-					tr, err := l.Tune(o)
-					return tr, link.RelinkInfo{}, err
-				}
-			} else {
-				pl = sess.Plan()
-				tuneOne = func(init link.TuneInit) (link.TuneResult, link.RelinkInfo, error) {
-					o := opts
-					o.Init = init
-					return sess.Tune(o)
-				}
+			pl := sess.Plan()
+			tuneOne := func(init link.TuneInit) (link.TuneResult, link.RelinkInfo, error) {
+				o := opts
+				o.Init = init
+				return sess.Tune(o)
 			}
 			printLinkTunePlanLine(pl)
 			reportInfo := func(init string, info link.RelinkInfo) {
-				if noRelink {
-					return
-				}
 				fmt.Fprintf(os.Stderr, "step %d (%s): components solved %d, replayed %d; residual solved %d, replayed %d\n",
 					step+1, init, info.ComponentsSolved, info.ComponentsReplayed, info.ResidualSolved, info.ResidualReplayed)
 			}
@@ -777,11 +671,17 @@ func runRelinkTune(files []string, target codegen.Target, fncache *compile.FnCac
 			return fmt.Errorf("step %d: search steps replay with inlinesearch -relink", step+1)
 		}
 	}
-	if cacheDir != "" {
-		if err := fncache.Save(); err != nil {
-			fmt.Fprintln(os.Stderr, "inlinetune:", err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "fn content cache: %v\n", fncache.Stats())
+	saveFnCache(compileOpts.FnCache, cacheDir)
 	return nil
+}
+
+func fileTUs(files []string) []link.TU {
+	tus := make([]link.TU, 0, len(files))
+	for _, path := range files {
+		path := path
+		tus = append(tus, link.LazyTU(path, func() (*ir.Module, error) {
+			return source.Load(path)
+		}))
+	}
+	return tus
 }

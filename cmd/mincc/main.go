@@ -17,8 +17,6 @@
 //	                               (patch <tu> <path> / search lines) against
 //	                               an incremental re-link session; unchanged
 //	                               components replay their cached optimum
-//	-no-relink                     with -relink: cold full link at every step
-//	                               (differential oracle — stdout is identical)
 //	-inline none|os|tune|optimal   inlining strategy (default os)
 //	-target x86|wasm               size model (default x86)
 //	-S                             print the pseudo-assembly listing
@@ -26,14 +24,12 @@
 //	-run <entry>                   interpret entry after compiling
 //	-arg N                         integer argument for -run (repeatable)
 //	-rounds N                      autotuner rounds for -inline tune
-//	-check                         checked compilation: verify IR invariants
-//	                               after every inline step and opt pass
-//	-no-delta                      disable the incremental delta-evaluation
-//	                               engine for -inline tune|optimal
-//	-no-prune                      disable the branch-and-bound layer for
-//	                               -inline optimal (differential oracle)
-//	-no-fncache                    disable the content-addressed per-function
-//	                               compile cache (differential oracle)
+//	-check                         run the reference evaluator: compile every
+//	                               configuration fresh, verifying IR
+//	                               invariants after every inline step and opt
+//	                               pass, with no function cache, delta engine
+//	                               or pruning; -relink links cold at every
+//	                               step. stdout is byte-identical
 //	-cache-dir d                   persist the per-function content cache in
 //	                               directory d across runs
 //	-cache-stats                   print content-cache counters to stderr
@@ -91,16 +87,12 @@ func run() error {
 		entry      = flag.String("run", "", "interpret this entry function after compiling")
 		rounds     = flag.Int("rounds", 1, "autotuner rounds for -inline tune")
 		doOutline  = flag.Bool("outline", false, "run the size outliner after inlining")
-		check      = flag.Bool("check", false, "checked compilation: verify IR invariants after every inline step and opt pass")
-		noDelta    = flag.Bool("no-delta", false, "disable the incremental delta-evaluation engine (differential oracle)")
-		noPrune    = flag.Bool("no-prune", false, "disable the branch-and-bound search layer for -inline optimal (differential oracle)")
-		noFnCache  = flag.Bool("no-fncache", false, "disable the content-addressed per-function cache (differential oracle)")
+		check      = flag.Bool("check", false, "reference evaluator: every configuration compiled fresh and verified after every inline step and opt pass")
 		cacheDir   = flag.String("cache-dir", "", "persist the per-function content cache in this directory")
 		cacheStats = flag.Bool("cache-stats", false, "print content-cache counters to stderr")
 		doLink     = flag.Bool("link", false, "link all argument files into one module before inlining")
 		linkDup    = flag.String("link-dup", "error", "with -link: duplicate exported symbol policy: error|rename")
 		relink     = flag.String("relink", "", "replay an edit script against an incremental re-link session (-inline optimal only)")
-		noRelink   = flag.Bool("no-relink", false, "with -relink: cold full link at every step (differential oracle)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		args       intList
@@ -159,8 +151,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		return runRelinkCC(*relink, flag.Args(), target, dup, fncache, *cacheDir,
-			*check, *noDelta, *noPrune, *noFnCache, *noRelink, *cacheStats)
+		return runRelinkCC(*relink, flag.Args(), target, dup, fncache, *cacheDir, *check, *cacheStats)
 	}
 
 	var mod *ir.Module
@@ -183,12 +174,6 @@ func run() error {
 		return err
 	}
 	comp := compile.NewWithOptions(mod, target, compile.Options{Check: *check, FnCache: fncache})
-	if *noDelta {
-		comp.SetDelta(false)
-	}
-	if *noFnCache {
-		comp.SetFnCache(false)
-	}
 	g := comp.Graph()
 
 	var cfg *callgraph.Config
@@ -202,7 +187,7 @@ func run() error {
 		best, _, _ := autotune.Combined(comp, init, autotune.Options{Rounds: *rounds})
 		cfg = best.Config
 	case "optimal":
-		res, ok := search.Optimal(comp, search.Options{MaxSpace: 1 << 22, NoPrune: *noPrune})
+		res, ok := search.Optimal(comp, search.Options{MaxSpace: 1 << 22})
 		if !ok {
 			return fmt.Errorf("search space too large for exhaustive search (%d+ evaluations); use -inline tune", res.SpaceSize)
 		}
@@ -286,12 +271,11 @@ func fileTUs(files []string) []link.TU {
 // runRelinkCC replays a -relink edit script: patch steps swap one unit's
 // contents, search steps print the mincc one-line summary of the linked
 // optimum — computed from the search result alone, without materializing
-// the linked module. Warm mode drives an incremental link.Session;
-// -no-relink re-links and re-searches from scratch at every step, and the
+// the linked module. It drives an incremental link.Session; with -check
+// the session re-links and re-searches from scratch at every step, and the
 // two stdouts are byte-identical (the ci.sh gate diffs them).
 func runRelinkCC(script string, files []string, target codegen.Target, dup link.DupPolicy,
-	fncache *compile.FnCache, cacheDir string,
-	check, noDelta, noPrune, noFnCache, noRelink, cacheStats bool) error {
+	fncache *compile.FnCache, cacheDir string, check, cacheStats bool) error {
 	scriptData, err := os.ReadFile(script)
 	if err != nil {
 		return fmt.Errorf("-relink: %w", err)
@@ -302,33 +286,16 @@ func runRelinkCC(script string, files []string, target codegen.Target, dup link.
 	}
 	scriptDir := filepath.Dir(script)
 
-	tus := fileTUs(files)
-	var sess *link.Session
-	cur := append([]link.TU(nil), tus...) // -no-relink: current contents
-	if !noRelink {
-		sess, err = link.NewSession(tus, link.SessionOptions{Link: link.Options{DupExported: dup}})
-		if err != nil {
-			return err
-		}
-	} else if _, err := link.New(cur, link.Options{DupExported: dup}); err != nil {
+	sess, err := link.NewSession(fileTUs(files), link.SessionOptions{Link: link.Options{DupExported: dup}})
+	if err != nil {
 		return err
 	}
-
 	opts := link.SearchOptions{
 		ShardOptions: link.ShardOptions{
 			Target:  target,
 			Compile: compile.Options{Check: check, FnCache: fncache},
-			Configure: func(c *compile.Compiler) {
-				if noDelta {
-					c.SetDelta(false)
-				}
-				if noFnCache {
-					c.SetFnCache(false)
-				}
-			},
 		},
 		MaxSpace: 1 << 22,
-		NoPrune:  noPrune,
 	}
 	for step, op := range ops {
 		switch op.Verb {
@@ -339,58 +306,23 @@ func runRelinkCC(script string, files []string, target codegen.Target, dup link.
 			}
 			fmt.Printf("== step %d: patch %s <- %s ==\n", step+1, op.TU, op.Path)
 			tu := link.LazyTU(op.TU, func() (*ir.Module, error) { return source.Load(path) })
-			if noRelink {
-				idx := -1
-				for i := range cur {
-					if cur[i].Name == op.TU {
-						idx = i
-						break
-					}
-				}
-				if idx < 0 {
-					return fmt.Errorf("step %d: link: no unit named %q", step+1, op.TU)
-				}
-				cur[idx] = tu
-				if _, err := link.New(cur, link.Options{DupExported: dup}); err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
+			rep, err := sess.ReplaceNamed(tu)
+			if err != nil {
+				return fmt.Errorf("step %d: %w", step+1, err)
+			}
+			if rep.PlanReused {
+				fmt.Fprintf(os.Stderr, "step %d: body-only edit, plan reused\n", step+1)
 			} else {
-				rep, err := sess.ReplaceNamed(tu)
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-				if rep.PlanReused {
-					fmt.Fprintf(os.Stderr, "step %d: body-only edit, plan reused\n", step+1)
-				} else {
-					fmt.Fprintf(os.Stderr, "step %d: link surface changed, plan rebuilt\n", step+1)
-				}
+				fmt.Fprintf(os.Stderr, "step %d: link surface changed, plan rebuilt\n", step+1)
 			}
 		case "search":
-			var (
-				pl  *link.Plan
-				res link.SearchResult
-				ok  bool
-			)
-			if noRelink {
-				l, err := link.New(cur, link.Options{DupExported: dup})
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-				pl = l.Plan()
-				res, ok, err = l.OptimalSearch(opts)
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-			} else {
-				pl = sess.Plan()
-				var info link.RelinkInfo
-				res, info, ok, err = sess.Search(opts)
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-				fmt.Fprintf(os.Stderr, "step %d: components solved %d, replayed %d; residual solved %d, replayed %d\n",
-					step+1, info.ComponentsSolved, info.ComponentsReplayed, info.ResidualSolved, info.ResidualReplayed)
+			pl := sess.Plan()
+			res, info, ok, err := sess.Search(opts)
+			if err != nil {
+				return fmt.Errorf("step %d: %w", step+1, err)
 			}
+			fmt.Fprintf(os.Stderr, "step %d: components solved %d, replayed %d; residual solved %d, replayed %d\n",
+				step+1, info.ComponentsSolved, info.ComponentsReplayed, info.ResidualSolved, info.ResidualReplayed)
 			if !ok {
 				return fmt.Errorf("step %d: search space too large for exhaustive search; use inlinesearch -relink -max-space", step+1)
 			}

@@ -196,9 +196,9 @@ func (ms *ModuleSummary) JSON() ([]byte, error) {
 
 // Analyze computes the summaries of every function defined in m. The
 // graph must have been built from m after ir.Module.AssignSites. A nil
-// cache recomputes every core from scratch (the -no-interproc-cache
-// differential oracle); a shared cache may be used concurrently from any
-// number of goroutines and modules.
+// cache recomputes every core from scratch (what -check runs); a shared
+// cache may be used concurrently from any number of goroutines and
+// modules.
 func Analyze(m *ir.Module, g *callgraph.Graph, c *Cache) *ModuleSummary {
 	ms := &ModuleSummary{
 		mod:       m,

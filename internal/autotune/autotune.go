@@ -63,9 +63,9 @@ type Result struct {
 // Rounds run on the compiler's delta-evaluation engine: the starting point
 // is priced once into a Sized handle, each per-edge probe is a SizeDelta
 // against it (recompiling only the toggled edge's dirty closure), and the
-// kept toggles Rebase the handle for the next round. With the engine
-// disabled (-no-delta, checked mode) every call transparently falls back
-// to whole-configuration Size — results and evaluation counters are
+// kept toggles Rebase the handle for the next round. On a checked compiler
+// (the reference evaluator) every call transparently falls back to
+// whole-configuration Size — results and evaluation counters are
 // byte-identical either way.
 func Tune(c *compile.Compiler, init *callgraph.Config, opts Options) Result {
 	rounds := opts.Rounds

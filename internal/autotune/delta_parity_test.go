@@ -10,8 +10,9 @@ import (
 )
 
 // TestTuneDeltaMatchesNoDelta: the autotuner on the delta engine must match
-// the -no-delta oracle in every observable — configurations, sizes, round
-// traces, and the evaluation counter the CLIs print on stdout.
+// the reference evaluator — a checked compiler, which has no delta engine —
+// in every observable: configurations, sizes, round traces, and the
+// evaluation counter the CLIs print on stdout.
 func TestTuneDeltaMatchesNoDelta(t *testing.T) {
 	p := workload.Profile{
 		Name: "dpar", Files: 4, TotalEdges: 60,
@@ -23,8 +24,7 @@ func TestTuneDeltaMatchesNoDelta(t *testing.T) {
 		if len(delta.Graph().Edges) == 0 {
 			continue
 		}
-		full := compile.New(f.Module, codegen.TargetX86)
-		full.SetDelta(false)
+		full := compile.NewWithOptions(f.Module, codegen.TargetX86, compile.Options{Check: true})
 		init := heuristic.OsConfig(delta.Module(), delta.Graph())
 
 		opts := Options{Rounds: 3}
@@ -73,8 +73,7 @@ func TestTuneExtendedDeltaMatchesNoDelta(t *testing.T) {
 		if len(delta.Graph().Edges) == 0 {
 			continue
 		}
-		full := compile.New(f.Module, codegen.TargetX86)
-		full.SetDelta(false)
+		full := compile.NewWithOptions(f.Module, codegen.TargetX86, compile.Options{Check: true})
 		d := TuneExtended(delta, nil, opts)
 		w := TuneExtended(full, nil, opts)
 		if d.Size != w.Size || d.FinalSize != w.FinalSize || !d.Config.Equal(w.Config) {

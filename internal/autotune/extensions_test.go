@@ -178,13 +178,17 @@ func TestExactComponentPolishReachesOptimum(t *testing.T) {
 		if got := cp.Size(res.Config); got != res.Size {
 			t.Fatalf("%s: polished config prices to %d, reported %d", f.Name, got, res.Size)
 		}
-		// The -no-prune oracle must agree bit for bit.
-		cn := compile.New(f.Module, codegen.TargetX86)
+		// The reference evaluator (checked, exhaustive polish) must agree
+		// bit for bit.
+		cn := compile.NewWithOptions(f.Module, codegen.TargetX86, compile.Options{Check: true})
 		resN := TuneExtended(cn, nil, ExtOptions{
-			Options: Options{Rounds: 2}, ExactComponents: 1 << 12, NoPrune: true,
+			Options: Options{Rounds: 2}, ExactComponents: 1 << 12,
 		})
+		if err := cn.CheckFailure(); err != nil {
+			t.Fatalf("%s: checked polish: %v", f.Name, err)
+		}
 		if resN.Size != res.Size || !resN.Config.Equal(res.Config) {
-			t.Fatalf("%s: polish with -no-prune diverged: %d vs %d", f.Name, resN.Size, res.Size)
+			t.Fatalf("%s: checked polish diverged: %d vs %d", f.Name, resN.Size, res.Size)
 		}
 	}
 	if checked == 0 {

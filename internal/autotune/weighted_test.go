@@ -15,13 +15,19 @@ import (
 // cycle pricer.
 func weightedFixture(t *testing.T) (*compile.Compiler, *compile.CyclePricer) {
 	t.Helper()
+	return weightedFixtureWith(t, compile.Options{})
+}
+
+// weightedFixtureWith is weightedFixture on a compiler built with opts.
+func weightedFixtureWith(t *testing.T, opts compile.Options) (*compile.Compiler, *compile.CyclePricer) {
+	t.Helper()
 	p := workload.Profile{
 		Name: "wt", Files: 10, TotalEdges: 70,
 		ConstArgProb: 0.4, HubProb: 0.3, BigBodyProb: 0.25, LoopProb: 0.3,
 		RecProb: 0.1, BranchProb: 0.5,
 	}
 	for _, f := range workload.Generate(p).Files {
-		c := compile.New(f.Module, codegen.TargetX86)
+		c := compile.NewWithOptions(f.Module, codegen.TargetX86, opts)
 		if len(c.Graph().Edges) < 4 {
 			continue
 		}
@@ -94,14 +100,11 @@ func TestTuneWeightedWorkerDeterminism(t *testing.T) {
 }
 
 // TestTuneWeightedDeltaOracle: the weighted session must produce identical
-// results whether cycles are priced incrementally or through the
-// -no-cycledelta whole-module oracle.
+// results whether priced incrementally or by the reference evaluator (a
+// checked compiler, whose pricer evaluates whole-module builds).
 func TestTuneWeightedDeltaOracle(t *testing.T) {
-	run := func(disable bool) Result {
-		c, pricer := weightedFixture(t)
-		if disable {
-			pricer.SetCycleDelta(false)
-		}
+	run := func(check bool) Result {
+		c, pricer := weightedFixtureWith(t, compile.Options{Check: check})
 		return TuneWeighted(c, pricer, 0.1, nil, Options{Rounds: 3, Workers: 2})
 	}
 	delta, full := run(false), run(true)

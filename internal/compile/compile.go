@@ -39,11 +39,14 @@ type Options struct {
 	// post-pipeline invariants escalated to errors. The first violation
 	// aborts the build with a *CheckError naming the exact stage and pass.
 	//
-	// Checked mode bypasses the per-function memo fast path (and with it
-	// the content-addressed function cache) — those paths skip whole-module
-	// pipelines, which is precisely the work being checked — so it is
-	// substantially slower; it exists as a regression tripwire for tests,
-	// fuzzing, and the CLIs' -check flags, not for production search runs.
+	// Checked mode is also the reference evaluator every fast path is
+	// compared against: it bypasses the per-function memo (and with it the
+	// content-addressed function cache), the delta engines for size and
+	// cycles, and the search's branch-and-bound layer — those paths skip
+	// whole-module pipelines, which is precisely the work being checked —
+	// so every configuration is compiled fresh. It is substantially slower;
+	// it exists for tests, fuzzing, and the CLIs' -check flags, not for
+	// production search runs.
 	Check bool
 
 	// FnCache, when non-nil, is the content-addressed per-function cache
@@ -66,12 +69,9 @@ type Compiler struct {
 	mu    sync.Mutex
 	cache map[string]*sizeEntry // Config.CacheKey -> single-flight slot
 
-	memo      *memoState
-	memoize   bool
-	check     bool
-	delta     bool
-	fncache   *FnCache
-	fncacheOn bool
+	memo    *memoState
+	check   bool
+	fncache *FnCache
 
 	checkMu  sync.Mutex
 	checkErr error // first *CheckError observed by a cached Size path
@@ -156,10 +156,7 @@ func NewWithOptions(m *ir.Module, target codegen.Target, opts Options) *Compiler
 		fingerprint: base.Fingerprint(),
 		cache:       make(map[string]*sizeEntry),
 		memo:        buildMemo(base, g),
-		memoize:     true,
-		delta:       true,
 		fncache:     fc,
-		fncacheOn:   true,
 		check:       opts.Check,
 	}
 }
@@ -185,43 +182,10 @@ func (c *Compiler) recordCheckFailure(err error) {
 	c.checkMu.Unlock()
 }
 
-// SetMemoize switches the per-function memoized evaluation path on or off
-// (on by default). Off, every cache miss runs the whole-module pipeline —
-// kept for benchmarking and for differential tests of the memo engine
-// itself. Not safe to call concurrently with Size.
-func (c *Compiler) SetMemoize(on bool) { c.memoize = on }
-
-// SetDelta switches the incremental delta-evaluation path on or off (on by
-// default). Off, Sized/SizeDelta/Rebase fall back to whole-configuration
-// Size calls — the differential oracle behind the CLIs' -no-delta flags.
-// Not safe to call concurrently with Size.
-func (c *Compiler) SetDelta(on bool) { c.delta = on }
-
-// SetFnCache switches the content-addressed per-function cache on or off
-// (on by default). Off, per-function sizes are keyed by the legacy
-// (module fingerprint, function name, closure site list) string — an
-// identity with no cross-module or cross-run sharing — which is the
-// differential oracle behind the CLIs' -no-fncache flags. Not safe to call
-// concurrently with Size.
-func (c *Compiler) SetFnCache(on bool) { c.fncacheOn = on }
-
-// FnCacheEnabled reports whether per-function sizes go through the content
-// cache. Like the delta path, it rides on the per-function memo layer, so
-// it is off whenever memoization is off, and checked mode forces the
-// uncached whole-module path.
-func (c *Compiler) FnCacheEnabled() bool { return c.fncacheOn && c.memoize && !c.check }
-
 // FnCache returns the content-addressed cache this compiler resolves
 // per-function sizes in (its own private one unless Options.FnCache
 // injected a shared instance).
 func (c *Compiler) FnCache() *FnCache { return c.fncache }
-
-// DeltaEnabled reports whether SizeDelta prices toggles incrementally.
-// The delta path rides on the per-function memo, so it is off whenever the
-// memo is off — and checked mode forces the full pipeline for the same
-// reason the memo does: skipping whole-module compilations would skip
-// exactly the work being checked.
-func (c *Compiler) DeltaEnabled() bool { return c.delta && c.memoize && !c.check }
 
 // Fingerprint returns the base module's fingerprint; per-function cache
 // entries are keyed under it.
@@ -329,7 +293,7 @@ func (c *Compiler) measure(cfg *callgraph.Config) int {
 	c.evals.Add(1)
 	// Checked mode forces the full-pipeline path: the memo engine skips
 	// whole-module compilations, which is exactly the work being checked.
-	if c.memoize && !c.check {
+	if !c.check {
 		return c.measureMemo(cfg)
 	}
 	m, err := c.Build(cfg)

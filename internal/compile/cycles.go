@@ -49,8 +49,9 @@ import (
 // reachability dirty set the size engine uses, because a function's
 // per-entry cost changes exactly when its inline closure can contain a
 // toggled site (the owner's ancestors) and its entry count changes exactly
-// when an incoming site toggles (the callee). The -no-cycledelta oracle
-// evaluates the same model non-incrementally from a whole-module Build;
+// when an incoming site toggles (the callee). A checked-mode compiler's
+// pricer evaluates the same model non-incrementally from a whole-module
+// Build;
 // results are byte-identical by the memo engine's soundness argument (the
 // per-closure body is bit-identical to the whole-module body).
 
@@ -108,7 +109,6 @@ type cycEvent struct {
 type CyclePricer struct {
 	c          *Compiler
 	cacheBytes int
-	delta      bool
 
 	entriesBase []int64       // per memo func: frames from the root and non-candidate sites
 	hits        map[int]int64 // candidate site -> profiled frames
@@ -160,7 +160,6 @@ func (c *Compiler) NewCyclePricer(p *interp.Profile, opts CycleOptions) (*CycleP
 	cp := &CyclePricer{
 		c:           c,
 		cacheBytes:  cacheBytes,
-		delta:       true,
 		entriesBase: []int64(nil),
 		hits:        map[int]int64{},
 		cache:       map[string]*cycEntry{},
@@ -205,17 +204,6 @@ func (c *Compiler) NewCyclePricer(p *interp.Profile, opts CycleOptions) (*CycleP
 	}
 	return cp, nil
 }
-
-// SetCycleDelta switches the incremental repricing path on or off (on by
-// default). Off, every evaluation runs the whole-module Build — the
-// differential oracle behind the CLIs' -no-cycledelta flags. Not safe to
-// call concurrently with Cycles.
-func (p *CyclePricer) SetCycleDelta(on bool) { p.delta = on }
-
-// DeltaEnabled reports whether configurations are repriced incrementally.
-// Like the size delta engine, the incremental path rides on the per-closure
-// machinery, so checked mode and -no-memo force the full Build path.
-func (p *CyclePricer) DeltaEnabled() bool { return p.delta && p.c.memoize && !p.c.check }
 
 // CacheBytes returns the modelled i-cache capacity.
 func (p *CyclePricer) CacheBytes() int { return p.cacheBytes }
@@ -271,7 +259,7 @@ func (p *CyclePricer) bodyCost(fn *ir.Function) int64 {
 // the same content-addressed closureKey the size memo uses, so equal keys
 // imply bit-identical final bodies).
 func (p *CyclePricer) closureCost(fi *funcInfo, cfg *callgraph.Config) (int64, int32, bool) {
-	members, _ := p.c.memo.closure(fi, cfg)
+	members := p.c.memo.closure(fi, cfg)
 	key := p.c.closureKey(fi, members, cfg)
 	for {
 		p.costMu.Lock()
@@ -378,11 +366,10 @@ func (p *CyclePricer) Cycles(cfg *callgraph.Config) int64 {
 		p.cacheHits.Add(1)
 		return e.cycles
 	}
-	if p.DeltaEnabled() {
-		h := p.pricedMiss(cfg)
-		e.cycles = h.total
-	} else {
+	if p.c.check {
 		e.cycles = p.fullCycles(cfg)
+	} else {
+		e.cycles = p.pricedMiss(cfg).total
 	}
 	close(e.done)
 	return e.cycles
@@ -390,7 +377,7 @@ func (p *CyclePricer) Cycles(cfg *callgraph.Config) int64 {
 
 // Priced evaluates cfg and returns the handle the delta calls start from.
 func (p *CyclePricer) Priced(cfg *callgraph.Config) *Cycled {
-	if !p.DeltaEnabled() {
+	if p.c.check {
 		return &Cycled{cfg: cfg.Clone(), total: p.Cycles(cfg), full: true}
 	}
 	e, isNew := p.lookup(cfg)
@@ -454,8 +441,8 @@ func (p *CyclePricer) contribCycled(cfg *callgraph.Config) *Cycled {
 	return h
 }
 
-// fullCycles prices cfg with a whole-module Build — the -no-cycledelta
-// oracle. It evaluates the identical model (same entry counts, same static
+// fullCycles prices cfg with a whole-module Build — the checked-mode
+// reference. It evaluates the identical model (same entry counts, same static
 // walk over the final bodies, same replay), just without the per-closure
 // cache or the dirty-set shortcut.
 func (p *CyclePricer) fullCycles(cfg *callgraph.Config) int64 {
@@ -501,7 +488,7 @@ func (h *Cycled) toggledCfg(toggles []int) *callgraph.Config {
 // Byte-identical to Cycles(toggled config) on every path.
 func (p *CyclePricer) CyclesDelta(base *Cycled, toggles []int) int64 {
 	cfg := base.toggledCfg(toggles)
-	if base.full || !p.DeltaEnabled() {
+	if base.full || p.c.check {
 		return p.Cycles(cfg)
 	}
 	e, isNew := p.lookup(cfg)
@@ -555,7 +542,7 @@ func (p *CyclePricer) CyclesDeltaParallel(base *Cycled, toggles [][]int, workers
 // the module.
 func (p *CyclePricer) Rebase(base *Cycled, toggles []int) *Cycled {
 	cfg := base.toggledCfg(toggles)
-	if base.full || !p.DeltaEnabled() {
+	if base.full || p.c.check {
 		return &Cycled{cfg: cfg, total: p.Cycles(cfg), full: true}
 	}
 	h := &Cycled{

@@ -53,12 +53,12 @@ func cycleCorpus(t testing.TB) []struct {
 
 // TestCyclesDeltaMatchesFull is the exactness theorem of the cycle engine:
 // for arbitrary bases and toggle sets, the incremental price must equal the
-// -no-cycledelta whole-module evaluation of the same configuration.
+// checked compiler's whole-module evaluation of the same configuration.
 func TestCyclesDeltaMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for _, fc := range cycleCorpus(t) {
 		dc := New(fc.file.Module, codegen.TargetX86)
-		fcomp := New(fc.file.Module, codegen.TargetX86)
+		fcomp := NewWithOptions(fc.file.Module, codegen.TargetX86, Options{Check: true})
 		delta, err := dc.NewCyclePricer(fc.prof, CycleOptions{CacheBytes: 512})
 		if err != nil {
 			t.Fatalf("%s: %v", fc.file.Name, err)
@@ -67,7 +67,6 @@ func TestCyclesDeltaMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", fc.file.Name, err)
 		}
-		full.SetCycleDelta(false)
 		sites := dc.Graph().Sites()
 
 		for trial := 0; trial < 3; trial++ {
@@ -119,10 +118,9 @@ func TestCycleRebaseAdvancesHandle(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for _, fc := range cycleCorpus(t) {
 		dc := New(fc.file.Module, codegen.TargetX86)
-		fcomp := New(fc.file.Module, codegen.TargetX86)
+		fcomp := NewWithOptions(fc.file.Module, codegen.TargetX86, Options{Check: true})
 		delta, _ := dc.NewCyclePricer(fc.prof, CycleOptions{})
 		full, _ := fcomp.NewCyclePricer(fc.prof, CycleOptions{})
-		full.SetCycleDelta(false)
 		sites := dc.Graph().Sites()
 
 		handle := delta.Priced(callgraph.NewConfig())
@@ -184,35 +182,30 @@ func TestCyclesParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestCyclePricerDisabledPaths: memo-off and checked compilers must force
-// the full Build path, transparently.
+// TestCyclePricerDisabledPaths: a checked compiler's pricer must force the
+// full Build path, transparently.
 func TestCyclePricerDisabledPaths(t *testing.T) {
 	fc := cycleCorpus(t)[0]
 	ref := New(fc.file.Module, codegen.TargetX86)
-	oracle, _ := ref.NewCyclePricer(fc.prof, CycleOptions{})
-	oracle.SetCycleDelta(false)
+	fast, _ := ref.NewCyclePricer(fc.prof, CycleOptions{})
 	s := ref.Graph().Sites()[0]
 	probe := callgraph.NewConfig().Set(s, true)
-	want := oracle.Cycles(probe)
+	want := fast.Cycles(probe)
 
-	memoOff := New(fc.file.Module, codegen.TargetX86)
-	memoOff.SetMemoize(false)
 	checked := NewWithOptions(fc.file.Module, codegen.TargetX86, Options{Check: true})
-	for name, c := range map[string]*Compiler{"memo-off": memoOff, "checked": checked} {
-		p, err := c.NewCyclePricer(fc.prof, CycleOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if p.DeltaEnabled() {
-			t.Fatalf("%s: DeltaEnabled() = true", name)
-		}
-		base := p.Priced(callgraph.NewConfig())
-		if got := p.CyclesDelta(base, []int{s}); got != want {
-			t.Fatalf("%s: fallback price %d != oracle %d", name, got, want)
-		}
-		if p.Stats().Repricings != 0 {
-			t.Fatalf("%s: priced incrementally despite disabled engine", name)
-		}
+	p, err := checked.NewCyclePricer(fc.prof, CycleOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := p.Priced(callgraph.NewConfig())
+	if got := p.CyclesDelta(base, []int{s}); got != want {
+		t.Fatalf("fallback price %d != incremental %d", got, want)
+	}
+	if got := p.Rebase(base, []int{s}).Cycles(); got != want {
+		t.Fatalf("fallback Rebase %d != incremental %d", got, want)
+	}
+	if st := p.Stats(); st.Repricings != 0 || st.FullEvals == 0 {
+		t.Fatalf("checked pricer took the incremental path: %+v", st)
 	}
 }
 

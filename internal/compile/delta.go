@@ -69,11 +69,10 @@ func (c *Compiler) toggled(base *Sized, toggles []int) *callgraph.Config {
 
 // Sized evaluates cfg — charging the whole-config cache and the evaluation
 // counters exactly like Size — and returns the handle the delta calls
-// start from. When the delta engine is inactive (SetDelta(false), memo
-// off, or checked mode) the handle carries only the total and every
+// start from. In checked mode the handle carries only the total and every
 // derived request falls back to the full path.
 func (c *Compiler) Sized(cfg *callgraph.Config) *Sized {
-	if !c.DeltaEnabled() {
+	if c.check {
 		return &Sized{cfg: cfg.Clone(), total: c.Size(cfg), full: true}
 	}
 	e, isNew := c.lookup(cfg)
@@ -92,9 +91,9 @@ func (c *Compiler) Sized(cfg *callgraph.Config) *Sized {
 // whole-config cache, for bases that are not themselves evaluations of the
 // client algorithm (the search prices its root this way: the clean slate
 // is only evaluated when a leaf requests it, exactly as on the full path).
-// Returns nil when the delta engine is inactive.
+// Returns nil in checked mode.
 func (c *Compiler) DeltaBase(cfg *callgraph.Config) *Sized {
-	if !c.DeltaEnabled() {
+	if c.check {
 		return nil
 	}
 	return c.contribHandle(cfg)
@@ -106,7 +105,7 @@ func (c *Compiler) DeltaBase(cfg *callgraph.Config) *Sized {
 // recomputes only the dirty functions instead of walking the module.
 func (c *Compiler) SizeDelta(base *Sized, toggles []int) int {
 	cfg := c.toggled(base, toggles)
-	if base.full || !c.DeltaEnabled() {
+	if base.full || c.check {
 		return c.Size(cfg)
 	}
 	e, isNew := c.lookup(cfg)
@@ -161,7 +160,7 @@ func (c *Compiler) SizeDeltaParallel(base *Sized, toggles [][]int, workers int) 
 // re-walking the module.
 func (c *Compiler) Rebase(base *Sized, toggles []int) *Sized {
 	cfg := c.toggled(base, toggles)
-	if base.full || !c.DeltaEnabled() {
+	if base.full || c.check {
 		return &Sized{cfg: cfg, total: c.Size(cfg), full: true}
 	}
 	contrib := make([]int, len(base.contrib))

@@ -9,14 +9,13 @@ import (
 )
 
 // TestSizeDeltaMatchesSizeOnCorpus is the exactness theorem of the delta
-// engine: for arbitrary bases and toggle sets, SizeDelta must equal Size of
-// the toggled configuration on a delta-free compiler.
+// engine: for arbitrary bases and toggle sets, SizeDelta must equal the
+// whole-module size of the toggled configuration.
 func TestSizeDeltaMatchesSizeOnCorpus(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, f := range memoCorpus(t) {
 		delta := New(f.Module, codegen.TargetX86)
-		full := New(f.Module, codegen.TargetX86)
-		full.SetDelta(false)
+		full := func(cfg *callgraph.Config) int { return wholeModuleSize(delta, cfg) }
 		sites := delta.Graph().Sites()
 
 		// Random base, including the clean slate on the first trial.
@@ -30,13 +29,13 @@ func TestSizeDeltaMatchesSizeOnCorpus(t *testing.T) {
 				}
 			}
 			base := delta.Sized(baseCfg)
-			if got, want := base.Size(), full.Size(baseCfg); got != want {
+			if got, want := base.Size(), full(baseCfg); got != want {
 				t.Fatalf("%s base %v: Sized %d != Size %d", f.Name, baseCfg, got, want)
 			}
 			// Single-site toggles (the autotuner's probes) ...
 			for _, s := range sites {
 				cfg := baseCfg.Clone().Set(s, !baseCfg.Inline(s))
-				if got, want := delta.SizeDelta(base, []int{s}), full.Size(cfg); got != want {
+				if got, want := delta.SizeDelta(base, []int{s}), full(cfg); got != want {
 					t.Fatalf("%s base %v toggle %d: delta %d != full %d",
 						f.Name, baseCfg, s, got, want)
 				}
@@ -52,7 +51,7 @@ func TestSizeDeltaMatchesSizeOnCorpus(t *testing.T) {
 			for _, s := range multi {
 				cfg.Set(s, !baseCfg.Inline(s))
 			}
-			if got, want := delta.SizeDelta(base, multi), full.Size(cfg); got != want {
+			if got, want := delta.SizeDelta(base, multi), full(cfg); got != want {
 				t.Fatalf("%s base %v toggles %v: delta %d != full %d",
 					f.Name, baseCfg, multi, got, want)
 			}
@@ -67,8 +66,7 @@ func TestRebaseAdvancesHandle(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, f := range memoCorpus(t) {
 		delta := New(f.Module, codegen.TargetX86)
-		full := New(f.Module, codegen.TargetX86)
-		full.SetDelta(false)
+		full := func(cfg *callgraph.Config) int { return wholeModuleSize(delta, cfg) }
 		sites := delta.Graph().Sites()
 
 		handle := delta.Sized(callgraph.NewConfig())
@@ -84,7 +82,7 @@ func TestRebaseAdvancesHandle(t *testing.T) {
 				cfg.Set(s, !cfg.Inline(s))
 			}
 			handle = delta.Rebase(handle, toggles)
-			if got, want := handle.Size(), full.Size(cfg); got != want {
+			if got, want := handle.Size(), full(cfg); got != want {
 				t.Fatalf("%s step %d: rebased size %d != full %d", f.Name, step, got, want)
 			}
 			if !handle.Config().Equal(cfg) {
@@ -93,7 +91,7 @@ func TestRebaseAdvancesHandle(t *testing.T) {
 			// The rebased handle must still price probes exactly.
 			s := sites[rng.Intn(len(sites))]
 			probe := cfg.Clone().Set(s, !cfg.Inline(s))
-			if got, want := delta.SizeDelta(handle, []int{s}), full.Size(probe); got != want {
+			if got, want := delta.SizeDelta(handle, []int{s}), full(probe); got != want {
 				t.Fatalf("%s step %d probe %d: delta %d != full %d", f.Name, step, s, got, want)
 			}
 		}
@@ -102,14 +100,13 @@ func TestRebaseAdvancesHandle(t *testing.T) {
 
 // TestDeltaCounterParity: a round of the autotuner's request pattern must
 // leave the evaluation and cache-hit counters identical whether it was
-// priced incrementally or through whole-configuration Size calls — the
-// counters are printed on stdout by the CLIs, so parity is part of the
-// byte-identical-output contract.
+// priced incrementally or through the whole-configuration Size calls of a
+// checked compiler — the counters are printed on stdout by the CLIs, so
+// parity is part of the byte-identical-output contract.
 func TestDeltaCounterParity(t *testing.T) {
 	for _, f := range memoCorpus(t) {
 		delta := New(f.Module, codegen.TargetX86)
-		full := New(f.Module, codegen.TargetX86)
-		full.SetDelta(false)
+		full := NewWithOptions(f.Module, codegen.TargetX86, Options{Check: true})
 		sites := delta.Graph().Sites()
 
 		// Delta path: base handle, one probe per site, rebase on the winners.
@@ -142,44 +139,36 @@ func TestDeltaCounterParity(t *testing.T) {
 			t.Fatalf("%s: delta engine never engaged", f.Name)
 		}
 		if full.DeltaStats().Evals != 0 {
-			t.Fatalf("%s: -no-delta compiler priced %d configs incrementally",
+			t.Fatalf("%s: checked compiler priced %d configs incrementally",
 				f.Name, full.DeltaStats().Evals)
 		}
 	}
 }
 
-// TestDeltaDisabledFallsBack: with the engine off (SetDelta, memo off, or
-// checked mode) the delta API must transparently become the classic path.
+// TestDeltaDisabledFallsBack: in checked mode the delta API must
+// transparently become the classic whole-configuration path, and the
+// pruning bookkeeping must be unavailable.
 func TestDeltaDisabledFallsBack(t *testing.T) {
 	f := memoCorpus(t)[0]
-	mk := func(opt func(*Compiler)) *Compiler {
-		c := New(f.Module, codegen.TargetX86)
-		opt(c)
-		return c
-	}
-	cases := map[string]*Compiler{
-		"delta-off": mk(func(c *Compiler) { c.SetDelta(false) }),
-		"memo-off":  mk(func(c *Compiler) { c.SetMemoize(false) }),
-		"checked":   NewWithOptions(f.Module, codegen.TargetX86, Options{Check: true}),
-	}
+	c := NewWithOptions(f.Module, codegen.TargetX86, Options{Check: true})
 	ref := New(f.Module, codegen.TargetX86)
-	ref.SetDelta(false)
 	s := ref.Graph().Sites()[0]
 	probe := callgraph.NewConfig().Set(s, true)
-	for name, c := range cases {
-		if c.DeltaEnabled() {
-			t.Fatalf("%s: DeltaEnabled() = true", name)
-		}
-		if c.DeltaBase(callgraph.NewConfig()) != nil {
-			t.Fatalf("%s: DeltaBase returned a handle", name)
-		}
-		base := c.Sized(callgraph.NewConfig())
-		if got, want := c.SizeDelta(base, []int{s}), ref.Size(probe); got != want {
-			t.Fatalf("%s: fallback SizeDelta %d != Size %d", name, got, want)
-		}
-		if got := c.DeltaStats().Evals; got != 0 {
-			t.Fatalf("%s: %d delta evals despite disabled engine", name, got)
-		}
+	if c.DeltaBase(callgraph.NewConfig()) != nil {
+		t.Fatal("DeltaBase returned a handle")
+	}
+	base := c.Sized(callgraph.NewConfig())
+	if base.HasContrib() || c.RebaseContrib(base, []int{s}) != nil {
+		t.Fatal("checked handle carries contributions")
+	}
+	if got, want := c.SizeDelta(base, []int{s}), ref.Size(probe); got != want {
+		t.Fatalf("fallback SizeDelta %d != Size %d", got, want)
+	}
+	if got, want := c.Rebase(base, []int{s}).Size(), ref.Size(probe); got != want {
+		t.Fatalf("fallback Rebase %d != Size %d", got, want)
+	}
+	if got := c.DeltaStats().Evals; got != 0 {
+		t.Fatalf("%d delta evals in checked mode", got)
 	}
 }
 

@@ -209,8 +209,8 @@ func TestCheckedModeFuzzGeneratedPrograms(t *testing.T) {
 // TestDeltaFuzzMatchesFullAndChecked is the delta engine's differential
 // front: across the 30-seed generated-program corpus, every configuration is
 // priced three ways — incrementally (SizeDelta/Rebase against a handle),
-// through the whole-configuration memo path (-no-delta oracle), and in
-// checked compilation mode — and all three must agree byte-for-byte. The
+// through the whole-configuration memo path (a separate compiler's Size),
+// and in checked compilation mode — and all three must agree byte-for-byte. The
 // toggle sets deliberately include ones that kill functions via label-based
 // DFE (inline every incoming edge of an internal callee) and ones that
 // resurrect them again from a rebased all-inline handle.
@@ -226,7 +226,6 @@ func TestDeltaFuzzMatchesFullAndChecked(t *testing.T) {
 		}
 		delta := New(mod, codegen.TargetX86)
 		full := New(mod, codegen.TargetX86)
-		full.SetDelta(false)
 		chk := NewWithOptions(mod, codegen.TargetX86, Options{Check: true})
 		g := delta.Graph()
 		if len(g.Edges) == 0 {

@@ -52,8 +52,8 @@ func fuzzConfigs(c *Compiler, rng *rand.Rand, trials int) []*callgraph.Config {
 
 // TestFnCacheDifferentialFuzz is the content cache's differential front:
 // across 30 generated MinC programs and sampled configurations, sizes from
-// the content-addressed path, the legacy-keyed -no-fncache path, and
-// checked compilation mode must agree exactly. All 30 programs share ONE
+// the content-addressed path, a whole-module Build, and checked compilation
+// mode must agree exactly. All 30 programs share ONE
 // FnCache — the corpus-sharing mode inlinebench runs in — so cross-module
 // key collisions would surface here as wrong sizes.
 func TestFnCacheDifferentialFuzz(t *testing.T) {
@@ -68,28 +68,20 @@ func TestFnCacheDifferentialFuzz(t *testing.T) {
 			t.Fatalf("seed %d: generated source does not lower: %v\n%s", seed, err, src)
 		}
 		cached := NewWithOptions(mod, codegen.TargetX86, Options{FnCache: shared})
-		legacy := New(mod, codegen.TargetX86)
-		legacy.SetFnCache(false)
 		chk := NewWithOptions(mod, codegen.TargetX86, Options{Check: true})
-		if legacy.FnCacheEnabled() {
-			t.Fatal("SetFnCache(false) did not disable the content path")
-		}
-		if chk.FnCacheEnabled() {
-			t.Fatal("checked mode must force the uncached path")
-		}
 		g := cached.Graph()
 		if len(g.Edges) == 0 {
 			continue
 		}
 		for _, cfg := range fuzzConfigs(cached, rng, 5) {
 			got := cached.Size(cfg)
-			want := legacy.Size(cfg)
+			want := wholeModuleSize(cached, cfg)
 			chkGot := chk.Size(cfg)
 			if err := chk.CheckFailure(); err != nil {
 				t.Fatalf("seed %d cfg %v: checked mode: %v\n%s", seed, cfg, err, src)
 			}
 			if got != want || got != chkGot {
-				t.Fatalf("seed %d cfg %v: fncache %d / -no-fncache %d / checked %d disagree\n%s",
+				t.Fatalf("seed %d cfg %v: fncache %d / whole-module %d / checked %d disagree\n%s",
 					seed, cfg, got, want, chkGot, src)
 			}
 			compared++
@@ -434,13 +426,11 @@ func TestFnCacheKeyBindsNamesToBodies(t *testing.T) {
 		}
 		return cfg
 	}
-	// Ground truth from the legacy per-module path, no content sharing.
+	// Ground truth from whole-module builds, no content sharing.
 	pa := New(parse(swappedASrc), codegen.TargetX86)
-	pa.SetFnCache(false)
 	pb := New(parse(swappedBSrc), codegen.TargetX86)
-	pb.SetFnCache(false)
-	wantA := pa.Size(allInline(pa))
-	wantB := pb.Size(allInline(pb))
+	wantA := wholeModuleSize(pa, allInline(pa))
+	wantB := wholeModuleSize(pb, allInline(pb))
 	if wantA == wantB {
 		t.Fatalf("counterexample degenerate: both modules size to %d", wantA)
 	}

@@ -1,10 +1,7 @@
 package compile
 
 import (
-	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"optinline/internal/callgraph"
@@ -16,12 +13,9 @@ import (
 
 // This file implements the memoized evaluation engine: instead of running
 // the full pipeline over the whole module for every configuration, each
-// function's post-pipeline encoded size is cached per inline closure. By
-// default the entry lives in the content-addressed FnCache (fncache.go)
-// under a module-independent structural key (closureKey below); with the
-// content cache disabled it falls back to the legacy per-module key
-// (module fingerprint, function, inlined sites in its inline closure),
-// which is the -no-fncache differential oracle.
+// function's post-pipeline encoded size is cached per inline closure. The
+// entry lives in the content-addressed FnCache (fncache.go) under a
+// module-independent structural key (closureKey below).
 //
 // The inline closure of a function f under a configuration is the smallest
 // set of functions containing f that is closed under "callee of an
@@ -83,8 +77,8 @@ type funcInfo struct {
 	recIn   bool
 }
 
-// memoState holds the per-function site ownership, the size cache, and the
-// inverse dependency index the delta engine prices toggles with.
+// memoState holds the per-function site ownership and the inverse
+// dependency index the delta engine prices toggles with.
 type memoState struct {
 	funcs      []*funcInfo // module order
 	siteCallee map[int]*funcInfo
@@ -96,23 +90,10 @@ type memoState struct {
 	// s's owner, so ancestors[caller(s)] is exactly the set of functions
 	// whose memo key can change when s's label flips — the dirty set.
 	// Built lazily on the first delta evaluation: clients that never price
-	// incrementally (-no-delta, Build-only tools) pay nothing for it.
+	// incrementally (checked mode, Build-only tools) pay nothing for it.
 	rev       [][]int32 // callee idx -> caller idxs
 	ancOnce   sync.Once
 	ancestors [][]int32
-
-	mu      sync.Mutex
-	entries map[string]*memoEntry
-}
-
-// memoEntry is a single-flight cache slot: the first requester computes,
-// concurrent requesters for the same key wait on done. failed marks an
-// entry whose computation panicked and was withdrawn from the map; waiters
-// seeing it retry instead of reading a bogus size.
-type memoEntry struct {
-	done   chan struct{}
-	size   int
-	failed bool
 }
 
 // buildMemo indexes site ownership per function.
@@ -120,7 +101,6 @@ func buildMemo(base *ir.Module, g *callgraph.Graph) *memoState {
 	ms := &memoState{
 		siteCallee: make(map[int]*funcInfo),
 		siteCaller: make(map[int]*funcInfo),
-		entries:    make(map[string]*memoEntry),
 	}
 	byName := make(map[string]*funcInfo, len(base.Funcs))
 	for i, f := range base.Funcs {
@@ -233,19 +213,15 @@ func (ms *memoState) alive(fi *funcInfo, cfg *callgraph.Config) bool {
 	return false
 }
 
-// closure returns f's inline closure under cfg (module order) and the
-// inline-labeled sites owned by its members — the cache identity of f's
-// final code.
-func (ms *memoState) closure(f *funcInfo, cfg *callgraph.Config) ([]*funcInfo, []int) {
+// closure returns f's inline closure under cfg, in module order.
+func (ms *memoState) closure(f *funcInfo, cfg *callgraph.Config) []*funcInfo {
 	members := []*funcInfo{f}
 	seen := map[*funcInfo]bool{f: true}
-	var inlined []int
 	for i := 0; i < len(members); i++ {
 		for _, s := range members[i].sites {
 			if !cfg.Inline(s) {
 				continue
 			}
-			inlined = append(inlined, s)
 			if callee := ms.siteCallee[s]; !seen[callee] {
 				seen[callee] = true
 				members = append(members, callee)
@@ -257,8 +233,7 @@ func (ms *memoState) closure(f *funcInfo, cfg *callgraph.Config) ([]*funcInfo, [
 	// fixpoint depends on that order. Keeping it makes the sub-module
 	// queue an exact projection of the whole-module one.
 	sort.Slice(members, func(i, j int) bool { return members[i].idx < members[j].idx })
-	sort.Ints(inlined)
-	return members, inlined
+	return members
 }
 
 // measureMemo is the memoized equivalent of one whole-module pipeline run:
@@ -283,69 +258,16 @@ func (c *Compiler) measureMemo(cfg *callgraph.Config) int {
 
 // funcSize returns fi's post-pipeline encoded size under cfg, computing it
 // at most once per closure configuration (single-flight, so concurrent
-// search workers requesting the same closure share one compilation).
-//
-// With the content cache on (the default), the entry lives in the shared
-// FnCache under a content-derived key, so it is found by any compiler whose
-// closure has the same structure — other configurations, other corpus
-// files, other runs. The legacy per-module string key below is the
-// -no-fncache differential oracle.
+// search workers requesting the same closure share one compilation). The
+// entry lives in the shared FnCache under a content-derived key, so it is
+// found by any compiler whose closure has the same structure — other
+// configurations, other corpus files, other runs.
 func (c *Compiler) funcSize(fi *funcInfo, cfg *callgraph.Config) int {
-	members, inlined := c.memo.closure(fi, cfg)
-	if c.fncacheOn {
-		key := c.closureKey(fi, members, cfg)
-		return c.fncache.sizeOf(key, &c.funcHits, &c.funcMisses, func() int {
-			return c.compileClosure(fi, members, cfg)
-		})
-	}
-
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%016x/%s/", c.fingerprint, fi.name)
-	for i, s := range inlined {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.Itoa(s))
-	}
-	key := sb.String()
-
-	ms := c.memo
-	for {
-		ms.mu.Lock()
-		if e, ok := ms.entries[key]; ok {
-			ms.mu.Unlock()
-			<-e.done
-			if e.failed {
-				continue // computation panicked and was withdrawn; retry
-			}
-			c.funcHits.Add(1)
-			return e.size
-		}
-		e := &memoEntry{done: make(chan struct{})}
-		ms.entries[key] = e
-		ms.mu.Unlock()
-
-		c.funcMisses.Add(1)
-		// If compileClosure panics, withdraw the poisoned entry and release
-		// waiters before the panic unwinds, so concurrent workers sharing the
-		// memo neither block forever nor read a bogus size.
-		panicked := true
-		func() {
-			defer func() {
-				if panicked {
-					ms.mu.Lock()
-					delete(ms.entries, key)
-					ms.mu.Unlock()
-					e.failed = true
-					close(e.done)
-				}
-			}()
-			e.size = c.compileClosure(fi, members, cfg)
-			panicked = false
-		}()
-		close(e.done)
-		return e.size
-	}
+	members := c.memo.closure(fi, cfg)
+	key := c.closureKey(fi, members, cfg)
+	return c.fncache.sizeOf(key, &c.funcHits, &c.funcMisses, func() int {
+		return c.compileClosure(fi, members, cfg)
+	})
 }
 
 // canonPool recycles the site-canonicalization map closureKey fills and

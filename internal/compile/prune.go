@@ -1,7 +1,5 @@
 package compile
 
-import "optinline/internal/callgraph"
-
 // This file exposes the contribution-handle bookkeeping the branch-and-bound
 // search (internal/search) prices its admissible bounds with. The handles
 // are ordinary Sized values, but they are built and advanced entirely
@@ -11,38 +9,19 @@ import "optinline/internal/callgraph"
 // how much pruning happened rather than on how many configurations were
 // compiled.
 //
-// Availability is deliberately wider than the delta engine's: pruning rides
-// on the per-function memo only (memoize && !check), independent of the
-// SetDelta toggle. A -no-delta run therefore makes byte-identical pruning
-// decisions — and byte-identical evaluation counters — as a delta run,
-// which is what the search's counter-parity tests pin down.
-
-// PruneActive reports whether contribution handles for branch-and-bound
-// bookkeeping are available: the per-function memo must be on and checked
-// mode off (checked mode forces whole-module pipelines, and pruning would
-// skip exactly the work being checked).
-func (c *Compiler) PruneActive() bool { return c.memoize && !c.check }
-
-// ContribBase builds a contribution handle for cfg without consulting or
-// charging the whole-configuration cache. Returns nil when PruneActive is
-// false; the returned handle has no contributions (HasContrib false) when
-// cfg fails to compile.
-func (c *Compiler) ContribBase(cfg *callgraph.Config) *Sized {
-	if !c.PruneActive() {
-		return nil
-	}
-	return c.contribHandle(cfg)
-}
+// Handles come from DeltaBase, so pruning is off exactly when the delta
+// engine is: in checked mode, which forces whole-module pipelines (pruning
+// would skip exactly the work being checked).
 
 // RebaseContrib prices base⊕toggles like Rebase but entirely outside the
 // whole-configuration cache and the evaluation/delta counters: only the
 // dirty functions' contributions are recomputed (their closure compiles
 // still land in — and are served from — the per-function memo, so the work
 // is shared with any later real evaluation of the same region). Returns nil
-// when the base carries no contributions or PruneActive is false; returns a
-// contribution-free handle when the toggled configuration fails to compile.
+// when the base carries no contributions; returns a contribution-free
+// handle when the toggled configuration fails to compile.
 func (c *Compiler) RebaseContrib(base *Sized, toggles []int) *Sized {
-	if base == nil || base.full || !c.PruneActive() {
+	if !base.HasContrib() {
 		return nil
 	}
 	cfg := c.toggled(base, toggles)
@@ -57,8 +36,8 @@ func (c *Compiler) RebaseContrib(base *Sized, toggles []int) *Sized {
 }
 
 // HasContrib reports whether the handle carries per-function contributions
-// (false for handles built with the delta engine off and for configurations
-// that failed to compile — InfSize totals never carry contributions).
+// (false for nil and checked-mode handles and for configurations that
+// failed to compile — InfSize totals never carry contributions).
 func (s *Sized) HasContrib() bool { return s != nil && !s.full }
 
 // ContribSum returns the sum of the handle's per-function contributions

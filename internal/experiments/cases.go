@@ -35,7 +35,7 @@ func (h *Harness) LLVMCase() Result {
 	rows := make([]row, len(files))
 	parallelFor(len(files), 1, func(i int) { // files run serially; edges within a file run in parallel
 		f := files[i]
-		comp := compile.New(f.Module, codegen.TargetX86)
+		comp := compile.NewWithOptions(f.Module, codegen.TargetX86, h.compileOptions())
 		g := comp.Graph()
 		hc := heuristic.OsConfig(comp.Module(), g)
 		heurSize := comp.Size(hc)
@@ -69,7 +69,7 @@ func (h *Harness) SQLiteCase() Result {
 
 	// X86: baseline is the -Os heuristic.
 	{
-		comp := compile.New(f.Module, codegen.TargetX86)
+		comp := compile.NewWithOptions(f.Module, codegen.TargetX86, h.compileOptions())
 		g := comp.Graph()
 		hc := heuristic.OsConfig(comp.Module(), g)
 		heurSize := comp.Size(hc)
@@ -84,7 +84,7 @@ func (h *Harness) SQLiteCase() Result {
 
 	// WASM: baseline disables inlining entirely.
 	{
-		comp := compile.New(f.Module, codegen.TargetWASM)
+		comp := compile.NewWithOptions(f.Module, codegen.TargetWASM, h.compileOptions())
 		g := comp.Graph()
 		noInline := comp.Size(callgraph.NewConfig())
 		hc := heuristic.OsConfig(comp.Module(), g)

@@ -145,6 +145,41 @@ func TestCaseStudiesScaled(t *testing.T) {
 	}
 }
 
+// TestCaseStudiesUseHarnessCompilers: llvm-case and sqlite-case build
+// their compilers from the harness's compile options, so a default run
+// prices through the harness's shared content cache (the one -cache-dir
+// persists), and a Checked run is the reference evaluator: it compiles
+// every configuration fresh, never consults the cache, and prints the same
+// text.
+func TestCaseStudiesUseHarnessCompilers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("case studies are slow")
+	}
+	texts := map[bool]string{}
+	for _, checked := range []bool{false, true} {
+		h := NewHarness(Config{Scale: 0.05, Rounds: 2, Checked: checked})
+		before := h.FnCacheStats()
+		for _, id := range []string{"sqlite-case", "llvm-case"} {
+			res, err := h.Run(id)
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			texts[checked] += res.Text
+		}
+		after := h.FnCacheStats()
+		lookups := after.Hits + after.Misses - before.Hits - before.Misses
+		if checked && lookups != 0 {
+			t.Errorf("checked case studies made %d content-cache lookups", lookups)
+		}
+		if !checked && lookups == 0 {
+			t.Error("case studies bypassed the harness's shared content cache")
+		}
+	}
+	if texts[false] != texts[true] {
+		t.Errorf("checked case studies differ from default:\n--- default\n%s--- checked\n%s", texts[false], texts[true])
+	}
+}
+
 func TestRoundHelpers(t *testing.T) {
 	h := smallHarness(t)
 	h.ensureTuned()

@@ -32,45 +32,18 @@ type Config struct {
 	ExhaustiveCap uint64
 	// Rounds for round-based autotuning; 0 defaults to 4.
 	Rounds int
-	// DisableMemo turns off the per-function memoized compile path on
-	// every compiler in the corpus. Debug/measurement knob: it exists so
-	// the memo engine's speedup can be measured on one machine with one
-	// binary (inlinebench -no-memo).
-	DisableMemo bool
-	// DisableDelta turns off the incremental delta-evaluation path on
-	// every compiler in the corpus, keeping the memoized whole-config path
-	// as a differential oracle (inlinebench -no-delta). Output must be
-	// byte-identical either way.
-	DisableDelta bool
-	// Checked runs every compiler in checked compilation mode
-	// (compile.Options.Check): invariants verified after every inline step
-	// and opt pass. Much slower; regression tripwire for inlinebench -check.
+	// Checked runs every compiler the experiments build in checked
+	// compilation mode (compile.Options.Check): the reference evaluator,
+	// with invariants verified after every inline step and opt pass, no
+	// per-function memo, delta engines or search pruning, and linked
+	// modules solved on one merged compiler. Much slower; output must be
+	// byte-identical to the default run (inlinebench -check).
 	Checked bool
-	// DisablePrune turns off the branch-and-bound layer of the optimal
-	// search (component memo + admissible bounds), running the plain
-	// exhaustive recursion instead (inlinebench -no-prune). Differential
-	// oracle: output must be byte-identical either way.
-	DisablePrune bool
-	// DisableFnCache turns off the content-addressed per-function compile
-	// cache on every compiler, falling back to the legacy per-module memo
-	// keys (inlinebench -no-fncache). Differential oracle: output must be
-	// byte-identical either way.
-	DisableFnCache bool
 	// FnCache, when non-nil, is the content-addressed cache shared by every
 	// compiler in the corpus — typically compile.OpenFnCache(dir) so sizes
 	// persist across runs. Nil creates a fresh in-memory cache, still
 	// shared corpus-wide so duplicated helpers compile once per run.
 	FnCache *compile.FnCache
-	// DisableShard makes the linked-module experiments solve their
-	// components on one merged compiler (link.ShardOptions.NoShard) instead
-	// of per-component sub-modules (inlinebench -no-shard). Differential
-	// oracle: output must be byte-identical either way.
-	DisableShard bool
-	// DisableCycleDelta makes every cycle pricer evaluate configurations
-	// with the whole-module oracle instead of incremental repricing
-	// (inlinebench -no-cycledelta). Differential oracle: output must be
-	// byte-identical either way.
-	DisableCycleDelta bool
 }
 
 func (c Config) normalized() Config {
@@ -154,7 +127,7 @@ func (fd *fileData) profile() *interp.Profile {
 // cyclePricer returns (and caches) a cycle pricer over the baseline profile
 // at the given i-cache capacity. The profile's frame sequence is geometry-
 // independent, so one interpretation backs every capacity.
-func (fd *fileData) cyclePricer(cfg Config, cacheBytes int) *compile.CyclePricer {
+func (fd *fileData) cyclePricer(cacheBytes int) *compile.CyclePricer {
 	if fd.profile() == nil {
 		return nil
 	}
@@ -167,9 +140,6 @@ func (fd *fileData) cyclePricer(cfg Config, cacheBytes int) *compile.CyclePricer
 	if err != nil {
 		return nil
 	}
-	if cfg.DisableCycleDelta {
-		p.SetCycleDelta(false)
-	}
 	fd.pricers[cacheBytes] = p
 	return p
 }
@@ -180,7 +150,6 @@ func (fd *fileData) optimal(cfg Config) (search.Result, bool) {
 		fd.opt, fd.optOK = search.Optimal(fd.comp, search.Options{
 			Workers:  cfg.Workers,
 			MaxSpace: cfg.ExhaustiveCap,
-			NoPrune:  cfg.DisablePrune,
 		})
 	})
 	return fd.opt, fd.optOK
@@ -248,17 +217,7 @@ func NewHarness(cfg Config) *Harness {
 	results := make([]*fileData, len(jobs))
 	parallelFor(len(jobs), cfg.Workers, func(i int) {
 		f := jobs[i].file
-		comp := compile.NewWithOptions(f.Module, codegen.TargetX86,
-			compile.Options{Check: cfg.Checked, FnCache: h.fncache})
-		if cfg.DisableMemo {
-			comp.SetMemoize(false)
-		}
-		if cfg.DisableDelta {
-			comp.SetDelta(false)
-		}
-		if cfg.DisableFnCache {
-			comp.SetFnCache(false)
-		}
+		comp := compile.NewWithOptions(f.Module, codegen.TargetX86, h.compileOptions())
 		g := comp.Graph()
 		if len(g.Edges) == 0 {
 			return // trivial w.r.t. inlining, as in the paper's 746 files
@@ -283,6 +242,13 @@ func NewHarness(cfg Config) *Harness {
 		h.byName[fd.bench] = append(h.byName[fd.bench], fd)
 	}
 	return h
+}
+
+// compileOptions configures every compiler the harness builds — corpus
+// files, case studies, linked modules — so the reference switch and the
+// shared content cache reach all of them.
+func (h *Harness) compileOptions() compile.Options {
+	return compile.Options{Check: h.cfg.Checked, FnCache: h.fncache}
 }
 
 // Benchmarks returns the benchmark names in canonical order.

@@ -25,14 +25,13 @@ func (h *Harness) linkedLinker(name string) (workload.LinkedProfile, *link.Linke
 	return lp, l, err
 }
 
-// linkedShardOpts is the shared shard configuration: harness cache, harness
-// workers, and the -no-shard differential toggle.
+// linkedShardOpts is the shared shard configuration: the harness's compile
+// options (checked mode solves on one merged compiler) and workers.
 func (h *Harness) linkedShardOpts() link.ShardOptions {
 	return link.ShardOptions{
 		Target:  codegen.TargetX86,
-		Compile: compile.Options{FnCache: h.fncache},
+		Compile: h.compileOptions(),
 		Workers: h.cfg.Workers,
-		NoShard: h.cfg.DisableShard,
 	}
 }
 
@@ -43,7 +42,8 @@ func (h *Harness) linkedShardOpts() link.ShardOptions {
 // merged module exactly at a scale one compiler would pay for in memory.
 //
 // linked-s is solved optimally, separate-vs-linked; linked-m is autotuned
-// the same way. Both modes (sharded and -no-shard) print identical text.
+// the same way. Both modes (sharded and the checked merged reference) print
+// identical text.
 func (h *Harness) LinkedCase() Result {
 	var text string
 
@@ -60,7 +60,7 @@ func (h *Harness) LinkedCase() Result {
 			if err != nil {
 				return Result{ID: "linked-case", Title: "Cross-module linking", Text: "error: " + err.Error()}
 			}
-			comp := compile.NewWithOptions(mod, codegen.TargetX86, compile.Options{FnCache: h.fncache})
+			comp := compile.NewWithOptions(mod, codegen.TargetX86, h.compileOptions())
 			sepNoInline += comp.Size(callgraph.NewConfig())
 			res, ok := search.Optimal(comp, search.Options{Workers: h.cfg.Workers, MaxSpace: 1 << 20})
 			if !ok {
@@ -105,7 +105,7 @@ func (h *Harness) LinkedCase() Result {
 			if err != nil {
 				return Result{ID: "linked-case", Title: "Cross-module linking", Text: "error: " + err.Error()}
 			}
-			comp := compile.NewWithOptions(mod, codegen.TargetX86, compile.Options{FnCache: h.fncache})
+			comp := compile.NewWithOptions(mod, codegen.TargetX86, h.compileOptions())
 			hc := heuristic.OsConfig(comp.Module(), comp.Graph())
 			res := autotune.Tune(comp, hc, autotune.Options{Rounds: h.cfg.Rounds, Workers: h.cfg.Workers})
 			sepTuned += res.Size

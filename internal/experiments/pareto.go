@@ -49,7 +49,7 @@ func (h *Harness) Pareto() Result {
 	parallelFor(len(files), h.cfg.Workers, func(i int) {
 		fd := files[i]
 		outs[i].bench = fd.bench
-		pr := fd.cyclePricer(h.cfg, 0)
+		pr := fd.cyclePricer(0)
 		if pr == nil || pr.Events() > paretoEventCap {
 			return
 		}
@@ -71,7 +71,7 @@ func (h *Harness) Pareto() Result {
 		// Under cache pressure the size-optimal labels stay the same (bytes
 		// do not depend on the cache), so reprice that config instead of
 		// re-tuning; only the speed-optimal end needs its own session.
-		prT := fd.cyclePricer(h.cfg, paretoTightCache)
+		prT := fd.cyclePricer(paretoTightCache)
 		speedT := autotune.TuneCycles(fd.comp, prT, nil, opts)
 		if speedT.Cycles <= 0 {
 			return

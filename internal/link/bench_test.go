@@ -5,8 +5,10 @@ import (
 	"runtime"
 	"testing"
 
+	"optinline/internal/autotune"
 	"optinline/internal/codegen"
 	"optinline/internal/compile"
+	"optinline/internal/search"
 	"optinline/internal/workload"
 )
 
@@ -25,66 +27,81 @@ func benchLinker(b *testing.B, profile string) *Linker {
 }
 
 // BenchmarkLinkedSearchShardedVsNoShard times the full exact search over
-// the linked-s mega-module in both modes: per-component shards (each
-// component gets its own compiler and the results merge) versus the
-// -no-shard oracle (one compiler over the materialized merged module,
-// components still solved independently but against the whole-module
-// pruning engine). Results are byte-identical by test; this measures the
-// wall-clock and cache-pressure difference. On a 1-CPU host the sharded
-// win is locality (smaller modules to clone and compile), not parallelism.
+// the linked-s mega-module two ways: per-component shards (each component
+// gets its own compiler and the results merge) versus search.Optimal on one
+// compiler over the materialized merged module (components still solved
+// independently but against the whole-module pruning engine). Results are
+// identical by test; this measures the wall-clock and cache-pressure
+// difference. On a 1-CPU host the sharded win is locality (smaller modules
+// to clone and compile), not parallelism.
 func BenchmarkLinkedSearchShardedVsNoShard(b *testing.B) {
 	l := benchLinker(b, "linked-s")
-	for _, mode := range []struct {
-		name    string
-		noShard bool
-	}{{"sharded", false}, {"no-shard", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, ok, err := l.OptimalSearch(SearchOptions{ShardOptions: ShardOptions{
-					Target:  codegen.TargetX86,
-					Compile: compile.Options{FnCache: compile.NewFnCache()},
-					NoShard: mode.noShard,
-				}})
-				if err != nil || !ok {
-					b.Fatalf("ok=%v err=%v", ok, err)
-				}
-				if res.Size == 0 {
-					b.Fatal("degenerate optimum")
-				}
+	b.Run("sharded", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			res, ok, err := l.OptimalSearch(SearchOptions{ShardOptions: ShardOptions{
+				Target:  codegen.TargetX86,
+				Compile: compile.Options{FnCache: compile.NewFnCache()},
+			}})
+			if err != nil || !ok {
+				b.Fatalf("ok=%v err=%v", ok, err)
 			}
-		})
-	}
+			if res.Size == 0 {
+				b.Fatal("degenerate optimum")
+			}
+		}
+	})
+	b.Run("merged", func(b *testing.B) {
+		mod, err := l.Link()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < b.N; i++ {
+			res, ok := search.Optimal(compile.New(mod, codegen.TargetX86), search.Options{})
+			if !ok || res.Size == 0 {
+				b.Fatalf("ok=%v size=%d", ok, res.Size)
+			}
+		}
+	})
 }
 
 // BenchmarkLinkedTuneShardedVsNoShard times a fixed-round autotuning
-// session over the linked-m module in both modes. Traces are identical by
-// test (TestTuneShardedMatchesNoShard); this measures session cost.
+// session over the linked-m module two ways: lockstep per-component shards
+// versus autotune.Tune on one compiler over the merged module. Traces are
+// identical by test (TestTuneShardedMatchesNoShard); this measures session
+// cost.
 func BenchmarkLinkedTuneShardedVsNoShard(b *testing.B) {
 	l := benchLinker(b, "linked-m")
-	for _, mode := range []struct {
-		name    string
-		noShard bool
-	}{{"sharded", false}, {"no-shard", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := l.Tune(TuneOptions{
-					ShardOptions: ShardOptions{
-						Target:  codegen.TargetX86,
-						Compile: compile.Options{FnCache: compile.NewFnCache()},
-						NoShard: mode.noShard,
-					},
-					Rounds: 2,
-					Init:   InitOs,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Result.FinalSize == 0 {
-					b.Fatal("degenerate tune")
-				}
+	b.Run("sharded", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			res, err := l.Tune(TuneOptions{
+				ShardOptions: ShardOptions{
+					Target:  codegen.TargetX86,
+					Compile: compile.Options{FnCache: compile.NewFnCache()},
+				},
+				Rounds: 2,
+				Init:   InitOs,
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if res.Result.FinalSize == 0 {
+				b.Fatal("degenerate tune")
+			}
+		}
+	})
+	b.Run("merged", func(b *testing.B) {
+		mod, err := l.Link()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < b.N; i++ {
+			c := compile.New(mod, codegen.TargetX86)
+			res := autotune.Tune(c, initConfig(InitOs, c), autotune.Options{Rounds: 2})
+			if res.FinalSize == 0 {
+				b.Fatal("degenerate tune")
+			}
+		}
+	})
 }
 
 // BenchmarkLinkedPlanBuildScale builds the link plan (symbol resolution,
@@ -138,7 +155,7 @@ func BenchmarkLinkedPlanBuildScale(b *testing.B) {
 // components, so ~1/10 of the work should survive an edit — runs the
 // lockstep autotuner, the only tractable optimizer at 6400 sites.
 // "solved/op" and "replayed/op" report the dirty-component accounting.
-// Warm and cold answers are byte-identical by the -no-relink differential
+// Warm and cold answers are byte-identical by the relink differentials
 // (TestSession*, FuzzRelinkDifferential); this measures only time.
 func BenchmarkRelinkEditOneTU(b *testing.B) {
 	cases := []struct {

@@ -39,8 +39,8 @@ import (
 //     string), exactly as FnCache pins them.
 //
 // Collisions: keys are 128-bit ir.Hasher sums, the same accept-the-risk
-// stance as the rest of the content-addressed caches; the -no-relink cold
-// oracle and the differential fuzzer are the safety net.
+// stance as the rest of the content-addressed caches; the checked cold-link
+// reference (-check) and the differential fuzzer are the safety net.
 const relinkKeyVersion = 1
 
 var relinkSchema = fmt.Sprintf("optinline/linkcache/key=%d/pipeline=%d",
@@ -87,8 +87,8 @@ func componentKey(p *Plan, sums []*tuSummary, ci int, target codegen.Target) Res
 }
 
 // searchKey derives the optimal-search cache key from a component key.
-// Workers, NoPrune, and scheduling do not enter: the search result is
-// oracle-guaranteed independent of them.
+// Workers and scheduling do not enter: the search result is independent of
+// them.
 func searchKey(base ResultKey) ResultKey {
 	h := ir.NewHasher()
 	h.Str("search")

@@ -8,8 +8,8 @@ import (
 
 // formatSearchReport renders a search result the way inlinesearch's linked
 // mode prints it on stdout — every mode-independent field in one string —
-// so a single compare proves the byte-identity the -relink/-no-relink CLI
-// differential promises.
+// so a single compare proves the byte-identity the CLIs' -relink versus
+// -relink -check differential promises.
 func formatSearchReport(p *Plan, res SearchResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "linked %d TUs: %d functions, %d inlinable call sites (%d cross-TU, %d locals renamed, %d calls stay external)\n",

@@ -17,27 +17,23 @@ type ShardOptions struct {
 	// Target is the codegen target sizes are measured against.
 	Target codegen.Target
 	// Compile configures every compiler built for the run. Sharing one
-	// FnCache here is what lets the per-component compilers (and a
-	// -no-shard oracle run) reuse each other's per-function compilations:
-	// its content keys are module-independent, so a function compiled
-	// inside a component sub-module hits when the same closure shows up in
-	// the merged module.
+	// FnCache here is what lets the per-component compilers reuse each
+	// other's per-function compilations: its content keys are
+	// module-independent, so a function compiled inside a component
+	// sub-module hits when the same closure shows up elsewhere.
+	//
+	// Compile.Check selects the reference evaluator: one checked compiler
+	// over the merged module instead of per-component shards. Results are
+	// byte-identical to the sharded path — that equality is what the CLIs'
+	// -check differential gates pin — and the first invariant violation
+	// fails the run.
 	Compile compile.Options
-	// Configure, when non-nil, runs on every compiler after construction —
-	// the hook the CLIs use to apply -no-delta/-no-memo/-no-fncache
-	// uniformly across shards.
-	Configure func(*compile.Compiler)
 	// Workers follows search.Options.Workers: 0 selects GOMAXPROCS,
 	// negative forces sequential. In sharded mode the pool is shared by
 	// component-level parallelism; sequential mode additionally keeps at
 	// most one component's compiler alive at a time, which is what makes
 	// peak memory track the largest component instead of the module.
 	Workers int
-	// NoShard switches to the single-compiler oracle: one merged module,
-	// per-component OptimalCompletion over the merged graph's component
-	// subgraphs. Results are byte-identical to the sharded path — that
-	// equality is the -no-shard differential oracle the CLIs expose.
-	NoShard bool
 }
 
 func (o ShardOptions) workers() int {
@@ -49,7 +45,7 @@ func (o ShardOptions) workers() int {
 
 // ComponentStat describes one call-graph component of the link plan and,
 // after a run, its outcome. Every field is mode-independent: the sharded
-// and -no-shard paths fill identical values.
+// and merged (checked) paths fill identical values.
 type ComponentStat struct {
 	Index int
 	Funcs int
@@ -74,8 +70,6 @@ type SearchOptions struct {
 	// the unit of work sharding distributes — and is computed from the
 	// plan, so both modes abort identically without compiling anything.
 	MaxSpace uint64
-	// NoPrune disables the branch-and-bound layer, as in search.Options.
-	NoPrune bool
 }
 
 // SearchResult is the outcome of a cross-module optimal search.
@@ -96,10 +90,10 @@ type SearchResult struct {
 
 // OptimalSearch finds the optimal inlining configuration of the linked
 // module by solving each call-graph component independently — the paper's
-// independence theorem applied at link scale. In sharded mode (default)
-// every component is materialized as its own sub-module and searched on its
-// own compiler (own delta-engine state, own memo), components running on
-// the worker pool; with NoShard one merged compiler solves the same
+// independence theorem applied at link scale. By default every component
+// is materialized as its own sub-module and searched on its own compiler
+// (own delta-engine state, own memo), components running on the worker
+// pool; with Compile.Check one merged checked compiler solves the same
 // components via OptimalCompletion. Both return identical configurations,
 // sizes, and per-component stats.
 //
@@ -111,7 +105,7 @@ func (l *Linker) OptimalSearch(opts SearchOptions) (SearchResult, bool, error) {
 		return res, false, nil
 	}
 	var err error
-	if opts.NoShard {
+	if opts.Compile.Check {
 		err = l.searchMerged(opts, &res)
 	} else {
 		err = l.searchSharded(opts, &res)
@@ -165,14 +159,10 @@ func (l *Linker) solveComponent(ci int, opts SearchOptions) (compOut, error) {
 		return compOut{}, err
 	}
 	c := compile.NewWithOptions(mod, opts.Target, opts.Compile)
-	if opts.Configure != nil {
-		opts.Configure(c)
-	}
 	emptySize := c.Size(callgraph.NewConfig())
 	sres, ok := search.Optimal(c, search.Options{
 		Workers:  opts.Workers,
 		MaxSpace: opts.MaxSpace,
-		NoPrune:  opts.NoPrune,
 	})
 	if !ok {
 		// Unreachable: the per-component space was bounded from the
@@ -230,7 +220,7 @@ func (l *Linker) searchSharded(opts SearchOptions, res *SearchResult) error {
 	return nil
 }
 
-// searchMerged is the -no-shard oracle: one compiler over the fully linked
+// searchMerged is the reference path: one compiler over the fully linked
 // module, each component solved in place by OptimalCompletion over the
 // merged graph's own component subgraphs. Those subgraphs must be taken
 // from the merged compiler's graph — not the plan's compacted
@@ -247,9 +237,6 @@ func (l *Linker) searchMerged(opts SearchOptions, res *SearchResult) error {
 		return err
 	}
 	c := compile.NewWithOptions(mod, opts.Target, opts.Compile)
-	if opts.Configure != nil {
-		opts.Configure(c)
-	}
 	subs := search.ComponentSubgraphs(c.Graph())
 	if len(subs) != len(l.plan.Components) {
 		return fmt.Errorf("link: merged module has %d components, plan has %d", len(subs), len(l.plan.Components))
@@ -263,7 +250,6 @@ func (l *Linker) searchMerged(opts SearchOptions, res *SearchResult) error {
 		}
 		ccfg, csize := search.OptimalCompletion(c, mg, callgraph.NewConfig(), search.Options{
 			Workers: opts.Workers,
-			NoPrune: opts.NoPrune,
 		})
 		res.Components[ci].Inlined = ccfg.InlineCount()
 		res.Components[ci].SizeDelta = csize - emptySize
@@ -275,7 +261,7 @@ func (l *Linker) searchMerged(opts SearchOptions, res *SearchResult) error {
 	res.Evaluations = c.Evaluations()
 	res.ConfigCache = c.ConfigCacheStats()
 	res.FuncCache = c.FuncCacheStats()
-	return nil
+	return c.CheckFailure()
 }
 
 // residualSize compiles the residual sub-module (functions with no incident
@@ -290,9 +276,6 @@ func (l *Linker) residualSize(opts ShardOptions) (size int, evals int64, err err
 		return 0, 0, nil
 	}
 	c := compile.NewWithOptions(mod, opts.Target, opts.Compile)
-	if opts.Configure != nil {
-		opts.Configure(c)
-	}
 	return c.Size(callgraph.NewConfig()), c.Evaluations(), nil
 }
 

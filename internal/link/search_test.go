@@ -1,6 +1,7 @@
 package link
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -24,8 +25,8 @@ func linkedS(t *testing.T) *Linker {
 	return l
 }
 
-// tinyLinker builds a linker over a test-only profile sized so a full
-// exhaustive (NoPrune) search stays cheap even under the race detector,
+// tinyLinker builds a linker over a test-only profile sized so the checked
+// reference search stays cheap even under the race detector,
 // while keeping everything the differentials need: colliding file-local
 // names, cross-TU calls, several non-trivial components, and component
 // clusters big enough for the pruning engine's bound to matter.
@@ -59,9 +60,10 @@ func tinyLinker(t *testing.T) *Linker {
 }
 
 // TestOptimalSearchShardedMatchesNoShard is the tentpole oracle: the
-// component-sharded search and the single-compiler -no-shard search must
-// agree on everything mode-independent — sizes, configuration bits and
-// canonical key, and per-component stats.
+// component-sharded search and the reference evaluator — one checked
+// compiler over the merged module — must agree on everything
+// mode-independent: sizes, configuration bits and canonical key, and
+// per-component stats.
 func TestOptimalSearchShardedMatchesNoShard(t *testing.T) {
 	l := tinyLinker(t)
 	fc := compile.NewFnCache()
@@ -75,27 +77,27 @@ func TestOptimalSearchShardedMatchesNoShard(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("sharded search: ok=%v err=%v", ok, err)
 	}
-	noShard := base
-	noShard.NoShard = true
-	oracle, ok, err := l.OptimalSearch(noShard)
+	checked := base
+	checked.Compile.Check = true
+	oracle, ok, err := l.OptimalSearch(checked)
 	if err != nil || !ok {
-		t.Fatalf("no-shard search: ok=%v err=%v", ok, err)
+		t.Fatalf("checked search: ok=%v err=%v", ok, err)
 	}
 
 	if sharded.Size != oracle.Size {
-		t.Errorf("optimal size: sharded %d, no-shard %d", sharded.Size, oracle.Size)
+		t.Errorf("optimal size: sharded %d, checked %d", sharded.Size, oracle.Size)
 	}
 	if sharded.NoInlineSize != oracle.NoInlineSize {
-		t.Errorf("no-inline size: sharded %d, no-shard %d", sharded.NoInlineSize, oracle.NoInlineSize)
+		t.Errorf("no-inline size: sharded %d, checked %d", sharded.NoInlineSize, oracle.NoInlineSize)
 	}
 	if !sharded.Config.Equal(oracle.Config) {
 		t.Errorf("configurations differ")
 	}
 	if sharded.Config.Key() != oracle.Config.Key() {
-		t.Errorf("config keys differ:\n  sharded:  %s\n  no-shard: %s", sharded.Config.Key(), oracle.Config.Key())
+		t.Errorf("config keys differ:\n  sharded:  %s\n  checked:  %s", sharded.Config.Key(), oracle.Config.Key())
 	}
 	if !reflect.DeepEqual(sharded.Components, oracle.Components) {
-		t.Errorf("per-component stats differ:\n  sharded:  %+v\n  no-shard: %+v", sharded.Components, oracle.Components)
+		t.Errorf("per-component stats differ:\n  sharded:  %+v\n  checked:  %+v", sharded.Components, oracle.Components)
 	}
 	if sharded.SpaceTotal != oracle.SpaceTotal {
 		t.Errorf("space totals differ: %d vs %d", sharded.SpaceTotal, oracle.SpaceTotal)
@@ -119,10 +121,12 @@ func TestOptimalSearchShardedMatchesNoShard(t *testing.T) {
 	}
 }
 
-// TestOptimalSearchShardedMatchesNoShardLinkedS repeats the three-way
-// oracle at full linked-s scale (456k-evaluation total space — the size
-// class where the compacted-graph pruning bug actually showed). Too slow
-// under the race detector; the tiny-profile test covers those builds.
+// TestOptimalSearchShardedMatchesNoShardLinkedS repeats the comparison at
+// full linked-s scale (456k-evaluation total space — the size class where
+// the compacted-graph pruning bug actually showed) against a direct
+// whole-module search of the merged module; the checked reference is far
+// too slow here. Too slow under the race detector as well; the
+// tiny-profile test covers those builds.
 func TestOptimalSearchShardedMatchesNoShardLinkedS(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		t.Skip("full linked-s differential is slow; covered by the tiny-profile oracle here")
@@ -137,15 +141,6 @@ func TestOptimalSearchShardedMatchesNoShardLinkedS(t *testing.T) {
 	sharded, ok, err := l.OptimalSearch(base)
 	if err != nil || !ok {
 		t.Fatalf("sharded search: ok=%v err=%v", ok, err)
-	}
-	noShard := base
-	noShard.NoShard = true
-	oracle, ok, err := l.OptimalSearch(noShard)
-	if err != nil || !ok {
-		t.Fatalf("no-shard search: ok=%v err=%v", ok, err)
-	}
-	if sharded.Size != oracle.Size || sharded.Config.Key() != oracle.Config.Key() {
-		t.Errorf("linked-s: sharded %d vs no-shard %d diverged", sharded.Size, oracle.Size)
 	}
 	merged, err := l.Link()
 	if err != nil {
@@ -162,7 +157,8 @@ func TestOptimalSearchShardedMatchesNoShardLinkedS(t *testing.T) {
 }
 
 // TestOptimalSearchWorkerParity: results must be bit-identical across
-// worker counts in both modes, including with pruning disabled.
+// worker counts in both modes (the checked merged path runs sequentially
+// in TestOptimalSearchShardedMatchesNoShard).
 func TestOptimalSearchWorkerParity(t *testing.T) {
 	l := tinyLinker(t)
 	var refKey string
@@ -170,12 +166,7 @@ func TestOptimalSearchWorkerParity(t *testing.T) {
 	for i, opt := range []SearchOptions{
 		{ShardOptions: ShardOptions{Target: codegen.TargetX86, Workers: -1}},
 		{ShardOptions: ShardOptions{Target: codegen.TargetX86, Workers: 4}},
-		{ShardOptions: ShardOptions{Target: codegen.TargetX86, Workers: 1, NoShard: true}},
-		// The exhaustive (NoPrune) merged variant doubles as the oracle that
-		// caught a pruning-engine/compacted-graph index mismatch; the
-		// sharded NoPrune path is already covered by the search package's
-		// own differential tests.
-		{ShardOptions: ShardOptions{Target: codegen.TargetX86, Workers: 8, NoShard: true}, NoPrune: true},
+		{ShardOptions: ShardOptions{Target: codegen.TargetX86, Workers: 8, Compile: compile.Options{Check: true}}},
 	} {
 		res, ok, err := l.OptimalSearch(opt)
 		if err != nil || !ok {
@@ -193,35 +184,58 @@ func TestOptimalSearchWorkerParity(t *testing.T) {
 
 func TestOptimalSearchMaxSpaceAbortsIdentically(t *testing.T) {
 	l := tinyLinker(t)
-	for _, noShard := range []bool{false, true} {
+	for _, check := range []bool{false, true} {
 		res, ok, err := l.OptimalSearch(SearchOptions{
-			ShardOptions: ShardOptions{Target: codegen.TargetX86, NoShard: noShard},
+			ShardOptions: ShardOptions{Target: codegen.TargetX86, Compile: compile.Options{Check: check}},
 			MaxSpace:     2, // every component exceeds this
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ok {
-			t.Fatalf("noShard=%v: expected space-cap abort", noShard)
+			t.Fatalf("check=%v: expected space-cap abort", check)
 		}
 		if res.Config != nil {
-			t.Fatalf("noShard=%v: aborted search returned a config", noShard)
+			t.Fatalf("check=%v: aborted search returned a config", check)
 		}
 		capped := false
 		for _, cs := range res.Components {
 			capped = capped || cs.Capped
 		}
 		if !capped {
-			t.Fatalf("noShard=%v: no component marked capped", noShard)
+			t.Fatalf("check=%v: no component marked capped", check)
 		}
 	}
 }
 
 // TestTuneShardedMatchesNoShard: lockstep per-component tuning must
 // reproduce the whole-module autotuner run for run — every round trace,
-// the best and final configurations, and all sizes.
+// the best and final configurations, and all sizes. On linked-s the
+// reference is a direct autotune.Tune over the merged module; on the tiny
+// profile it is the checked merged path, which also pins the per-component
+// stats.
 func TestTuneShardedMatchesNoShard(t *testing.T) {
+	same := func(tag string, a, b autotune.Result) {
+		t.Helper()
+		if a.InitSize != b.InitSize {
+			t.Errorf("%s: InitSize %d vs %d", tag, a.InitSize, b.InitSize)
+		}
+		if a.Size != b.Size || a.Config.Key() != b.Config.Key() {
+			t.Errorf("%s: best size/config differ (%d vs %d)", tag, a.Size, b.Size)
+		}
+		if a.FinalSize != b.FinalSize || a.Final.Key() != b.Final.Key() {
+			t.Errorf("%s: final size/config differ (%d vs %d)", tag, a.FinalSize, b.FinalSize)
+		}
+		if !reflect.DeepEqual(a.Rounds, b.Rounds) {
+			t.Errorf("%s: round traces differ:\n  sharded:   %+v\n  reference: %+v", tag, a.Rounds, b.Rounds)
+		}
+	}
 	l := linkedS(t)
+	merged, err := l.Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiny := tinyLinker(t)
 	for _, init := range []TuneInit{InitClean, InitOs} {
 		base := TuneOptions{
 			ShardOptions: ShardOptions{Target: codegen.TargetX86, Workers: 2},
@@ -232,28 +246,23 @@ func TestTuneShardedMatchesNoShard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		noShard := base
-		noShard.NoShard = true
-		oracle, err := l.Tune(noShard)
+		c := compile.New(merged, codegen.TargetX86)
+		direct := autotune.Tune(c, initConfig(init, c), autotune.Options{Rounds: 6, Workers: 2})
+		same(fmt.Sprintf("linked-s init %d", init), sharded.Result, direct)
+
+		tinySharded, err := tiny.Tune(base)
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		a, b := sharded.Result, oracle.Result
-		if a.InitSize != b.InitSize {
-			t.Errorf("init %d: InitSize %d vs %d", init, a.InitSize, b.InitSize)
+		checked := base
+		checked.Compile.Check = true
+		ref, err := tiny.Tune(checked)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if a.Size != b.Size || a.Config.Key() != b.Config.Key() {
-			t.Errorf("init %d: best size/config differ (%d vs %d)", init, a.Size, b.Size)
-		}
-		if a.FinalSize != b.FinalSize || a.Final.Key() != b.Final.Key() {
-			t.Errorf("init %d: final size/config differ (%d vs %d)", init, a.FinalSize, b.FinalSize)
-		}
-		if !reflect.DeepEqual(a.Rounds, b.Rounds) {
-			t.Errorf("init %d: round traces differ:\n  sharded:  %+v\n  no-shard: %+v", init, a.Rounds, b.Rounds)
-		}
-		if !reflect.DeepEqual(sharded.Components, oracle.Components) {
-			t.Errorf("init %d: per-component stats differ", init)
+		same(fmt.Sprintf("tiny init %d", init), tinySharded.Result, ref.Result)
+		if !reflect.DeepEqual(tinySharded.Components, ref.Components) {
+			t.Errorf("tiny init %d: per-component stats differ", init)
 		}
 	}
 }
@@ -293,8 +302,8 @@ func TestTuneSessionMatchesTune(t *testing.T) {
 	}
 }
 
-// TestShardedSearchSharesFnCache: per-component compilers and the merged
-// no-shard compiler must hit the same content-addressed entries.
+// TestShardedSearchSharesFnCache: per-component compilers and a compiler
+// over the merged module must hit the same content-addressed entries.
 func TestShardedSearchSharesFnCache(t *testing.T) {
 	l := tinyLinker(t)
 	fc := compile.NewFnCache()
@@ -310,13 +319,17 @@ func TestShardedSearchSharesFnCache(t *testing.T) {
 	if cold.Misses == 0 {
 		t.Fatal("sharded run never touched the shared fn cache")
 	}
-	opts.NoShard = true
-	if _, ok, err := l.OptimalSearch(opts); err != nil || !ok {
-		t.Fatalf("no-shard: ok=%v err=%v", ok, err)
+	merged, err := l.Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := compile.NewWithOptions(merged, codegen.TargetX86, compile.Options{FnCache: fc})
+	if _, ok := search.Optimal(c, search.Options{Workers: 1}); !ok {
+		t.Fatal("merged search aborted")
 	}
 	warm := fc.Stats()
 	if warm.Misses != cold.Misses {
-		t.Errorf("no-shard rerun missed %d new entries; content keys should be module-independent",
+		t.Errorf("merged rerun missed %d new entries; content keys should be module-independent",
 			warm.Misses-cold.Misses)
 	}
 }

@@ -20,15 +20,14 @@ import (
 // component whose members, linkage, and bound call structure are unchanged
 // since some earlier solve (in this session, another session, or another
 // link entirely) has the same optimum, so an edit-one-TU re-search pays
-// only for the edited unit's components. The -no-relink differential
-// oracle — a cold New+OptimalSearch over the same units — must stay
+// only for the edited unit's components. A checked query answers from a
+// cold New+OptimalSearch over the same units instead, and the two must stay
 // byte-identical; every replay shortcut here is backed by the key argument
 // in key.go and re-proved by the fuzz differential.
 type Session struct {
 	mu      sync.Mutex
 	l       *Linker
 	results *ComponentCache
-	noCache bool
 	stats   RelinkStats
 }
 
@@ -40,9 +39,6 @@ type SessionOptions struct {
 	// shared cache. Sharing one cache across sessions is safe and is the
 	// point: keys are pure content.
 	Results *ComponentCache
-	// NoResultCache disables result reuse entirely: every query re-solves
-	// every component (the session then only saves replanning).
-	NoResultCache bool
 }
 
 // RelinkStats counts session activity.
@@ -109,7 +105,7 @@ func NewSession(tus []TU, opts SessionOptions) (*Session, error) {
 	if results == nil {
 		results = defaultComponentCache
 	}
-	return &Session{l: l, results: results, noCache: opts.NoResultCache}, nil
+	return &Session{l: l, results: results}, nil
 }
 
 // Plan returns the current link plan. The returned plan is replaced, never
@@ -250,26 +246,28 @@ func sameStringSet(a, b []string) bool {
 // configuration, per-component stats, the capped abort — are byte-identical
 // to a cold Linker.OptimalSearch over the same units; Evaluations, Prune,
 // and the cache counters cover live solves only (replays evaluate
-// nothing). NoShard is rejected: the session's differential oracle is a
-// cold full link, not the merged compiler.
+// nothing). A checked query (Compile.Check) is answered by exactly that
+// cold search — a fresh link of the current units on the merged reference
+// path — and replays nothing.
 func (s *Session) Search(opts SearchOptions) (SearchResult, RelinkInfo, bool, error) {
 	var info RelinkInfo
-	if opts.NoShard {
-		return SearchResult{}, info, false, fmt.Errorf("link: session search is always sharded; use a cold Linker for the -no-shard oracle")
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Searches++
 	l := s.l
+	if opts.Compile.Check {
+		cold, err := New(l.tus, l.opts)
+		if err != nil {
+			return SearchResult{}, info, false, err
+		}
+		res, ok, err := cold.OptimalSearch(opts)
+		return res, info, ok, err
+	}
 	p := l.plan
 	res := SearchResult{Components: make([]ComponentStat, len(p.Components))}
 	if capped := planSpaces(p, opts.MaxSpace, &res); capped {
 		return res, info, false, nil
 	}
-	// Checked-mode compiles exist to re-verify the pipeline; replaying
-	// around them would defeat the point, so Check bypasses the cache
-	// (exactly as FnCache does).
-	useCache := !s.noCache && !opts.Compile.Check
 	outcomes := make([]*searchOutcome, len(p.Components))
 	live := make([]*compOut, len(p.Components))
 	run := func(ci int) error {
@@ -285,14 +283,6 @@ func (s *Session) Search(opts SearchOptions) (SearchResult, RelinkInfo, bool, er
 				bits:      configBits(p.ComponentEdges(ci), o.cfg),
 			}, nil
 		}
-		if !useCache {
-			v, err := solve()
-			if err != nil {
-				return err
-			}
-			outcomes[ci] = v.(*searchOutcome)
-			return nil
-		}
 		key := searchKey(componentKey(p, l.sums, ci, opts.Target))
 		v, _, err := s.results.get(key, solve)
 		if err != nil {
@@ -305,7 +295,7 @@ func (s *Session) Search(opts SearchOptions) (SearchResult, RelinkInfo, bool, er
 		return res, info, false, err
 	}
 
-	residSize, err := s.residualTotal(opts.ShardOptions, useCache, &info, &res.Evaluations)
+	residSize, err := s.residualTotal(opts.ShardOptions, &info, &res.Evaluations)
 	if err != nil {
 		return res, info, false, err
 	}
@@ -338,7 +328,7 @@ func (s *Session) Search(opts SearchOptions) (SearchResult, RelinkInfo, bool, er
 // compile in isolation — no incident candidate edges means no inlining in
 // and every outgoing call unbound in their sub-module — so the per-unit sum
 // equals the cold path's single whole-residual compile.
-func (s *Session) residualTotal(opts ShardOptions, useCache bool, info *RelinkInfo, evals *int64) (int, error) {
+func (s *Session) residualTotal(opts ShardOptions, info *RelinkInfo, evals *int64) (int, error) {
 	l := s.l
 	p := l.plan
 	total := 0
@@ -360,21 +350,9 @@ func (s *Session) residualTotal(opts ShardOptions, useCache bool, info *RelinkIn
 				return nil, err
 			}
 			c := compile.NewWithOptions(mod, opts.Target, opts.Compile)
-			if opts.Configure != nil {
-				opts.Configure(c)
-			}
 			sz := c.Size(callgraph.NewConfig())
 			*evals += c.Evaluations()
 			return sz, nil
-		}
-		if !useCache {
-			v, err := compute()
-			if err != nil {
-				return 0, err
-			}
-			info.ResidualSolved++
-			total += v.(int)
-			continue
 		}
 		v, hit, err := s.results.get(residKey(p, l.sums, t, opts.Target), compute)
 		if err != nil {
@@ -393,20 +371,26 @@ func (s *Session) residualTotal(opts ShardOptions, useCache bool, info *RelinkIn
 // Tune answers a lockstep sharded tuning query over the current unit set,
 // replaying per-component round traces from the cache where content
 // matches. Results are byte-identical to a cold Linker.Tune with the same
-// options. Cycle objectives return a *CycleObjectiveError (they are not
-// component-separable); NoShard is rejected as in Search.
+// options, which is how a checked query is answered. Cycle objectives
+// return a *CycleObjectiveError in both modes (they are not
+// component-separable).
 func (s *Session) Tune(opts TuneOptions) (TuneResult, RelinkInfo, error) {
 	var info RelinkInfo
 	if opts.Objective != ObjectiveSize {
 		return TuneResult{}, info, &CycleObjectiveError{Objective: opts.Objective}
 	}
-	if opts.NoShard {
-		return TuneResult{}, info, fmt.Errorf("link: session tuning is always sharded; use a cold Linker for the -no-shard oracle")
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Tunes++
 	l := s.l
+	if opts.Compile.Check {
+		cold, err := New(l.tus, l.opts)
+		if err != nil {
+			return TuneResult{}, info, err
+		}
+		res, err := cold.Tune(opts)
+		return res, info, err
+	}
 	p := l.plan
 	res := TuneResult{Components: make([]ComponentStat, len(p.Components))}
 	for ci := range p.Components {
@@ -420,7 +404,6 @@ func (s *Session) Tune(opts TuneOptions) (TuneResult, RelinkInfo, error) {
 	if rounds <= 0 {
 		rounds = 1
 	}
-	useCache := !s.noCache && !opts.Compile.Check
 
 	type tuneShard struct {
 		edges  []PlannedEdge
@@ -439,9 +422,6 @@ func (s *Session) Tune(opts TuneOptions) (TuneResult, RelinkInfo, error) {
 	// those cases and the component simply solves live, unrecorded.
 	for ci := range shards {
 		shards[ci].edges = p.ComponentEdges(ci)
-		if !useCache {
-			continue
-		}
 		key := tuneKey(componentKey(p, l.sums, ci, opts.Target), opts.Init, rounds)
 		if v, hit, claim := s.results.tryClaim(key); hit {
 			shards[ci].cached = v.(*tuneOutcome)
@@ -468,9 +448,6 @@ func (s *Session) Tune(opts TuneOptions) (TuneResult, RelinkInfo, error) {
 			return err
 		}
 		c := compile.NewWithOptions(mod, opts.Target, opts.Compile)
-		if opts.Configure != nil {
-			opts.Configure(c)
-		}
 		sh.c = c
 		sh.sess = autotune.NewSession(c, initConfig(opts.Init, c), opts.Workers)
 		sh.bits = configBits(sh.edges, sh.sess.Config())
@@ -481,7 +458,7 @@ func (s *Session) Tune(opts TuneOptions) (TuneResult, RelinkInfo, error) {
 	if err := eachComponent(len(shards), opts.workers(), build); err != nil {
 		return res, info, err
 	}
-	residSize, err := s.residualTotal(opts.ShardOptions, useCache, &info, &res.Evaluations)
+	residSize, err := s.residualTotal(opts.ShardOptions, &info, &res.Evaluations)
 	if err != nil {
 		return res, info, err
 	}

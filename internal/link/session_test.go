@@ -99,7 +99,7 @@ func (fx *relinkFixture) session(t testing.TB) *Session {
 	return s
 }
 
-// coldSearch is the -no-relink oracle: a from-scratch link and sharded
+// coldSearch is the cold-link oracle: a from-scratch link and sharded
 // search over the fixture's current contents.
 func (fx *relinkFixture) coldSearch(t testing.TB, jobs int) SearchResult {
 	t.Helper()
@@ -316,20 +316,52 @@ func TestSessionCycleObjectiveTypedError(t *testing.T) {
 	}
 }
 
-// TestSessionRejectsNoShard: the session has no merged mode; its oracle is
-// the cold full link.
-func TestSessionRejectsNoShard(t *testing.T) {
+// TestSessionCheckedQueryLinksCold: a checked query is answered by a fresh
+// link of the session's current units on the reference path — identical
+// results, nothing replayed, and nothing recorded in the result cache.
+func TestSessionCheckedQueryLinksCold(t *testing.T) {
 	fx := newRelinkFixture(t)
 	sess := fx.session(t)
-	so := fx.searchOptions(1)
-	so.NoShard = true
-	if _, _, _, err := sess.Search(so); err == nil {
-		t.Error("Search accepted NoShard")
+	if _, err := sess.ReplaceNamed(fx.patchTU(1, 0)); err != nil {
+		t.Fatal(err)
 	}
-	to := fx.tuneOptions(1, 1, InitClean)
-	to.NoShard = true
-	if _, _, err := sess.Tune(to); err == nil {
-		t.Error("Tune accepted NoShard")
+	warm, _, ok, err := sess.Search(fx.searchOptions(2))
+	if err != nil || !ok {
+		t.Fatalf("warm search: ok=%v err=%v", ok, err)
+	}
+	warmTune, _, err := sess.Tune(fx.tuneOptions(2, 3, InitOs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := sess.results.Stats().Entries
+
+	so := fx.searchOptions(2)
+	so.Compile.Check = true
+	checked, info, ok, err := sess.Search(so)
+	if err != nil || !ok {
+		t.Fatalf("checked search: ok=%v err=%v", ok, err)
+	}
+	assertSearchEqual(t, "checked search", warm, checked)
+	if info != (RelinkInfo{}) {
+		t.Errorf("checked search reported replay accounting: %+v", info)
+	}
+
+	to := fx.tuneOptions(2, 3, InitOs)
+	to.Compile.Check = true
+	checkedTune, info, err := sess.Tune(to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(warmTune.Result.Rounds, checkedTune.Result.Rounds) ||
+		warmTune.Result.Config.Key() != checkedTune.Result.Config.Key() ||
+		!reflect.DeepEqual(warmTune.Components, checkedTune.Components) {
+		t.Errorf("checked tune differs from warm:\n  warm:    %+v\n  checked: %+v", warmTune.Result, checkedTune.Result)
+	}
+	if info != (RelinkInfo{}) {
+		t.Errorf("checked tune reported replay accounting: %+v", info)
+	}
+	if got := sess.results.Stats().Entries; got != entries {
+		t.Errorf("checked queries recorded %d result-cache entries", got-entries)
 	}
 }
 

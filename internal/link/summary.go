@@ -56,7 +56,7 @@ func NewSummaryCache() *SummaryCache {
 }
 
 // defaultSummaries is the package-wide cache used when Options.Summaries is
-// nil, so repeated links of the same TUs (sharded vs -no-shard oracle runs,
+// nil, so repeated links of the same TUs (checked cold-link queries,
 // benchmarks) summarize each unit once per process.
 var defaultSummaries = NewSummaryCache()
 

@@ -32,7 +32,7 @@ type TuneOptions struct {
 	// price cycles against a profile collected by interpreting the linked
 	// module's Entry with Args, and always run on the merged module —
 	// the i-cache couples components, so cycle prices are not
-	// component-separable (see tuneCyclesMerged); NoShard is ignored.
+	// component-separable (see tuneCyclesMerged).
 	Objective TuneObjective
 	// Lambda weighs cycles against bytes for ObjectiveWeighted.
 	Lambda float64
@@ -46,9 +46,6 @@ type TuneOptions struct {
 	// CacheBytes sets the modelled i-cache capacity; 0 uses the
 	// interpreter default.
 	CacheBytes int
-	// NoCycleDelta forces the cycle pricer's whole-module oracle
-	// (differential; results are byte-identical).
-	NoCycleDelta bool
 }
 
 // TuneResult is the outcome of a cross-module tuning session.
@@ -73,9 +70,9 @@ type TuneResult struct {
 // independent round per component — each probe toggles one site against the
 // shared base, and a toggle's size effect is confined to its component).
 // Converged components replay their fixpoint for free while the rest keep
-// stepping. With NoShard the same session runs as one whole-module
-// autotune.Tune on the merged compiler; traces, configurations, and sizes
-// are identical either way.
+// stepping. With Compile.Check the same session runs as one whole-module
+// autotune.Tune on a merged checked compiler; traces, configurations, and
+// sizes are identical either way.
 func (l *Linker) Tune(opts TuneOptions) (TuneResult, error) {
 	p := l.plan
 	res := TuneResult{Components: make([]ComponentStat, len(p.Components))}
@@ -90,7 +87,7 @@ func (l *Linker) Tune(opts TuneOptions) (TuneResult, error) {
 	switch {
 	case opts.Objective != ObjectiveSize:
 		err = l.tuneCyclesMerged(opts, &res)
-	case opts.NoShard:
+	case opts.Compile.Check:
 		err = l.tuneMerged(opts, &res)
 	default:
 		err = l.tuneSharded(opts, &res)
@@ -135,9 +132,6 @@ func (l *Linker) tuneSharded(opts TuneOptions, res *TuneResult) error {
 			return err
 		}
 		c := compile.NewWithOptions(mod, opts.Target, opts.Compile)
-		if opts.Configure != nil {
-			opts.Configure(c)
-		}
 		shards[ci] = shard{c: c, sess: autotune.NewSession(c, initConfig(opts.Init, c), opts.Workers)}
 		return nil
 	}
@@ -214,17 +208,14 @@ func (l *Linker) tuneSharded(opts TuneOptions, res *TuneResult) error {
 	return nil
 }
 
-// tuneMerged is the -no-shard oracle: a plain whole-module tuning session
-// on the linked module.
+// tuneMerged is the reference path: a plain whole-module tuning session on
+// the linked module.
 func (l *Linker) tuneMerged(opts TuneOptions, res *TuneResult) error {
 	mod, err := l.Link()
 	if err != nil {
 		return err
 	}
 	c := compile.NewWithOptions(mod, opts.Target, opts.Compile)
-	if opts.Configure != nil {
-		opts.Configure(c)
-	}
 	res.Result = autotune.Tune(c, initConfig(opts.Init, c), autotune.Options{
 		Rounds:  opts.Rounds,
 		Workers: opts.Workers,
@@ -232,5 +223,5 @@ func (l *Linker) tuneMerged(opts TuneOptions, res *TuneResult) error {
 	res.Evaluations = c.Evaluations()
 	res.ConfigCache = c.ConfigCacheStats()
 	res.FuncCache = c.FuncCacheStats()
-	return nil
+	return c.CheckFailure()
 }

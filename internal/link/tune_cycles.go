@@ -30,17 +30,14 @@ const (
 // through the entire profiled frame sequence, so inlining a site in one
 // component changes the miss penalties charged to frames of every other
 // component that shares cache lines with it. Pretending otherwise would make
-// -no-shard a real oracle instead of a free one, so the sharded path simply
-// delegates here and stdout stays mode-independent by construction.
+// the merged reference disagree with the sharded path, so the sharded path
+// simply delegates here and stdout stays mode-independent by construction.
 func (l *Linker) tuneCyclesMerged(opts TuneOptions, res *TuneResult) error {
 	mod, err := l.Link()
 	if err != nil {
 		return err
 	}
 	c := compile.NewWithOptions(mod, opts.Target, opts.Compile)
-	if opts.Configure != nil {
-		opts.Configure(c)
-	}
 	entry := opts.Entry
 	if entry == "" {
 		entry = "entry"
@@ -59,9 +56,6 @@ func (l *Linker) tuneCyclesMerged(opts TuneOptions, res *TuneResult) error {
 	if err != nil {
 		return err
 	}
-	if opts.NoCycleDelta {
-		pricer.SetCycleDelta(false)
-	}
 	aOpts := autotune.Options{Rounds: opts.Rounds, Workers: opts.Workers}
 	if opts.Objective == ObjectiveCycles {
 		res.Result = autotune.TuneCycles(c, pricer, initConfig(opts.Init, c), aOpts)
@@ -72,5 +66,5 @@ func (l *Linker) tuneCyclesMerged(opts TuneOptions, res *TuneResult) error {
 	res.ConfigCache = c.ConfigCacheStats()
 	res.FuncCache = c.FuncCacheStats()
 	res.Cycle = pricer.Stats()
-	return nil
+	return c.CheckFailure()
 }

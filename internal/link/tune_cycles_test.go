@@ -23,20 +23,21 @@ func cycleTuneOpts() TuneOptions {
 }
 
 // TestTuneCycleObjectiveIgnoresShardMode: cycle objectives always run on the
-// merged module (the i-cache couples components), so -no-shard must change
+// merged module (the i-cache couples components), so the remaining shard
+// knob — sequential (Workers < 0) versus parallel workers — must change
 // nothing at all.
 func TestTuneCycleObjectiveIgnoresShardMode(t *testing.T) {
-	sharded, err := tinyLinker(t).Tune(cycleTuneOpts())
+	parallel, err := tinyLinker(t).Tune(cycleTuneOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	noShard := cycleTuneOpts()
-	noShard.NoShard = true
-	merged, err := tinyLinker(t).Tune(noShard)
+	seqOpts := cycleTuneOpts()
+	seqOpts.Workers = -1
+	sequential, err := tinyLinker(t).Tune(seqOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := sharded.Result, merged.Result
+	a, b := parallel.Result, sequential.Result
 	if a.Size != b.Size || a.Cycles != b.Cycles || a.Config.Key() != b.Config.Key() {
 		t.Fatalf("shard modes diverged: (%d,%d) vs (%d,%d)", a.Size, a.Cycles, b.Size, b.Cycles)
 	}
@@ -45,15 +46,17 @@ func TestTuneCycleObjectiveIgnoresShardMode(t *testing.T) {
 	}
 }
 
-// TestTuneCycleObjectiveDeltaOracle: the linked weighted session must be
-// byte-identical with the cycle pricer's incremental engine on and off.
+// TestTuneCycleObjectiveDeltaOracle: the linked weighted
+// session must be byte-identical on the incremental engines and on the
+// reference evaluator, whose checked compiler prices every configuration
+// from a whole-module build.
 func TestTuneCycleObjectiveDeltaOracle(t *testing.T) {
 	delta, err := tinyLinker(t).Tune(cycleTuneOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := cycleTuneOpts()
-	opts.NoCycleDelta = true
+	opts.Compile.Check = true
 	full, err := tinyLinker(t).Tune(opts)
 	if err != nil {
 		t.Fatal(err)

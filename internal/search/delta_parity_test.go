@@ -8,9 +8,10 @@ import (
 	"optinline/internal/compile"
 )
 
-// TestOptimalDeltaMatchesNoDelta: the exhaustive search on the delta engine
-// must match the -no-delta oracle bit for bit — optimal size, configuration,
-// space size, and the evaluation counter inlinesearch prints on stdout.
+// TestOptimalDeltaMatchesNoDelta: the search on the delta engine must match
+// the reference evaluator — a checked compiler, which has no delta engine
+// and no pruning — bit for bit in optimal size, configuration, and space
+// size, without counting more evaluations than the exhaustive recursion.
 func TestOptimalDeltaMatchesNoDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	trials := 0
@@ -21,8 +22,7 @@ func TestOptimalDeltaMatchesNoDelta(t *testing.T) {
 			continue
 		}
 		trials++
-		full := compile.New(m, codegen.TargetX86)
-		full.SetDelta(false)
+		full := compile.NewWithOptions(m, codegen.TargetX86, compile.Options{Check: true})
 		rd, ok1 := Optimal(delta, Options{})
 		rw, ok2 := Optimal(full, Options{})
 		if ok1 != ok2 {
@@ -35,8 +35,11 @@ func TestOptimalDeltaMatchesNoDelta(t *testing.T) {
 		if !rd.Config.Equal(rw.Config) {
 			t.Fatalf("trial %d: optimal configs diverge: %v vs %v", trials, rd.Config, rw.Config)
 		}
-		if rd.Evaluations != rw.Evaluations {
-			t.Fatalf("trial %d: evaluation counters diverge: delta %d vs full %d",
+		if err := full.CheckFailure(); err != nil {
+			t.Fatalf("trial %d: checked search: %v", trials, err)
+		}
+		if rd.Evaluations > rw.Evaluations {
+			t.Fatalf("trial %d: delta search evaluated more than the reference: %d > %d",
 				trials, rd.Evaluations, rw.Evaluations)
 		}
 		if delta.DeltaStats().Evals == 0 {

@@ -8,10 +8,11 @@ import (
 	"optinline/internal/compile"
 )
 
-// TestOptimalFnCacheMatchesNoFnCache: the exhaustive search over the
-// content-addressed function cache must match the -no-fncache oracle and
-// checked compilation mode bit for bit — optimal size, configuration key,
-// space size, and the evaluation counter inlinesearch prints on stdout.
+// TestOptimalFnCacheMatchesNoFnCache: the search over the content-addressed
+// function cache must match checked compilation mode — which compiles every
+// configuration fresh, with no function cache — bit for bit in optimal size,
+// configuration key, and space size, and must keep the search's
+// evaluation counter independent of a cache shared with another compiler.
 func TestOptimalFnCacheMatchesNoFnCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	trials, hits := 0, int64(0)
@@ -22,11 +23,12 @@ func TestOptimalFnCacheMatchesNoFnCache(t *testing.T) {
 			continue
 		}
 		trials++
-		legacy := compile.New(m, codegen.TargetX86)
-		legacy.SetFnCache(false)
+		// A second compiler on the first one's (now warm) cache: every
+		// closure hits, and the counters must not notice.
+		warm := compile.NewWithOptions(m, codegen.TargetX86, compile.Options{FnCache: cached.FnCache()})
 		chk := compile.NewWithOptions(m, codegen.TargetX86, compile.Options{Check: true})
 		rc, ok1 := Optimal(cached, Options{})
-		rl, ok2 := Optimal(legacy, Options{})
+		rl, ok2 := Optimal(warm, Options{})
 		rk, ok3 := Optimal(chk, Options{})
 		if err := chk.CheckFailure(); err != nil {
 			t.Fatalf("trial %d: checked search: %v\nmodule:\n%s", trials, err, m.String())
@@ -35,7 +37,7 @@ func TestOptimalFnCacheMatchesNoFnCache(t *testing.T) {
 			t.Fatalf("trial %d: ok diverges: %v / %v / %v", trials, ok1, ok2, ok3)
 		}
 		if rc.Size != rl.Size || rc.Size != rk.Size || rc.SpaceSize != rl.SpaceSize {
-			t.Fatalf("trial %d: fncache %d / -no-fncache %d / checked %d (spaces %d vs %d)\nmodule:\n%s",
+			t.Fatalf("trial %d: fncache %d / warm %d / checked %d (spaces %d vs %d)\nmodule:\n%s",
 				trials, rc.Size, rl.Size, rk.Size, rc.SpaceSize, rl.SpaceSize, m.String())
 		}
 		if rc.Config.Key() != rl.Config.Key() || rc.Config.Key() != rk.Config.Key() {
@@ -43,7 +45,7 @@ func TestOptimalFnCacheMatchesNoFnCache(t *testing.T) {
 				trials, rc.Config.Key(), rl.Config.Key(), rk.Config.Key())
 		}
 		if rc.Evaluations != rl.Evaluations {
-			t.Fatalf("trial %d: evaluation counters diverge: fncache %d vs oracle %d",
+			t.Fatalf("trial %d: evaluation counters diverge: cold %d vs warm %d",
 				trials, rc.Evaluations, rl.Evaluations)
 		}
 		hits += cached.FnCache().Stats().Hits

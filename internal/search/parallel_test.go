@@ -68,9 +68,9 @@ func TestParallelSearchDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelSearchDeterminismMemoOff repeats the check with the memoized
-// compile path disabled, isolating the search-level merge determinism from
-// the cache-level single-flight determinism.
+// TestParallelSearchDeterminismMemoOff repeats the check on a checked
+// compiler, whose memoized compile path is off, isolating the search-level
+// merge determinism from the cache-level single-flight determinism.
 func TestParallelSearchDeterminismMemoOff(t *testing.T) {
 	p := workload.Profile{
 		Name: "determinism", Files: 4, TotalEdges: 30,
@@ -87,8 +87,7 @@ func TestParallelSearchDeterminismMemoOff(t *testing.T) {
 		}
 		var ref *Result
 		for _, jobs := range []int{-1, 8} {
-			c := compile.New(f.Module, codegen.TargetX86)
-			c.SetMemoize(false)
+			c := compile.NewWithOptions(f.Module, codegen.TargetX86, compile.Options{Check: true})
 			res, ok := Optimal(c, Options{Workers: jobs, MaxSpace: 1 << 9})
 			if !ok {
 				t.Fatalf("%s jobs=%d: search aborted", f.Name, jobs)

@@ -98,8 +98,8 @@ import (
 
 // PruneStats reports the branch-and-bound layer's work: how many subtrees
 // the bound cut, how the component-optimum memo performed, and how many
-// bound handles were priced. All zero when pruning is disabled (-no-prune,
-// -no-memo, checked mode).
+// bound handles were priced. All zero on a checked compiler, which runs
+// the exhaustive recursion.
 type PruneStats struct {
 	Enabled    bool
 	Subtrees   int64 // branches skipped by the admissible bound
@@ -337,7 +337,7 @@ func (ev *evaluator) evalComponent(mg *graph.Multigraph, decided *callgraph.Conf
 	}
 	eng.memoMisses.Add(1)
 	anchor := callgraph.NewConfigOf(sp.clusterSites)
-	hl := ev.c.RebaseContrib(ev.root, sp.clusterSites)
+	hl := ev.c.RebaseContrib(ev.base, sp.clusterSites)
 	var cfgLocal *callgraph.Config
 	var localSize, baseSize int
 	if hl.HasContrib() {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"optinline/internal/callgraph"
 	"optinline/internal/codegen"
 	"optinline/internal/compile"
 	"optinline/internal/graph"
@@ -19,9 +20,14 @@ import (
 // exact optimum the exhaustive recursion returns — same size AND same
 // configuration key — while doing no more counted evaluations. Small graphs
 // are additionally certified against brute force.
+//
+// The exhaustive side runs the plain recursion on the same fast sizes
+// (exhaustiveOptimal), which isolates the pruning layer; a checked
+// compiler's recursion is the end-to-end reference, but at ~20 ms per
+// verified evaluation it is only affordable in TestPrunedSearchSavesWork.
 func TestPrunedSearchDifferentialFuzz(t *testing.T) {
 	// Big enough that most generated programs are searchable, small enough
-	// that the exhaustive oracle side stays affordable under -race.
+	// that the exhaustive side stays affordable under -race.
 	const maxSpace = 1 << 12
 	// Walk seeds until 30 generated programs have actually been searched
 	// (graphs that are empty or blow the space cap do not count).
@@ -40,14 +46,11 @@ func TestPrunedSearchDifferentialFuzz(t *testing.T) {
 
 		cp := compile.New(mod, codegen.TargetX86)
 		rp, okP := Optimal(cp, Options{MaxSpace: maxSpace})
-		cn := compile.New(mod, codegen.TargetX86)
-		rn, okN := Optimal(cn, Options{MaxSpace: maxSpace, NoPrune: true})
-		if okP != okN {
-			t.Fatalf("seed %d: MaxSpace disagreement pruned=%v exhaustive=%v", seed, okP, okN)
-		}
 		if !okP {
 			continue
 		}
+		cn := compile.New(mod, codegen.TargetX86)
+		rn := exhaustiveOptimal(cn)
 		checked++
 		if rp.Size != rn.Size {
 			t.Fatalf("seed %d: pruned optimum %d != exhaustive optimum %d\n%s",
@@ -61,9 +64,8 @@ func TestPrunedSearchDifferentialFuzz(t *testing.T) {
 			t.Fatalf("seed %d: pruned search evaluated more than exhaustive: %d > %d",
 				seed, rp.Evaluations, rn.Evaluations)
 		}
-		if !rp.Prune.Enabled || rn.Prune.Enabled {
-			t.Fatalf("seed %d: prune stats gating wrong: pruned=%+v exhaustive=%+v",
-				seed, rp.Prune, rn.Prune)
+		if !rp.Prune.Enabled {
+			t.Fatalf("seed %d: prune stats gating wrong: %+v", seed, rp.Prune)
 		}
 		if e := len(probe.Graph().Edges); e <= 12 {
 			cb := compile.New(mod, codegen.TargetX86)
@@ -86,9 +88,19 @@ func TestPrunedSearchDifferentialFuzz(t *testing.T) {
 	}
 }
 
+// exhaustiveOptimal runs the search recursion with the branch-and-bound
+// layer detached, on c's fast (memoized, delta-priced) sizes.
+func exhaustiveOptimal(c *compile.Compiler) Result {
+	ev := newEvaluator(c, Options{})
+	ev.eng = nil
+	cfg, size := ev.eval(c.Graph().Undirected(), callgraph.NewConfig(), nil)
+	return Result{Config: cfg, Size: size, Evaluations: c.Evaluations()}
+}
+
 // TestPrunedSearchSavesWork pins that the layer actually prunes on a shape
 // where sharing is guaranteed: long chains revisit identical component
-// subproblems along both branches.
+// subproblems along both branches. The exhaustive side is the reference
+// evaluator: a checked compiler, which cannot price bounds.
 func TestPrunedSearchSavesWork(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	saved := false
@@ -100,8 +112,11 @@ func TestPrunedSearchSavesWork(t *testing.T) {
 		}
 		cp := compile.New(m, codegen.TargetX86)
 		rp, _ := Optimal(cp, Options{})
-		cn := compile.New(m, codegen.TargetX86)
-		rn, _ := Optimal(cn, Options{NoPrune: true})
+		cn := compile.NewWithOptions(m, codegen.TargetX86, compile.Options{Check: true})
+		rn, _ := Optimal(cn, Options{})
+		if !rp.Prune.Enabled || rn.Prune.Enabled {
+			t.Fatalf("trial %d: prune stats gating wrong: pruned=%+v checked=%+v", trial, rp.Prune, rn.Prune)
+		}
 		if rp.Size != rn.Size || rp.Config.Key() != rn.Config.Key() {
 			t.Fatalf("trial %d: pruned (%d,{%s}) != exhaustive (%d,{%s})",
 				trial, rp.Size, rp.Config.Key(), rn.Size, rn.Config.Key())

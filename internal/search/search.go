@@ -240,20 +240,15 @@ type Options struct {
 	// exceeds this many evaluations. 0 means no bound. The bound is on the
 	// full tree: pruning changes how much of it is visited, not its size.
 	MaxSpace uint64
-	// NoPrune disables the branch-and-bound layer (component memo +
-	// admissible bounds), forcing the exhaustive recursion — the
-	// differential oracle behind the CLIs' -no-prune flags. The layer is
-	// exact, so results are byte-identical either way; only the amount of
-	// work differs. Pruning is also off whenever the per-function memo is
-	// (SetMemoize(false), checked mode), which cannot price the bounds.
-	NoPrune bool
 }
 
 // Optimal searches the recursively partitioned space and returns an optimal
 // configuration for the compiler's module and target. ok is false when
-// MaxSpace is exceeded. The search is exact; by default a branch-and-bound
-// layer (see prune.go) skips subtrees that provably cannot improve on a
-// sibling and memoizes repeated component subproblems.
+// MaxSpace is exceeded. The search is exact; a branch-and-bound layer (see
+// prune.go) skips subtrees that provably cannot improve on a sibling and
+// memoizes repeated component subproblems. A checked compiler cannot price
+// the bounds, so on one the search runs the exhaustive recursion — the
+// reference the pruned search is compared against.
 func Optimal(c *compile.Compiler, opts Options) (Result, bool) {
 	g := c.Graph()
 	space, capped := RecursiveSpaceSize(g, opts.MaxSpace)
@@ -261,7 +256,7 @@ func Optimal(c *compile.Compiler, opts Options) (Result, bool) {
 		return Result{SpaceSize: space}, false
 	}
 	ev := newEvaluator(c, opts)
-	cfg, size := ev.eval(g.Undirected(), callgraph.NewConfig(), ev.root)
+	cfg, size := ev.eval(g.Undirected(), callgraph.NewConfig(), ev.base)
 	return Result{
 		Config:      cfg,
 		Size:        size,
@@ -280,16 +275,9 @@ func Optimal(c *compile.Compiler, opts Options) (Result, bool) {
 // yields the true component optimum given the rest.
 func OptimalCompletion(c *compile.Compiler, mg *graph.Multigraph, decided *callgraph.Config, opts Options) (*callgraph.Config, int) {
 	ev := newEvaluator(c, opts)
-	root := ev.root
-	if root != nil {
-		// Rebase the pruning handle onto the caller's decided prefix; the
-		// clean-slate handle only anchors searches from the root.
-		root = c.RebaseContrib(root, decided.InlineSites())
-		if !root.HasContrib() {
-			root = nil
-		}
-	}
-	return ev.eval(mg, decided.Clone(), root)
+	// Rebase the pruning handle onto the caller's decided prefix; the
+	// clean-slate handle only anchors searches from the root.
+	return ev.eval(mg, decided.Clone(), c.RebaseContrib(ev.base, decided.InlineSites()))
 }
 
 // ComponentSubgraphs returns the edge-bearing connected components of the
@@ -307,11 +295,10 @@ type evaluator struct {
 	base   *compile.Sized // clean-slate handle; nil disables delta pricing
 	tokens chan struct{}  // nil means sequential
 	eng    *engine        // branch-and-bound state; nil disables pruning
-	root   *compile.Sized // clean-slate contribution handle for pruning
 }
 
-// newEvaluator wires the delta pricing base and, unless disabled, the
-// branch-and-bound engine.
+// newEvaluator wires the delta pricing base and the branch-and-bound
+// engine; both are off on a checked compiler.
 func newEvaluator(c *compile.Compiler, opts Options) *evaluator {
 	workers := opts.Workers
 	if workers == 0 {
@@ -320,28 +307,18 @@ func newEvaluator(c *compile.Compiler, opts Options) *evaluator {
 	// Every leaf and combine evaluation is a perturbation of the clean
 	// slate confined to one component, so price them as deltas against a
 	// clean-slate handle: only the functions reachable into the labeled
-	// component recompile, never the whole module. DeltaBase is nil when
-	// the engine is off (-no-delta, checked mode); sizeOf then takes the
-	// classic whole-configuration path. Both paths are byte-identical,
-	// including evaluation counters — the handle itself is built outside
-	// the config cache, so the clean slate is still "evaluated" at the
-	// first leaf that requests it, exactly as before.
+	// component recompile, never the whole module. DeltaBase is nil in
+	// checked mode; sizeOf then takes the classic whole-configuration
+	// path. Both paths are byte-identical, including evaluation counters —
+	// the handle itself is built outside the config cache, so the clean
+	// slate is still "evaluated" at the first leaf that requests it,
+	// exactly as before. The same handle prices the pruning bounds.
 	ev := &evaluator{c: c, base: c.DeltaBase(callgraph.NewConfig())}
 	if workers > 1 {
 		ev.tokens = make(chan struct{}, workers)
 	}
-	if !opts.NoPrune {
-		// The pruning handle is deliberately independent of the delta flag:
-		// it only needs the per-function memo, so -no-delta runs prune (and
-		// count evaluations) exactly like delta runs.
-		root := ev.base
-		if root == nil {
-			root = c.ContribBase(callgraph.NewConfig())
-		}
-		if root.HasContrib() {
-			ev.eng = newEngine(c.Graph())
-			ev.root = root
-		}
+	if ev.base.HasContrib() {
+		ev.eng = newEngine(c.Graph())
 	}
 	return ev
 }

@@ -77,61 +77,6 @@ func TestTuneWeightedObjectiveMatchesLibrary(t *testing.T) {
 	}
 }
 
-// TestTuneCycleObjectiveDeltaOracle replays one cycles-only session with
-// incremental repricing and with the whole-module oracle; the bodies must
-// be byte-identical, and /stats must show each mode's counters.
-func TestTuneCycleObjectiveDeltaOracle(t *testing.T) {
-	f := exampleSources(t)[0]
-	_, ts := newTestServer(t, Config{Jobs: 2})
-
-	req := TuneRequest{Name: f.name, Source: f.src, Init: "os", Rounds: 3, Objective: "cycles"}
-	status, delta := post(t, ts.URL+"/tune", req)
-	if status != http.StatusOK {
-		t.Fatalf("delta status %d: %s", status, delta)
-	}
-	req.NoCycleDelta = true
-	status, oracle := post(t, ts.URL+"/tune", req)
-	if status != http.StatusOK {
-		t.Fatalf("oracle status %d: %s", status, oracle)
-	}
-	if !bytes.Equal(delta, oracle) {
-		t.Errorf("bodies differ:\ndelta:  %s\noracle: %s", delta, oracle)
-	}
-
-	st := getStats(t, ts.URL)
-	cp := st.CyclePricers
-	// The two modes key separate pricers (SetCycleDelta is pricer-wide).
-	if cp.Built != 2 || cp.Live != 2 {
-		t.Errorf("pricer pool built=%d live=%d, want 2/2", cp.Built, cp.Live)
-	}
-	if cp.Repricings == 0 {
-		t.Errorf("no incremental repricings recorded")
-	}
-	if cp.FullEvals == 0 {
-		t.Errorf("no whole-module oracle evaluations recorded")
-	}
-	if cp.ReplayEvents == 0 {
-		t.Errorf("no i-cache replay events recorded")
-	}
-
-	// Replaying the delta request reuses its pooled profile.
-	req.NoCycleDelta = false
-	status, again := post(t, ts.URL+"/tune", req)
-	if status != http.StatusOK {
-		t.Fatalf("replay status %d: %s", status, again)
-	}
-	if !bytes.Equal(again, delta) {
-		t.Errorf("replay body differs from first run")
-	}
-	st = getStats(t, ts.URL)
-	if st.CyclePricers.Hits == 0 {
-		t.Errorf("replay did not hit the pricer pool (hits=%d)", st.CyclePricers.Hits)
-	}
-	if st.CyclePricers.Built != 2 {
-		t.Errorf("replay built a new pricer (built=%d)", st.CyclePricers.Built)
-	}
-}
-
 // TestTuneObjectiveErrors walks the cycle-objective rejection matrix.
 func TestTuneObjectiveErrors(t *testing.T) {
 	f := exampleSources(t)[0]

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"optinline/internal/codegen"
-	"optinline/internal/compile"
 	"optinline/internal/link"
 	"optinline/internal/source"
 )
@@ -207,9 +206,8 @@ func (s *Server) handleLinkCreate(w http.ResponseWriter, r *http.Request) {
 		tus = append(tus, tu)
 	}
 	sess, err := link.NewSession(tus, link.SessionOptions{
-		Link:          link.Options{DupExported: dup},
-		Results:       s.relinkCache,
-		NoResultCache: s.relinkCache == nil,
+		Link:    link.Options{DupExported: dup},
+		Results: s.relinkCache,
 	})
 	if err != nil {
 		s.fail(w, wr.ep, http.StatusUnprocessableEntity, "%v", err)
@@ -285,7 +283,7 @@ func (s *Server) handleLinkSearch(w http.ResponseWriter, r *http.Request) {
 	res, _, searched, err := ls.sess.Search(link.SearchOptions{
 		ShardOptions: link.ShardOptions{
 			Target:  ls.target,
-			Compile: compile.Options{FnCache: s.fncache},
+			Compile: s.compileOptions(),
 			Workers: wr.jobs,
 		},
 		MaxSpace: maxSpace,
@@ -376,7 +374,7 @@ func (s *Server) handleLinkTune(w http.ResponseWriter, r *http.Request) {
 	tr, _, err := ls.sess.Tune(link.TuneOptions{
 		ShardOptions: link.ShardOptions{
 			Target:  ls.target,
-			Compile: compile.Options{FnCache: s.fncache},
+			Compile: s.compileOptions(),
 			Workers: wr.jobs,
 		},
 		Rounds:    rounds,

@@ -72,19 +72,16 @@ type Config struct {
 	// AllowDelay honors the requests' delayMs field (synthetic latency for
 	// load and drain testing). Off by default.
 	AllowDelay bool
-	// DisableSummaryCache makes every /analyze request recompute its
-	// interprocedural summaries from scratch instead of sharing the
-	// process-wide content-addressed summary cache. The differential
-	// oracle for the cache: responses must be byte-identical either way.
-	DisableSummaryCache bool
 	// MaxLinkSessions bounds the incremental re-link session registry
 	// behind /link (FIFO eviction). <= 0 selects 32.
 	MaxLinkSessions int
-	// DisableRelinkCache makes every link session re-solve each component
-	// from scratch instead of sharing the process-wide content-keyed result
-	// cache. The differential oracle for the cache: /link responses must be
-	// byte-identical either way.
-	DisableRelinkCache bool
+	// Check serves every request from the reference evaluator: checked
+	// compilers (compile.Options.Check), /analyze summaries computed from
+	// scratch instead of through the shared summary cache, and /link
+	// queries answered by a cold link of the session's units instead of
+	// the shared component result cache. Response bodies must be
+	// byte-identical to a default server's.
+	Check bool
 }
 
 func (c Config) normalized() Config {
@@ -192,7 +189,7 @@ type poolElem struct {
 type Server struct {
 	cfg     Config
 	fncache *compile.FnCache
-	ipcache *interproc.Cache // nil when the summary cache is disabled
+	ipcache *interproc.Cache // nil in checked mode: summaries from scratch
 	queue   *jobQueue
 	gate    drainGate
 	mux     *http.ServeMux
@@ -232,8 +229,7 @@ type Server struct {
 	eps  map[string]*endpointCounters
 
 	// linkReg registers the incremental re-link sessions behind /link;
-	// relinkCache is the content-keyed component result cache they share
-	// (nil when the daemon disables it).
+	// relinkCache is the content-keyed component result cache they share.
 	linkReg     linkRegistry
 	relinkCache *link.ComponentCache
 }
@@ -266,13 +262,11 @@ func New(cfg Config) *Server {
 
 		cyclePricers: make(map[string]*cyclePricerEntry),
 	}
-	if !cfg.DisableSummaryCache {
+	if !cfg.Check {
 		s.ipcache = interproc.NewCache()
 	}
 	s.linkReg.sessions = make(map[string]*linkSession)
-	if !cfg.DisableRelinkCache {
-		s.relinkCache = link.NewComponentCache()
-	}
+	s.relinkCache = link.NewComponentCache()
 	s.mux.HandleFunc("POST /analyze", s.handleAnalyze)
 	s.mux.HandleFunc("POST /compile", s.handleCompile)
 	s.mux.HandleFunc("POST /search", s.handleSearch)
@@ -289,6 +283,12 @@ func New(cfg Config) *Server {
 
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
+
+// compileOptions configures every compiler the server builds, pooled or
+// per link-session query.
+func (s *Server) compileOptions() compile.Options {
+	return compile.Options{Check: s.cfg.Check, FnCache: s.fncache}
+}
 
 // FnCache returns the process-wide content cache (for Save/Close at exit).
 func (s *Server) FnCache() *compile.FnCache { return s.fncache }
@@ -466,7 +466,7 @@ func (s *Server) compiler(name, src string, target codegen.Target) (*compile.Com
 
 	mod, err := source.FromBytes(name, []byte(src))
 	if err == nil {
-		e.comp = compile.NewWithOptions(mod, target, compile.Options{FnCache: s.fncache})
+		e.comp = compile.NewWithOptions(mod, target, s.compileOptions())
 	} else {
 		e.err = fmt.Errorf("parse %s: %w", name, err)
 	}
@@ -559,15 +559,11 @@ type cycleProfile struct {
 	args       []int64
 	fuel       int64
 	cacheBytes int
-	// noDelta pricers live under their own key: SetCycleDelta is a pricer-
-	// wide switch, so the oracle mode must never flip a shared pricer that
-	// a concurrent delta-mode session is probing.
-	noDelta bool
 }
 
 func (cp cycleProfile) key(compKey string) string {
-	return fmt.Sprintf("%s/%s/%v/%d/%d/%t",
-		compKey, cp.entry, cp.args, cp.fuel, cp.cacheBytes, cp.noDelta)
+	return fmt.Sprintf("%s/%s/%v/%d/%d",
+		compKey, cp.entry, cp.args, cp.fuel, cp.cacheBytes)
 }
 
 // cyclePricer returns the pooled pricer for (compiler, profile), building
@@ -614,14 +610,7 @@ func buildCyclePricer(comp *compile.Compiler, cp cycleProfile) (*compile.CyclePr
 	if err != nil {
 		return nil, fmt.Errorf("profile %s%v: %w", cp.entry, cp.args, err)
 	}
-	p, err := comp.NewCyclePricer(prof, compile.CycleOptions{CacheBytes: cp.cacheBytes})
-	if err != nil {
-		return nil, err
-	}
-	if cp.noDelta {
-		p.SetCycleDelta(false)
-	}
-	return p, nil
+	return comp.NewCyclePricer(prof, compile.CycleOptions{CacheBytes: cp.cacheBytes})
 }
 
 // evictPricersLocked retires the oldest pricers beyond the pool bound
@@ -834,7 +823,6 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 			args:       req.Args,
 			fuel:       req.Fuel,
 			cacheBytes: req.CacheBytes,
-			noDelta:    req.NoCycleDelta,
 		}
 		if cp.entry == "" {
 			cp.entry = "entry"
@@ -1050,11 +1038,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.cycleMu.Unlock()
 
 	resp.LinkSessions = s.linkReg.stats()
-	if s.relinkCache != nil {
-		cst := s.relinkCache.Stats()
-		resp.RelinkCache = RelinkCacheCounters{
-			Hits: cst.Hits, Misses: cst.Misses, Entries: cst.Entries,
-		}
+	cst := s.relinkCache.Stats()
+	resp.RelinkCache = RelinkCacheCounters{
+		Hits: cst.Hits, Misses: cst.Misses, Entries: cst.Entries,
 	}
 
 	writeJSON(w, http.StatusOK, resp)

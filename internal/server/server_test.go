@@ -243,6 +243,7 @@ func TestErrorPaths(t *testing.T) {
 		{"parse failure", "/compile", `{"name":"x.ir","source":"garbage"}`, http.StatusUnprocessableEntity},
 		{"optimal over budget", "/compile", fmt.Sprintf(`{"name":%q,"source":%q,"inline":"optimal","maxSpace":1}`, f.name, f.src), http.StatusUnprocessableEntity},
 		{"tune bad init", "/tune", fmt.Sprintf(`{"name":%q,"source":%q,"init":"hot"}`, f.name, f.src), http.StatusBadRequest},
+		{"tune unknown noCycleDelta", "/tune", fmt.Sprintf(`{"name":%q,"source":%q,"objective":"cycles","noCycleDelta":true}`, f.name, f.src), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		status, body := raw(tc.path, tc.payload)
@@ -524,9 +525,10 @@ func waitFor(t *testing.T, base string, cond func(StatsResponse) bool) {
 }
 
 // TestAnalyzeEndpoint pins the /analyze contract: a deterministic body
-// (byte-identical across worker budgets and across warm/cold/disabled
-// summary caches) carrying the feature schema, per-function summaries in
-// module order, sorted findings, and one feature vector per site.
+// (byte-identical across worker budgets and across warm/cold summary
+// caches; TestCheckedServerByteIdentical covers scratch summaries) carrying
+// the feature schema, per-function summaries in module order, sorted
+// findings, and one feature vector per site.
 func TestAnalyzeEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	f := exampleSources(t)[0]
@@ -547,13 +549,6 @@ func TestAnalyzeEndpoint(t *testing.T) {
 	// Warm rerun against the same (now populated) summary cache.
 	if _, warm := post(t, ts.URL+"/analyze", AnalyzeRequest{Name: f.name, Source: f.src}); !bytes.Equal(warm, first) {
 		t.Error("warm summary-cache rerun changed the response body")
-	}
-
-	// Scratch oracle: a daemon with the summary cache disabled must
-	// produce the same bytes.
-	_, scratch := newTestServer(t, Config{DisableSummaryCache: true})
-	if _, body := post(t, scratch.URL+"/analyze", AnalyzeRequest{Name: f.name, Source: f.src}); !bytes.Equal(body, first) {
-		t.Error("DisableSummaryCache response differs from the cached daemon's")
 	}
 
 	var resp AnalyzeResponse
@@ -617,10 +612,10 @@ func TestAnalyzeStatsCounters(t *testing.T) {
 		t.Errorf("analyze.count = %d, want 3", got)
 	}
 
-	// Disabled cache reports all-zero counters.
-	_, scratch := newTestServer(t, Config{DisableSummaryCache: true})
+	// A checked daemon computes summaries from scratch: all-zero counters.
+	_, scratch := newTestServer(t, Config{Check: true})
 	post(t, scratch.URL+"/analyze", AnalyzeRequest{Name: f.name, Source: f.src})
 	if st := getStats(t, scratch.URL); st.SummaryCache != (SummaryCacheCounters{}) {
-		t.Errorf("disabled summary cache reports nonzero counters: %+v", st.SummaryCache)
+		t.Errorf("checked daemon reports summary-cache counters: %+v", st.SummaryCache)
 	}
 }

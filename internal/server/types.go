@@ -128,12 +128,8 @@ type TuneRequest struct {
 	Args       []int64 `json:"args,omitempty"`       // profiled arguments; nil = [7]
 	Fuel       int64   `json:"fuel,omitempty"`       // profiling fuel; 0 = 20M
 	CacheBytes int     `json:"cacheBytes,omitempty"` // modelled i-cache; 0 = default
-	// NoCycleDelta prices every probe with the whole-module oracle instead
-	// of incremental repricing. Differential knob: the response must be
-	// byte-identical either way.
-	NoCycleDelta bool `json:"noCycleDelta,omitempty"`
-	Jobs         int  `json:"jobs,omitempty"`
-	DelayMs      int  `json:"delayMs,omitempty"`
+	Jobs       int     `json:"jobs,omitempty"`
+	DelayMs    int     `json:"delayMs,omitempty"`
 }
 
 // TuneRound is one round's trace (paper Table 4 shape). Cycles is present
@@ -317,7 +313,7 @@ type StatsResponse struct {
 	FnCache FnCacheStatsJSON `json:"fnCache"`
 
 	// SummaryCache is the process-wide interprocedural summary cache
-	// behind /analyze (all zero when the daemon disables it).
+	// behind /analyze (all zero on a checked daemon).
 	SummaryCache SummaryCacheCounters `json:"summaryCache"`
 
 	// Compilers tracks the per-module compiler pool (LRU over source hash).
@@ -339,7 +335,8 @@ type StatsResponse struct {
 	LinkSessions LinkSessionPoolStats `json:"linkSessions"`
 
 	// RelinkCache is the process-wide content-keyed component result cache
-	// shared by every link session (all zero when the daemon disables it).
+	// shared by every link session (all zero on a checked daemon, whose
+	// link queries run cold).
 	RelinkCache RelinkCacheCounters `json:"relinkCache"`
 }
 
@@ -375,7 +372,7 @@ type CyclePricerPoolStats struct {
 	Evicted int64 `json:"evicted"`
 
 	Repricings      int64 `json:"repricings"`
-	FullEvals       int64 `json:"fullEvals"` // whole-module (oracle) evaluations
+	FullEvals       int64 `json:"fullEvals"` // whole-module evaluations (checked daemon)
 	ConfigCacheHits int64 `json:"configCacheHits"`
 	ReplayEvents    int64 `json:"replayEvents"`
 	CostCacheHits   int64 `json:"costCacheHits"`
