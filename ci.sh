@@ -8,6 +8,14 @@ cd "$(dirname "$0")"
 echo "== go vet =="
 go vet ./...
 
+echo "== gofmt =="
+unformatted="$(gofmt -l $(git ls-files '*.go'))"
+if [[ -n "${unformatted}" ]]; then
+  echo "gofmt -l lists unformatted files:"
+  echo "${unformatted}"
+  exit 1
+fi
+
 echo "== builtin-shadowing guard =="
 # Shadowing a Go builtin (cap, len, new, ...) compiles fine but silently
 # disables the builtin for the rest of the scope; it has caused real
@@ -179,10 +187,20 @@ if ! "${ref_bin}/inlinesearch" -link -link-dup rename "${link_files[@]}" 2>/dev/
 fi
 # Incremental re-link replays: warm sessions replay unchanged components
 # from the content-keyed result cache; -check links cold at every step.
+# edits_mixed.txt interleaves search and tune steps on one session, and
+# both CLIs replay it through the same driver: at default flags their
+# stdout must match.
 relink_args=(-link-dup rename examples/minc/linked/app.minc examples/minc/linked/mathlib.minc)
+mixed=examples/minc/linked/edits_mixed.txt
 ref_gate inlinesearch -relink examples/minc/linked/edits.txt "${relink_args[@]}"
 ref_gate inlinetune -relink examples/minc/linked/edits_tune.txt -rounds 3 "${relink_args[@]}"
-ref_gate mincc -inline optimal -relink examples/minc/linked/edits.txt "${relink_args[@]}"
+ref_gate inlinesearch -relink "${mixed}" "${relink_args[@]}"
+ref_gate inlinetune -relink "${mixed}" "${relink_args[@]}"
+if ! diff <("${ref_bin}/inlinesearch" -relink "${mixed}" "${relink_args[@]}" 2>/dev/null) \
+          <("${ref_bin}/inlinetune" -relink "${mixed}" "${relink_args[@]}" 2>/dev/null); then
+  echo "inlinesearch and inlinetune replay ${mixed} differently"
+  exit 1
+fi
 # Every experiment but linked-case (whose checked merged search is 456k
 # verified evaluations) over a scaled corpus.
 bench_ids="$("${ref_bin}/inlinebench" -list | grep -vx 'linked-case' | paste -sd, -)"

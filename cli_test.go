@@ -98,8 +98,8 @@ func TestInlineTuneCLI(t *testing.T) {
 
 // TestMinccFnCacheColdVsWarm: a warm -cache-dir rerun and the -check
 // reference (which uses no function cache) must produce byte-identical
-// stdout; the warm run's -cache-stats line must show that it reused the
-// persisted entries.
+// stdout; the warm run's content-cache stats line must show that it reused
+// the persisted entries.
 func TestMinccFnCacheColdVsWarm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI test")
@@ -110,8 +110,8 @@ func TestMinccFnCacheColdVsWarm(t *testing.T) {
 		return append(append(base, extra...), "testdata/matrixsum.minc")
 	}
 	oracle, _ := runCLISplit(t, argv("-check")...)
-	cold, coldErr := runCLISplit(t, argv("-cache-dir", dir, "-cache-stats")...)
-	warm, warmErr := runCLISplit(t, argv("-cache-dir", dir, "-cache-stats")...)
+	cold, coldErr := runCLISplit(t, argv("-cache-dir", dir)...)
+	warm, warmErr := runCLISplit(t, argv("-cache-dir", dir)...)
 	if cold != oracle {
 		t.Fatalf("cold fncache stdout differs from -check reference:\n--- reference\n%s--- cold\n%s", oracle, cold)
 	}
@@ -123,6 +123,29 @@ func TestMinccFnCacheColdVsWarm(t *testing.T) {
 	}
 	if !strings.Contains(warmErr, "loaded") || !strings.Contains(warmErr, "0 misses") {
 		t.Fatalf("warm run did not reuse the persisted cache:\n%s", warmErr)
+	}
+}
+
+// TestCLIsRejectUnknownTarget: an unknown -target name is an error before
+// any work, not a silent fallback to the x86 size model.
+func TestCLIsRejectUnknownTarget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI test")
+	}
+	for _, args := range [][]string{
+		{"./cmd/inlinesearch", "-target", "arm", "testdata/matrixsum.minc"},
+		{"./cmd/inlinetune", "-target", "WASM", "testdata/matrixsum.minc"},
+	} {
+		cmd := exec.Command("go", append([]string{"run"}, args...)...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err == nil {
+			t.Errorf("go run %v succeeded:\n%s", args, stdout.String())
+		}
+		if stdout.Len() != 0 || !strings.Contains(stderr.String(), "unknown target") {
+			t.Errorf("go run %v: want only an unknown-target error, got stdout %q, stderr %q",
+				args, stdout.String(), stderr.String())
+		}
 	}
 }
 

@@ -15,12 +15,11 @@
 //	-cap N        recursive-space cap for exhaustive experiments (default 2^14)
 //	-jobs N       parallelism: files, subtrees, and experiment cases
 //	              (default GOMAXPROCS; -jobs 1 forces a sequential run)
-//	-check        run the reference evaluator: every configuration compiled
-//	              fresh with IR invariants verified after every inline step
-//	              and opt pass, no function cache, delta engines or search
-//	              pruning, linked modules solved on one merged compiler
-//	              (slow; linked-case is the exhaustive merged reference over
-//	              456,360 evaluations)
+//
+// Shared flags (see README "Checked mode is the reference" for -check):
+//
+//	-check        run the reference evaluator (slow; linked-case is the
+//	              exhaustive merged reference over 456,360 evaluations)
 //	-cache-dir d  persist the content cache in directory d: entries from a
 //	              previous run are reused, and this run's are saved back
 //	-cpuprofile f write a CPU profile to f
@@ -35,12 +34,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
-	"optinline/internal/compile"
+	"optinline/internal/cli"
 	"optinline/internal/experiments"
 )
 
@@ -52,63 +49,38 @@ func main() {
 }
 
 func run() error {
+	f := cli.New("inlinebench", flag.CommandLine)
 	var (
 		exp      = flag.String("exp", "all", "experiment id or 'all'")
 		list     = flag.Bool("list", false, "list experiment IDs")
 		scale    = flag.Float64("scale", 1.0, "workload scale")
-		rounds   = flag.Int("rounds", 4, "autotuning rounds")
 		spaceCap = flag.Uint64("cap", 1<<14, "recursive-space cap for exhaustive experiments")
-		jobs     = flag.Int("jobs", 0, "parallel jobs (0 = GOMAXPROCS)")
-		cacheDir = flag.String("cache-dir", "", "persist the per-function content cache in this directory")
-		check    = flag.Bool("check", false, "reference evaluator: every configuration compiled fresh and verified (slow)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
+	f.AddRounds(4, "autotuning rounds")
+	f.AddJobs(0, "parallel jobs (0 = GOMAXPROCS)")
+	f.AddCacheDir()
+	f.AddCheck("reference evaluator: every configuration compiled fresh and verified (slow)")
+	f.AddProfile()
 	flag.Parse()
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "inlinebench: -memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "inlinebench: -memprofile:", err)
-			}
-		}()
-	}
 	if *list {
 		for _, id := range experiments.IDs() {
 			fmt.Println(id)
 		}
 		return nil
 	}
-
-	start := time.Now()
-	fncache, err := compile.OpenFnCache(*cacheDir)
-	if err != nil {
+	if err := f.Start(); err != nil {
 		return err
 	}
+	defer f.Finish()
+
+	start := time.Now()
 	h := experiments.NewHarness(experiments.Config{
 		Scale:         *scale,
-		Workers:       *jobs,
+		Workers:       f.Jobs,
 		ExhaustiveCap: *spaceCap,
-		Rounds:        *rounds,
-		Checked:       *check,
-		FnCache:       fncache,
+		Rounds:        f.Rounds,
+		Checked:       f.Check,
+		FnCache:       f.FnCache,
 	})
 	fmt.Fprintf(os.Stderr, "corpus generated in %v\n", time.Since(start).Round(time.Millisecond))
 
@@ -130,26 +102,20 @@ func run() error {
 		fmt.Printf("================================================================\n\n")
 		fmt.Println(r.Text)
 	}
-	if *cacheDir != "" {
-		if err := fncache.Save(); err != nil {
-			fmt.Fprintln(os.Stderr, "inlinebench:", err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "config cache:    %v\n", h.ConfigCacheStats())
-	fmt.Fprintf(os.Stderr, "function cache:  %v\n", h.FuncCacheStats())
-	fmt.Fprintf(os.Stderr, "fn content cache: %v\n", h.FnCacheStats())
-	fmt.Fprintf(os.Stderr, "delta engine:    %v\n", h.DeltaStats())
-	fmt.Fprintf(os.Stderr, "search pruning:  %v\n", h.PruneStats())
-	fmt.Fprintf(os.Stderr, "cycle pricer:    %v\n", h.CycleStats())
-	fmt.Fprintf(os.Stderr, "total time %v\n", time.Since(start).Round(time.Millisecond))
-	if *check {
+	cli.Stat("config cache", h.ConfigCacheStats())
+	cli.Stat("function cache", h.FuncCacheStats())
+	cli.Stat("delta engine", h.DeltaStats())
+	cli.Stat("search pruning", h.PruneStats())
+	cli.Stat("cycle pricer", h.CycleStats())
+	cli.Stat("total time", time.Since(start).Round(time.Millisecond))
+	if f.Check {
 		if fails := h.CheckFailures(); len(fails) > 0 {
-			for _, f := range fails {
-				fmt.Fprintln(os.Stderr, "check:", f)
+			for _, fail := range fails {
+				fmt.Fprintln(os.Stderr, "check:", fail)
 			}
 			return fmt.Errorf("checked mode: %d file(s) hit invariant violations", len(fails))
 		}
-		fmt.Fprintln(os.Stderr, "checked mode: no invariant violations")
+		cli.Stat("checked mode", "no invariant violations")
 	}
 	return nil
 }

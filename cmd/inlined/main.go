@@ -23,10 +23,9 @@
 //	-allow-delay          honor requests' delayMs field (testing only)
 //	-max-link-sessions N  incremental re-link session registry bound
 //	                      (default 32, FIFO eviction)
-//	-check                serve from the reference evaluator: checked
-//	                      compilers, /analyze summaries from scratch, and
-//	                      /link queries answered by cold links; response
-//	                      bodies are byte-identical to a default daemon's
+//	-check                serve from the reference evaluator (see README
+//	                      "Checked mode is the reference"); response bodies
+//	                      are byte-identical to a default daemon's
 //	-drain-timeout d      how long SIGTERM waits for in-flight work (default 30s)
 //
 // Endpoints: POST /analyze, POST /compile, POST /search, POST /tune
@@ -66,6 +65,7 @@ import (
 	"syscall"
 	"time"
 
+	"optinline/internal/cli"
 	"optinline/internal/compile"
 	"optinline/internal/server"
 )
@@ -78,20 +78,23 @@ func main() {
 }
 
 func run() error {
+	// The shared groups only register flags here: the store flags below
+	// open the cache, and the server treats -jobs 0 as GOMAXPROCS.
+	f := cli.New("inlined", flag.CommandLine)
+	f.AddJobs(0, "global worker-token pool (0 = GOMAXPROCS)")
+	f.AddMaxSpace(1<<16, "default search space cap")
+	f.AddCacheDir()
+	f.AddCheck("serve from the reference evaluator (checked compilers, no result caches)")
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7433", "listen address (use :0 for an ephemeral port)")
-		jobs         = flag.Int("jobs", 0, "global worker-token pool (0 = GOMAXPROCS)")
 		queueBound   = flag.Int("queue", 0, "max waiting requests before 503 (0 = 64, negative = none)")
 		timeout      = flag.Duration("timeout", 2*time.Minute, "per-request queueing deadline")
 		maxCompilers = flag.Int("max-compilers", 0, "per-module compiler pool bound (0 = 128)")
-		maxSpace     = flag.Uint64("max-space", 1<<16, "default search space cap")
-		cacheDir     = flag.String("cache-dir", "", "persist the per-function cache in this directory")
 		cacheMax     = flag.Int("cache-max-entries", 0, "LRU bound on cached functions (0 = unbounded)")
 		fsyncEvery   = flag.Int("fsync-every", 0, "fsync the store every N appended records (0 = default)")
 		compact      = flag.Bool("compact", false, "compact the -cache-dir store offline and exit")
 		allowDelay   = flag.Bool("allow-delay", false, "honor requests' delayMs field (testing only)")
 		maxLinkSess  = flag.Int("max-link-sessions", 0, "incremental re-link session bound (0 = 32)")
-		check        = flag.Bool("check", false, "serve from the reference evaluator (checked compilers, no result caches)")
 		drainWait    = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight work")
 	)
 	flag.Parse()
@@ -100,28 +103,28 @@ func run() error {
 	}
 
 	if *compact {
-		if *cacheDir == "" {
+		if f.CacheDir == "" {
 			return fmt.Errorf("-compact requires -cache-dir")
 		}
-		return compactStore(*cacheDir, *cacheMax)
+		return compactStore(f.CacheDir, *cacheMax)
 	}
 
 	fncache, err := compile.OpenFnCacheWith(compile.FnCacheConfig{
-		Dir: *cacheDir, MaxEntries: *cacheMax, FsyncEvery: *fsyncEvery,
+		Dir: f.CacheDir, MaxEntries: *cacheMax, FsyncEvery: *fsyncEvery,
 	})
 	if err != nil {
 		return err
 	}
 	srv := server.New(server.Config{
-		Jobs:            *jobs,
+		Jobs:            f.Jobs,
 		MaxQueue:        *queueBound,
 		RequestTimeout:  *timeout,
 		MaxCompilers:    *maxCompilers,
-		DefaultMaxSpace: *maxSpace,
+		DefaultMaxSpace: f.MaxSpace,
 		FnCache:         fncache,
 		AllowDelay:      *allowDelay,
 		MaxLinkSessions: *maxLinkSess,
-		Check:           *check,
+		Check:           f.Check,
 	})
 
 	ln, err := net.Listen("tcp", *addr)
@@ -132,9 +135,9 @@ func run() error {
 	// the e2e tests, and the ci.sh smoke gate: with -addr :0 it is the only
 	// way to learn the port.
 	fmt.Fprintf(os.Stderr, "inlined: listening on http://%s\n", ln.Addr())
-	if st := fncache.Stats(); *cacheDir != "" {
+	if st := fncache.Stats(); f.CacheDir != "" {
 		fmt.Fprintf(os.Stderr, "inlined: cache store %s: %d entries loaded (%d corrupt, %d duplicate)\n",
-			*cacheDir, st.Loaded, st.Corrupt, st.Dupes)
+			f.CacheDir, st.Loaded, st.Corrupt, st.Dupes)
 	}
 
 	httpSrv := &http.Server{Handler: srv.Handler()}

@@ -23,6 +23,7 @@ import (
 	"os"
 	"strings"
 
+	"optinline/internal/cli"
 	"optinline/internal/codegen"
 	"optinline/internal/compile"
 	"optinline/internal/mlheur"
@@ -39,11 +40,10 @@ func main() {
 }
 
 func run() error {
-	var (
-		scale    = flag.Float64("scale", 0.5, "synthetic corpus scale when no files are given")
-		maxSpace = flag.Uint64("max-space", 1<<14, "skip files with recursive space above this")
-		train    = flag.Bool("train", false, "train and evaluate a logistic model on the dump")
-	)
+	scale := flag.Float64("scale", 0.5, "synthetic corpus scale when no files are given")
+	train := flag.Bool("train", false, "train and evaluate a logistic model on the dump")
+	f := cli.New("inlinedata", flag.CommandLine)
+	f.AddMaxSpace(1<<14, "skip files with recursive space above this")
 	flag.Parse()
 
 	var files []workload.File
@@ -69,13 +69,13 @@ func run() error {
 
 	var examples []mlheur.Example
 	dumped, skipped := 0, 0
-	for _, f := range files {
-		comp := compile.New(f.Module, codegen.TargetX86)
+	for _, file := range files {
+		comp := compile.New(file.Module, codegen.TargetX86)
 		g := comp.Graph()
 		if len(g.Edges) == 0 {
 			continue
 		}
-		res, ok := search.Optimal(comp, search.Options{MaxSpace: *maxSpace})
+		res, ok := search.Optimal(comp, search.Options{MaxSpace: f.MaxSpace})
 		if !ok {
 			skipped++
 			continue
@@ -89,7 +89,7 @@ func run() error {
 			}
 			x := extractor.Extract(e)
 			row := make([]string, 0, len(header))
-			row = append(row, f.Name, fmt.Sprint(e.Site))
+			row = append(row, file.Name, fmt.Sprint(e.Site))
 			for _, v := range x {
 				row = append(row, trimFloat(v))
 			}

@@ -19,11 +19,12 @@
 //	-sarif          emit findings as a SARIF 2.1.0 log instead of text
 //	-severity s     only report findings at severity s (info|warning|error)
 //	                or above; default info reports everything
-//	-check          run the reference evaluator: compute interprocedural
-//	                summaries from scratch instead of through the shared
-//	                summary cache, and additionally push the module through
-//	                the checked compilation pipeline (no-inline and -Os
-//	                configurations), reporting any invariant violation
+//
+// Shared flags (see README "Checked mode is the reference" for -check):
+//
+//	-check          run the reference evaluator: interprocedural summaries
+//	                from scratch, plus the checked compilation pipeline over
+//	                the no-inline and -Os configurations
 //	-target x86|wasm  size model for -check (default x86)
 //
 // Exit status is 2 on usage or load errors, 1 if any finding of error
@@ -40,6 +41,7 @@ import (
 	"optinline/internal/analysis"
 	"optinline/internal/analysis/interproc"
 	"optinline/internal/callgraph"
+	"optinline/internal/cli"
 	"optinline/internal/codegen"
 	"optinline/internal/compile"
 	"optinline/internal/diag"
@@ -55,16 +57,22 @@ func main() {
 func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("inlinelint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	f := cli.New("inlinelint", fs)
 	var (
-		jsonOut    = fs.Bool("json", false, "emit findings as JSON")
-		sarifOut   = fs.Bool("sarif", false, "emit findings as SARIF 2.1.0")
-		sevName    = fs.String("severity", "info", "minimum severity to report: info|warning|error")
-		check      = fs.Bool("check", false, "summaries from scratch, and run the checked compilation pipeline as well")
-		targetName = fs.String("target", "x86", "size model for -check: x86|wasm")
+		jsonOut  = fs.Bool("json", false, "emit findings as JSON")
+		sarifOut = fs.Bool("sarif", false, "emit findings as SARIF 2.1.0")
+		sevName  = fs.String("severity", "info", "minimum severity to report: info|warning|error")
 	)
+	f.AddCheck("summaries from scratch, and run the checked compilation pipeline as well")
+	f.AddTarget()
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
+	if err := f.Start(); err != nil {
+		fmt.Fprintln(stderr, "inlinelint:", err)
+		return 2
+	}
+	defer f.Finish()
 	if fs.NArg() == 0 {
 		fmt.Fprintln(stderr, "usage: inlinelint [flags] file.minc [file2.minc ...]")
 		return 2
@@ -85,27 +93,17 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "inlinelint: unknown severity %q (want info|warning|error)\n", *sevName)
 		return 2
 	}
-	target := codegen.TargetX86
-	switch *targetName {
-	case "x86":
-	case "wasm":
-		target = codegen.TargetWASM
-	default:
-		fmt.Fprintf(stderr, "inlinelint: unknown target %q\n", *targetName)
-		return 2
-	}
-
 	// One summary cache per run: structurally identical functions across
 	// the file list share their summary cores. The reference evaluator
 	// computes every summary from scratch.
 	var ipCache *interproc.Cache
-	if !*check {
+	if !f.Check {
 		ipCache = interproc.NewCache()
 	}
 
 	var all diag.List
 	for _, path := range fs.Args() {
-		ds, err := lintOne(path, *check, target, ipCache)
+		ds, err := lintOne(path, f.Check, f.Target, ipCache)
 		if err != nil {
 			fmt.Fprintf(stderr, "inlinelint: %v\n", err)
 			return 2

@@ -5,33 +5,19 @@
 //
 //	inlinetune [flags] file.minc
 //	inlinetune -link [flags] a.minc b.minc ...
+//	inlinetune -relink script [flags] a.minc b.minc ...
 //
-//	-link                 link all argument files into one module (LTO-style)
-//	                      and autotune it with per-component lockstep sessions
-//	-link-dup p           with -link: exported symbols defined in several
-//	                      units are an error (default) or renamed (rename)
-//	-relink script        replay an edit script (patch <tu> <path> / tune
-//	                      lines) against an incremental re-link session:
-//	                      content-unchanged components replay their recorded
-//	                      tuning trace, only dirty components probe edges
-//	-init clean|os|both   starting configuration(s) (default both)
+//	-init clean|os|both   starting configuration(s) (default both; ties go
+//	                      to the clean slate)
 //	-rounds N             tuning rounds (default 4)
-//	-target x86|wasm      size model (default x86)
 //	-jobs N               parallel per-edge evaluations (default GOMAXPROCS)
 //	-dot                  print the tuned call graph as DOT
+//	-groups               also test per-callee group inlining
+//	-incremental          only re-tune changed regions after round 1
 //	-exact-components N   after the rounds, re-solve exactly (branch-and-
 //	                      bound) every call-graph component whose recursive
 //	                      space fits N tree evaluations, under the tuned
 //	                      labels of the rest (0 disables; try 4096)
-//	-check                run the reference evaluator: compile every probed
-//	                      configuration fresh with IR invariants verified
-//	                      after every inline step and opt pass, no function
-//	                      cache or delta engines for size and cycles, no
-//	                      pruning in the exact-component polish; -link tunes
-//	                      one merged module and -relink links cold at every
-//	                      step. stdout is byte-identical (the compilation
-//	                      count aside under -exact-components, whose checked
-//	                      polish runs the exhaustive recursion)
 //	-objective o          tuned objective: size (default), weighted
 //	                      (bytes + lambda*cycles), cycles, or pareto (a
 //	                      lambda sweep printing the size/speed frontier);
@@ -42,6 +28,18 @@
 //	-entry f, -args a,b   profiled root and arguments (default entry(7))
 //	-fuel N               profiling interpretation fuel
 //	-cache-bytes N        modelled i-cache capacity (0 = default)
+//	-link                 link all argument files into one module (LTO-style)
+//	                      and autotune it with per-component lockstep sessions
+//	-relink script        replay an edit script of patch, search and tune
+//	                      steps against an incremental re-link session (see
+//	                      README "Incremental re-link"); size objective only
+//
+// Shared flags (see README "Checked mode is the reference" for -check):
+//
+//	-target x86|wasm      size model (default x86)
+//	-link-dup p           duplicate exported symbols: error (default) or rename
+//	-check                run the reference evaluator; stdout is byte-identical
+//	                      (the compilation count aside under -exact-components)
 //	-cache-dir d          persist the per-function content cache in directory d
 //	-cpuprofile f         write a CPU profile to f
 //	-memprofile f         write a heap profile to f at exit
@@ -52,19 +50,16 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
 	"optinline/internal/autotune"
 	"optinline/internal/callgraph"
-	"optinline/internal/codegen"
+	"optinline/internal/cli"
 	"optinline/internal/compile"
 	"optinline/internal/heuristic"
 	"optinline/internal/interp"
-	"optinline/internal/ir"
 	"optinline/internal/link"
 	"optinline/internal/source"
 )
@@ -78,15 +73,10 @@ func main() {
 
 func run() error {
 	var (
-		initMode   = flag.String("init", "both", "starting point: clean|os|both")
-		rounds     = flag.Int("rounds", 4, "tuning rounds")
-		targetName = flag.String("target", "x86", "size model: x86|wasm")
-		jobs       = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel per-edge evaluations")
 		dot        = flag.Bool("dot", false, "print tuned call graph as DOT")
 		groups     = flag.Bool("groups", false, "also test per-callee group inlining (paper 5.2.1 extension)")
 		incr       = flag.Bool("incremental", false, "incremental rounds: only re-tune changed regions (paper 6 extension)")
 		exactComps = flag.Uint64("exact-components", 0, "re-solve components whose recursive space fits N evaluations exactly after the rounds (0 = off)")
-		check      = flag.Bool("check", false, "reference evaluator: every configuration compiled fresh and verified after every inline step and opt pass")
 		objective  = flag.String("objective", "size", "tuned objective: size|weighted|cycles|pareto")
 		lambda     = flag.Float64("lambda", 0.1, "cycle weight for -objective weighted")
 		lambdas    = flag.String("lambdas", "0.01,0.1,1", "interior weights for -objective pareto (comma-separated)")
@@ -94,46 +84,18 @@ func run() error {
 		entryArgs  = flag.String("args", "7", "profiled root arguments (comma-separated integers)")
 		fuel       = flag.Int64("fuel", 20_000_000, "profiling interpretation fuel")
 		cacheBytes = flag.Int("cache-bytes", 0, "modelled i-cache capacity in bytes (0 = interpreter default)")
-		cacheDir   = flag.String("cache-dir", "", "persist the per-function content cache in this directory")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf    = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		doLink     = flag.Bool("link", false, "link all argument files into one module and autotune it component-sharded")
-		linkDup    = flag.String("link-dup", "error", "with -link: duplicate exported symbol policy: error|rename")
-		relink     = flag.String("relink", "", "with -link: replay an edit script against an incremental session")
 	)
+	f := cli.New("inlinetune", flag.CommandLine)
+	f.AddInit()
+	f.AddRounds(4, "tuning rounds")
+	f.AddTarget()
+	f.AddJobs(runtime.GOMAXPROCS(0), "parallel per-edge evaluations")
+	f.AddCheck("reference evaluator: every configuration compiled fresh and verified after every inline step and opt pass")
+	f.AddCacheDir()
+	f.AddProfile()
+	f.AddLink("link all argument files into one module and autotune it component-sharded")
+	f.AddRelink()
 	flag.Parse()
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "inlinetune: -memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "inlinetune: -memprofile:", err)
-			}
-		}()
-	}
-	if !*doLink && *relink == "" && flag.NArg() != 1 {
-		return fmt.Errorf("usage: inlinetune [flags] file.minc")
-	}
-	target := codegen.TargetX86
-	if *targetName == "wasm" {
-		target = codegen.TargetWASM
-	}
 	cf, err := parseCycleFlags(*objective, *lambda, *lambdas, *entryName, *entryArgs,
 		*fuel, *cacheBytes)
 	if err != nil {
@@ -142,84 +104,70 @@ func run() error {
 	if cf.objective != "size" && (*groups || *incr || *exactComps > 0) {
 		return fmt.Errorf("-objective %s does not combine with -groups, -incremental, or -exact-components", cf.objective)
 	}
-	fncache, err := compile.OpenFnCache(*cacheDir)
-	if err != nil {
+	if cf.objective == "pareto" && (f.Link || f.Relink != "") {
+		return fmt.Errorf("-objective pareto does not combine with -link")
+	}
+	if cf.objective != "size" && f.Relink != "" {
+		return fmt.Errorf("-relink replays the size objective only; -objective %s needs a whole-program profile that edits invalidate (run one-shot -link instead)", cf.objective)
+	}
+	if err := f.Start(); err != nil {
 		return err
 	}
-	compileOpts := compile.Options{Check: *check, FnCache: fncache}
-	if *doLink || *relink != "" {
-		if cf.objective == "pareto" {
-			return fmt.Errorf("-objective pareto does not combine with -link")
-		}
-		if *relink != "" {
-			return runRelinkTune(flag.Args(), target, compileOpts, *cacheDir, *linkDup, *initMode,
-				*rounds, *jobs, cf, *relink)
-		}
-		return runLinkTune(flag.Args(), target, compileOpts, *cacheDir, *linkDup, *initMode,
-			*rounds, *jobs, cf)
+	defer f.Finish()
+	switch {
+	case f.Relink != "":
+		return f.Replay(os.Stdout)
+	case f.Link:
+		return runLinkTune(f, cf)
 	}
+
 	mod, err := source.Load(flag.Arg(0))
 	if err != nil {
 		return err
 	}
-	comp := compile.NewWithOptions(mod, target, compileOpts)
+	comp := compile.NewWithOptions(mod, f.Target, f.CompileOptions())
 	g := comp.Graph()
 	osCfg := heuristic.OsConfig(comp.Module(), g)
 	osSize := comp.Size(osCfg)
 	noInline := comp.Size(callgraph.NewConfig())
 	fmt.Printf("%s: %d inlinable calls; no-inline %d bytes, -Os %d bytes\n",
 		flag.Arg(0), len(g.Edges), noInline, osSize)
+	initConfig := func(in cli.Init) *callgraph.Config {
+		if in.Kind == link.InitOs {
+			return osCfg
+		}
+		return nil
+	}
 	if cf.objective != "size" {
-		if err := runCycleTune(comp, osCfg, cf, *initMode, *rounds, *jobs); err != nil {
+		if err := runCycleTune(f, comp, initConfig, cf); err != nil {
 			return err
 		}
 		return comp.CheckFailure()
 	}
 
-	opts := autotune.Options{Rounds: *rounds, Workers: *jobs}
-	tune := func(init *callgraph.Config) autotune.Result {
+	opts := autotune.Options{Rounds: f.Rounds, Workers: f.Jobs}
+	best, _ := cli.BestOf(f.Inits, func(in cli.Init) (autotune.Result, error) {
+		var res autotune.Result
 		if *groups || *incr || *exactComps > 0 {
-			return autotune.TuneExtended(comp, init, autotune.ExtOptions{
+			res = autotune.TuneExtended(comp, initConfig(in), autotune.ExtOptions{
 				Options: opts, GroupCallees: *groups, Incremental: *incr,
 				ExactComponents: *exactComps,
 			})
+		} else {
+			res = autotune.Tune(comp, initConfig(in), opts)
 		}
-		return autotune.Tune(comp, init, opts)
-	}
-	report := func(name string, res autotune.Result) {
-		fmt.Printf("\n%s (init %d bytes):\n", name, res.InitSize)
+		fmt.Printf("\n%s (init %d bytes):\n", in.Label, res.InitSize)
 		for _, r := range res.Rounds {
 			fmt.Printf("  round %d: %d bytes (%.1f%% of -Os), %d inlined / %d not, %d toggles\n",
 				r.Round, r.Size, pct(r.Size, osSize), r.Inlined, r.NotInlined, r.Toggles)
 		}
 		fmt.Printf("  best: %d bytes (%.1f%% of -Os), inlining %v\n",
 			res.Size, pct(res.Size, osSize), res.Config.InlineSites())
-	}
-
-	var best autotune.Result
-	switch *initMode {
-	case "clean":
-		best = tune(nil)
-		report("clean slate", best)
-	case "os":
-		best = tune(osCfg)
-		report("-Os initialized", best)
-	case "both":
-		clean := tune(nil)
-		inited := tune(osCfg)
-		report("clean slate", clean)
-		report("-Os initialized", inited)
-		best = clean
-		if inited.Size < best.Size {
-			best = inited
-		}
-	default:
-		return fmt.Errorf("unknown init mode %q", *initMode)
-	}
+		return res, nil
+	}, func(r autotune.Result) float64 { return float64(r.Size) })
 
 	fmt.Printf("\nfinal: %d bytes = %.1f%% of -Os (%.1f%% of no-inline), %d compilations\n",
 		best.Size, pct(best.Size, osSize), pct(best.Size, noInline), comp.Evaluations())
-	saveFnCache(fncache, *cacheDir)
 	if *dot {
 		fmt.Println()
 		fmt.Println(g.DOT(flag.Arg(0), best.Config))
@@ -282,6 +230,17 @@ func parseCycleFlags(objective string, lambda float64, lambdas, entry, args stri
 	return cf, nil
 }
 
+// cost is the objective value of a tuned size and cycle count.
+func (cf cycleFlags) cost(size int, cycles int64) float64 {
+	switch cf.objective {
+	case "cycles":
+		return float64(cycles)
+	case "weighted":
+		return float64(size) + cf.lambda*float64(cycles)
+	}
+	return float64(size)
+}
+
 // pricerFor profiles the no-inline baseline and wraps it in a cycle pricer.
 func pricerFor(comp *compile.Compiler, cf cycleFlags) (*compile.CyclePricer, *interp.Profile, error) {
 	built, err := comp.Build(callgraph.NewConfig())
@@ -301,15 +260,16 @@ func pricerFor(comp *compile.Compiler, cf cycleFlags) (*compile.CyclePricer, *in
 
 // runCycleTune tunes one translation unit for a cycle-aware objective.
 // stdout is byte-identical with and without -check.
-func runCycleTune(comp *compile.Compiler, osCfg *callgraph.Config, cf cycleFlags,
-	initMode string, rounds, workers int) error {
+func runCycleTune(f *cli.Flags, comp *compile.Compiler, initConfig func(cli.Init) *callgraph.Config,
+	cf cycleFlags) error {
 	pricer, prof, err := pricerFor(comp, cf)
 	if err != nil {
 		return err
 	}
+	defer func() { cli.Stat("cycle pricer", pricer.Stats()) }()
 	fmt.Printf("profiled %s%v: %d frames, %d cycles at no-inline (i-cache %d bytes)\n",
 		cf.entry, cf.args, prof.TotalFrames(), prof.Res.Cycles, pricer.CacheBytes())
-	opts := autotune.Options{Rounds: rounds, Workers: workers}
+	opts := autotune.Options{Rounds: f.Rounds, Workers: f.Jobs}
 
 	if cf.objective == "pareto" {
 		pts := autotune.Pareto(comp, pricer, nil, cf.lambdas, opts)
@@ -318,56 +278,23 @@ func runCycleTune(comp *compile.Compiler, osCfg *callgraph.Config, cf cycleFlags
 			fmt.Printf("  lambda %8s: %6d bytes, %10d cycles, inlining %d of %d sites\n",
 				lambdaLabel(p.Lambda), p.Size, p.Cycles, p.Config.InlineCount(), len(comp.Graph().Sites()))
 		}
-		fmt.Fprintf(os.Stderr, "cycle pricer: %v\n", pricer.Stats())
 		return nil
 	}
 
-	cost := func(r autotune.Result) float64 {
+	best, _ := cli.BestOf(f.Inits, func(in cli.Init) (autotune.Result, error) {
+		var res autotune.Result
 		if cf.objective == "cycles" {
-			return float64(r.Cycles)
+			res = autotune.TuneCycles(comp, pricer, initConfig(in), opts)
+		} else {
+			res = autotune.TuneWeighted(comp, pricer, cf.lambda, initConfig(in), opts)
 		}
-		return float64(r.Size) + cf.lambda*float64(r.Cycles)
-	}
-	tune := func(init *callgraph.Config) autotune.Result {
-		if cf.objective == "cycles" {
-			return autotune.TuneCycles(comp, pricer, init, opts)
-		}
-		return autotune.TuneWeighted(comp, pricer, cf.lambda, init, opts)
-	}
-	report := func(name string, res autotune.Result) {
-		fmt.Printf("\n%s, objective %s (init %d bytes, %d cycles):\n",
-			name, objectiveLabel(cf), res.InitSize, res.InitCycles)
-		for _, r := range res.Rounds {
-			fmt.Printf("  round %d: %d bytes, %d cycles, %d inlined / %d not, %d toggles\n",
-				r.Round, r.Size, r.Cycles, r.Inlined, r.NotInlined, r.Toggles)
-		}
+		cf.printRounds(in.Label, res)
 		fmt.Printf("  best: %d bytes, %d cycles, inlining %v\n",
 			res.Size, res.Cycles, res.Config.InlineSites())
-	}
-
-	var best autotune.Result
-	switch initMode {
-	case "clean":
-		best = tune(nil)
-		report("clean slate", best)
-	case "os":
-		best = tune(osCfg)
-		report("-Os initialized", best)
-	case "both":
-		clean := tune(nil)
-		inited := tune(osCfg)
-		report("clean slate", clean)
-		report("-Os initialized", inited)
-		best = clean
-		if cost(inited) < cost(best) {
-			best = inited
-		}
-	default:
-		return fmt.Errorf("unknown init mode %q", initMode)
-	}
+		return res, nil
+	}, func(r autotune.Result) float64 { return cf.cost(r.Size, r.Cycles) })
 	fmt.Printf("\nfinal: %d bytes, %d cycles, %d compilations\n",
 		best.Size, best.Cycles, comp.Evaluations())
-	fmt.Fprintf(os.Stderr, "cycle pricer: %v\n", pricer.Stats())
 	return nil
 }
 
@@ -382,306 +309,72 @@ func lambdaLabel(l float64) string {
 	}
 }
 
-func objectiveLabel(cf cycleFlags) string {
-	if cf.objective == "weighted" {
-		return fmt.Sprintf("bytes + %g*cycles", cf.lambda)
+// printRounds prints the heading and per-round trace of one cycle-aware
+// tuning run from the init labelled label.
+func (cf cycleFlags) printRounds(label string, res autotune.Result) {
+	objective := cf.objective
+	if objective == "weighted" {
+		objective = fmt.Sprintf("bytes + %g*cycles", cf.lambda)
 	}
-	return cf.objective
+	fmt.Printf("\n%s, objective %s (init %d bytes, %d cycles):\n",
+		label, objective, res.InitSize, res.InitCycles)
+	for _, r := range res.Rounds {
+		fmt.Printf("  round %d: %d bytes, %d cycles, %d inlined / %d not, %d toggles\n",
+			r.Round, r.Size, r.Cycles, r.Inlined, r.NotInlined, r.Toggles)
+	}
 }
 
 // runLinkTune links the argument files and autotunes the merged module with
 // per-component lockstep sessions (with -check, the whole-module
 // reference). stdout is mode-independent; counters go to stderr.
-func runLinkTune(files []string, target codegen.Target, compileOpts compile.Options,
-	cacheDir, dupPolicy, initMode string, rounds, jobs int, cf cycleFlags) error {
-	if len(files) == 0 {
-		return fmt.Errorf("usage: inlinetune -link [flags] a.minc b.minc ...")
-	}
-	var dup link.DupPolicy
-	switch dupPolicy {
-	case "error":
-		dup = link.DupExportedError
-	case "rename":
-		dup = link.DupExportedRename
-	default:
-		return fmt.Errorf("-link-dup: unknown policy %q (want error or rename)", dupPolicy)
-	}
-	l, err := link.New(fileTUs(files), link.Options{DupExported: dup})
+func runLinkTune(f *cli.Flags, cf cycleFlags) error {
+	l, err := link.New(f.Units(), link.Options{DupExported: f.Dup})
 	if err != nil {
 		return err
 	}
 	pl := l.Plan()
-	printLinkTunePlanLine(pl)
+	cli.TunePlan(os.Stdout, pl)
 
-	opts := link.TuneOptions{
-		ShardOptions: link.ShardOptions{Target: target, Compile: compileOpts, Workers: jobs},
-		Rounds:       rounds,
-	}
 	cycleAware := cf.objective != "size"
-	if cycleAware {
-		switch cf.objective {
-		case "weighted":
-			opts.Objective = link.ObjectiveWeighted
-		case "cycles":
+	var evals int64
+	best, err := cli.BestOf(f.Inits, func(in cli.Init) (link.TuneResult, error) {
+		opts := f.TuneOptions(in)
+		if cycleAware {
 			opts.Objective = link.ObjectiveCycles
+			if cf.objective == "weighted" {
+				opts.Objective = link.ObjectiveWeighted
+			}
+			opts.Lambda, opts.Entry, opts.Args = cf.lambda, cf.entry, cf.args
+			opts.Fuel, opts.CacheBytes = cf.fuel, cf.cacheBytes
 		}
-		opts.Lambda = cf.lambda
-		opts.Entry = cf.entry
-		opts.Args = cf.args
-		opts.Fuel = cf.fuel
-		opts.CacheBytes = cf.cacheBytes
-	}
-	report := func(name string, tr link.TuneResult) {
+		tr, err := l.Tune(opts)
+		if err != nil {
+			return tr, err
+		}
+		evals += tr.Evaluations
 		if !cycleAware {
-			reportLinkTuneSize(pl, name, tr)
-			return
+			cli.TuneReport(os.Stdout, pl, in.Label, tr)
+			return tr, nil
 		}
 		res := tr.Result
-		fmt.Printf("\n%s, objective %s (init %d bytes, %d cycles):\n",
-			name, objectiveLabel(cf), res.InitSize, res.InitCycles)
-		for _, r := range res.Rounds {
-			fmt.Printf("  round %d: %d bytes, %d cycles, %d inlined / %d not, %d toggles\n",
-				r.Round, r.Size, r.Cycles, r.Inlined, r.NotInlined, r.Toggles)
-		}
+		cf.printRounds(in.Label, res)
 		fmt.Printf("  best: %d bytes, %d cycles, inlining %d of %d sites\n",
 			res.Size, res.Cycles, res.Config.InlineCount(), len(pl.Edges))
-		printTuneComponents(tr)
-	}
-	tuneOne := func(init link.TuneInit) (link.TuneResult, error) {
-		o := opts
-		o.Init = init
-		return l.Tune(o)
-	}
-
-	var best link.TuneResult
-	var evals int64
-	switch initMode {
-	case "clean":
-		tr, err := tuneOne(link.InitClean)
-		if err != nil {
-			return err
-		}
-		report("clean slate", tr)
-		best, evals = tr, tr.Evaluations
-	case "os":
-		tr, err := tuneOne(link.InitOs)
-		if err != nil {
-			return err
-		}
-		report("-Os initialized", tr)
-		best, evals = tr, tr.Evaluations
-	case "both":
-		clean, err := tuneOne(link.InitClean)
-		if err != nil {
-			return err
-		}
-		inited, err := tuneOne(link.InitOs)
-		if err != nil {
-			return err
-		}
-		report("clean slate", clean)
-		report("-Os initialized", inited)
-		best = clean
-		linkCost := func(tr link.TuneResult) float64 {
-			switch cf.objective {
-			case "cycles":
-				return float64(tr.Result.Cycles)
-			case "weighted":
-				return float64(tr.Result.Size) + cf.lambda*float64(tr.Result.Cycles)
-			}
-			return float64(tr.Result.Size)
-		}
-		if linkCost(inited) < linkCost(best) {
-			best = inited
-		}
-		evals = clean.Evaluations + inited.Evaluations
-	default:
-		return fmt.Errorf("unknown init mode %q", initMode)
+		cli.TuneComponents(os.Stdout, tr)
+		return tr, nil
+	}, func(tr link.TuneResult) float64 { return cf.cost(tr.Result.Size, tr.Result.Cycles) })
+	if err != nil {
+		return err
 	}
 	if cycleAware {
 		fmt.Printf("\nfinal: %d bytes, %d cycles, inlining %d of %d sites\n",
 			best.Result.Size, best.Result.Cycles, best.Result.Config.InlineCount(), len(pl.Edges))
-		fmt.Fprintf(os.Stderr, "cycle pricer: %v\n", best.Cycle)
+		cli.Stat("cycle pricer", best.Cycle)
 	} else {
-		fmt.Printf("\nfinal: %d bytes, inlining %d of %d sites\n",
-			best.Result.Size, best.Result.Config.InlineCount(), len(pl.Edges))
+		cli.TuneFinal(os.Stdout, pl, best)
 	}
-
-	fmt.Fprintf(os.Stderr, "evaluations: %d compilations (config cache %v)\n", evals, best.ConfigCache)
-	fmt.Fprintf(os.Stderr, "function cache: %v\n", best.FuncCache)
-	saveFnCache(compileOpts.FnCache, cacheDir)
+	cli.Stat("evaluations", evals)
+	cli.Stat("config cache", best.ConfigCache)
+	cli.Stat("function cache", best.FuncCache)
 	return nil
-}
-
-// saveFnCache persists the content cache when -cache-dir is set and
-// reports its counters on stderr.
-func saveFnCache(fncache *compile.FnCache, cacheDir string) {
-	if cacheDir != "" {
-		if err := fncache.Save(); err != nil {
-			fmt.Fprintln(os.Stderr, "inlinetune:", err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "fn content cache: %v\n", fncache.Stats())
-}
-
-func printLinkTunePlanLine(pl *link.Plan) {
-	fmt.Printf("linked %d TUs: %d functions, %d inlinable call sites (%d cross-TU, %d locals renamed), %d components\n",
-		len(pl.TUs), len(pl.Funcs), len(pl.Edges), pl.CrossTU, pl.Renamed, len(pl.Components))
-}
-
-func printTuneComponents(tr link.TuneResult) {
-	for _, cs := range tr.Components {
-		fmt.Printf("    component %2d: %3d funcs, %3d sites, inlined %3d\n",
-			cs.Index, cs.Funcs, cs.Edges, cs.Inlined)
-	}
-}
-
-// reportLinkTuneSize renders one size-objective tuning report. Both the
-// one-shot -link path and the -relink replay print through it, so the
-// -check byte-diff gates hold by construction.
-func reportLinkTuneSize(pl *link.Plan, name string, tr link.TuneResult) {
-	res := tr.Result
-	fmt.Printf("\n%s (init %d bytes):\n", name, res.InitSize)
-	for _, r := range res.Rounds {
-		fmt.Printf("  round %d: %d bytes, %d inlined / %d not, %d toggles\n",
-			r.Round, r.Size, r.Inlined, r.NotInlined, r.Toggles)
-	}
-	fmt.Printf("  best: %d bytes, inlining %d of %d sites\n",
-		res.Size, res.Config.InlineCount(), len(pl.Edges))
-	printTuneComponents(tr)
-}
-
-// runRelinkTune replays a -relink edit script of patch and tune steps. It
-// drives an incremental link.Session: a tune step replays the recorded
-// per-round trace of every content-unchanged component and probes edges
-// only in dirty ones. With -check the session re-links and re-tunes from
-// scratch at every step — the reference whose stdout must byte-match.
-// Cycle objectives are rejected up front (they need a whole-program
-// profile that edits invalidate).
-func runRelinkTune(files []string, target codegen.Target, compileOpts compile.Options,
-	cacheDir, dupPolicy, initMode string, rounds, jobs int, cf cycleFlags, script string) error {
-	if len(files) == 0 {
-		return fmt.Errorf("usage: inlinetune -relink script [flags] a.minc b.minc ...")
-	}
-	if cf.objective != "size" {
-		return fmt.Errorf("-relink replays the size objective only; -objective %s needs a whole-program profile that edits invalidate (run one-shot -link instead)", cf.objective)
-	}
-	switch initMode {
-	case "clean", "os", "both":
-	default:
-		return fmt.Errorf("unknown init mode %q", initMode)
-	}
-	var dup link.DupPolicy
-	switch dupPolicy {
-	case "error":
-		dup = link.DupExportedError
-	case "rename":
-		dup = link.DupExportedRename
-	default:
-		return fmt.Errorf("-link-dup: unknown policy %q (want error or rename)", dupPolicy)
-	}
-	scriptData, err := os.ReadFile(script)
-	if err != nil {
-		return fmt.Errorf("-relink: %w", err)
-	}
-	ops, err := link.ParseEditScript(scriptData)
-	if err != nil {
-		return fmt.Errorf("-relink %s: %w", script, err)
-	}
-	scriptDir := filepath.Dir(script)
-
-	sess, err := link.NewSession(fileTUs(files), link.SessionOptions{Link: link.Options{DupExported: dup}})
-	if err != nil {
-		return err
-	}
-	opts := link.TuneOptions{
-		ShardOptions: link.ShardOptions{Target: target, Compile: compileOpts, Workers: jobs},
-		Rounds:       rounds,
-	}
-	for step, op := range ops {
-		switch op.Verb {
-		case "patch":
-			path := op.Path
-			if !filepath.IsAbs(path) {
-				path = filepath.Join(scriptDir, path)
-			}
-			fmt.Printf("== step %d: patch %s <- %s ==\n", step+1, op.TU, op.Path)
-			tu := link.LazyTU(op.TU, func() (*ir.Module, error) { return source.Load(path) })
-			rep, err := sess.ReplaceNamed(tu)
-			if err != nil {
-				return fmt.Errorf("step %d: %w", step+1, err)
-			}
-			if rep.PlanReused {
-				fmt.Fprintf(os.Stderr, "step %d: body-only edit, plan reused\n", step+1)
-			} else {
-				fmt.Fprintf(os.Stderr, "step %d: link surface changed, plan rebuilt\n", step+1)
-			}
-		case "tune":
-			fmt.Printf("== step %d: tune ==\n", step+1)
-			pl := sess.Plan()
-			tuneOne := func(init link.TuneInit) (link.TuneResult, link.RelinkInfo, error) {
-				o := opts
-				o.Init = init
-				return sess.Tune(o)
-			}
-			printLinkTunePlanLine(pl)
-			reportInfo := func(init string, info link.RelinkInfo) {
-				fmt.Fprintf(os.Stderr, "step %d (%s): components solved %d, replayed %d; residual solved %d, replayed %d\n",
-					step+1, init, info.ComponentsSolved, info.ComponentsReplayed, info.ResidualSolved, info.ResidualReplayed)
-			}
-			var best link.TuneResult
-			switch initMode {
-			case "clean":
-				tr, info, err := tuneOne(link.InitClean)
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-				reportLinkTuneSize(pl, "clean slate", tr)
-				reportInfo("clean", info)
-				best = tr
-			case "os":
-				tr, info, err := tuneOne(link.InitOs)
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-				reportLinkTuneSize(pl, "-Os initialized", tr)
-				reportInfo("os", info)
-				best = tr
-			case "both":
-				clean, cInfo, err := tuneOne(link.InitClean)
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-				inited, oInfo, err := tuneOne(link.InitOs)
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-				reportLinkTuneSize(pl, "clean slate", clean)
-				reportLinkTuneSize(pl, "-Os initialized", inited)
-				reportInfo("clean", cInfo)
-				reportInfo("os", oInfo)
-				best = clean
-				if inited.Result.Size < best.Result.Size {
-					best = inited
-				}
-			}
-			fmt.Printf("\nfinal: %d bytes, inlining %d of %d sites\n",
-				best.Result.Size, best.Result.Config.InlineCount(), len(pl.Edges))
-		case "search":
-			return fmt.Errorf("step %d: search steps replay with inlinesearch -relink", step+1)
-		}
-	}
-	saveFnCache(compileOpts.FnCache, cacheDir)
-	return nil
-}
-
-func fileTUs(files []string) []link.TU {
-	tus := make([]link.TU, 0, len(files))
-	for _, path := range files {
-		path := path
-		tus = append(tus, link.LazyTU(path, func() (*ir.Module, error) {
-			return source.Load(path)
-		}))
-	}
-	return tus
 }

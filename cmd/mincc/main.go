@@ -12,42 +12,38 @@
 //	                               (LTO-style) before inlining: cross-file
 //	                               calls become candidates, file-local name
 //	                               collisions are renamed apart
-//	-link-dup error|rename         duplicate exported symbol policy for -link
-//	-relink script                 with -inline optimal: replay an edit script
-//	                               (patch <tu> <path> / search lines) against
-//	                               an incremental re-link session; unchanged
-//	                               components replay their cached optimum
 //	-inline none|os|tune|optimal   inlining strategy (default os)
-//	-target x86|wasm               size model (default x86)
 //	-S                             print the pseudo-assembly listing
 //	-emit-ir                       print the optimized IR
 //	-run <entry>                   interpret entry after compiling
 //	-arg N                         integer argument for -run (repeatable)
 //	-rounds N                      autotuner rounds for -inline tune
-//	-check                         run the reference evaluator: compile every
-//	                               configuration fresh, verifying IR
-//	                               invariants after every inline step and opt
-//	                               pass, with no function cache, delta engine
-//	                               or pruning; -relink links cold at every
-//	                               step. stdout is byte-identical
+//	-outline                       run the size outliner after inlining
+//
+// Shared flags (see README "Checked mode is the reference" for -check):
+//
+//	-target x86|wasm               size model (default x86)
+//	-link-dup p                    duplicate exported symbols: error
+//	                               (default) or rename
+//	-check                         run the reference evaluator; stdout is
+//	                               byte-identical
 //	-cache-dir d                   persist the per-function content cache in
 //	                               directory d across runs
-//	-cache-stats                   print content-cache counters to stderr
 //	-cpuprofile f                  write a CPU profile to f
 //	-memprofile f                  write a heap profile to f at exit
+//
+// Content-cache counters print on stderr at exit.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 
 	"optinline/internal/autotune"
 	"optinline/internal/callgraph"
+	"optinline/internal/cli"
 	"optinline/internal/codegen"
 	"optinline/internal/compile"
 	"optinline/internal/heuristic"
@@ -81,99 +77,37 @@ func main() {
 func run() error {
 	var (
 		inlineMode = flag.String("inline", "os", "inlining strategy: none|os|tune|optimal")
-		targetName = flag.String("target", "x86", "size model: x86|wasm")
 		listing    = flag.Bool("S", false, "print pseudo-assembly listing")
 		emitIR     = flag.Bool("emit-ir", false, "print optimized IR")
 		entry      = flag.String("run", "", "interpret this entry function after compiling")
-		rounds     = flag.Int("rounds", 1, "autotuner rounds for -inline tune")
 		doOutline  = flag.Bool("outline", false, "run the size outliner after inlining")
-		check      = flag.Bool("check", false, "reference evaluator: every configuration compiled fresh and verified after every inline step and opt pass")
-		cacheDir   = flag.String("cache-dir", "", "persist the per-function content cache in this directory")
-		cacheStats = flag.Bool("cache-stats", false, "print content-cache counters to stderr")
-		doLink     = flag.Bool("link", false, "link all argument files into one module before inlining")
-		linkDup    = flag.String("link-dup", "error", "with -link: duplicate exported symbol policy: error|rename")
-		relink     = flag.String("relink", "", "replay an edit script against an incremental re-link session (-inline optimal only)")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf    = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		args       intList
 	)
 	flag.Var(&args, "arg", "integer argument for -run (repeatable)")
+	f := cli.New("mincc", flag.CommandLine)
+	f.AddTarget()
+	f.AddRounds(1, "autotuner rounds for -inline tune")
+	f.AddCheck("reference evaluator: every configuration compiled fresh and verified after every inline step and opt pass")
+	f.AddCacheDir()
+	f.AddLink("link all argument files into one module before inlining")
+	f.AddProfile()
 	flag.Parse()
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
+	if err := f.Start(); err != nil {
+		return err
 	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mincc: -memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "mincc: -memprofile:", err)
-			}
-		}()
-	}
-	if *doLink || *relink != "" {
-		if flag.NArg() == 0 {
-			return fmt.Errorf("usage: mincc -link [flags] a.minc b.minc ...")
-		}
-	} else if flag.NArg() != 1 {
-		return fmt.Errorf("usage: mincc [flags] file.minc")
-	}
-	target := codegen.TargetX86
-	switch *targetName {
-	case "x86":
-	case "wasm":
-		target = codegen.TargetWASM
-	default:
-		return fmt.Errorf("unknown target %q", *targetName)
-	}
-	if *relink != "" {
-		if *inlineMode != "optimal" {
-			return fmt.Errorf("-relink caches per-component optima; it requires -inline optimal (got -inline %s)", *inlineMode)
-		}
-		dup, err := parseDupPolicy(*linkDup)
-		if err != nil {
-			return err
-		}
-		fncache, err := compile.OpenFnCache(*cacheDir)
-		if err != nil {
-			return err
-		}
-		return runRelinkCC(*relink, flag.Args(), target, dup, fncache, *cacheDir, *check, *cacheStats)
-	}
+	defer f.Finish()
 
 	var mod *ir.Module
-	if *doLink {
-		dup, err := parseDupPolicy(*linkDup)
-		if err != nil {
-			return err
-		}
-		if mod, err = link.Link(fileTUs(flag.Args()), link.Options{DupExported: dup}); err != nil {
-			return err
-		}
+	var err error
+	if f.Link {
+		mod, err = link.Link(f.Units(), link.Options{DupExported: f.Dup})
 	} else {
-		var err error
-		if mod, err = source.Load(flag.Arg(0)); err != nil {
-			return err
-		}
+		mod, err = source.Load(flag.Arg(0))
 	}
-	fncache, err := compile.OpenFnCache(*cacheDir)
 	if err != nil {
 		return err
 	}
-	comp := compile.NewWithOptions(mod, target, compile.Options{Check: *check, FnCache: fncache})
+	comp := compile.NewWithOptions(mod, f.Target, f.CompileOptions())
 	g := comp.Graph()
 
 	var cfg *callgraph.Config
@@ -184,7 +118,7 @@ func run() error {
 		cfg = heuristic.OsConfig(comp.Module(), g)
 	case "tune":
 		init := heuristic.OsConfig(comp.Module(), g)
-		best, _, _ := autotune.Combined(comp, init, autotune.Options{Rounds: *rounds})
+		best, _, _ := autotune.Combined(comp, init, autotune.Options{Rounds: f.Rounds})
 		cfg = best.Config
 	case "optimal":
 		res, ok := search.Optimal(comp, search.Options{MaxSpace: 1 << 22})
@@ -206,139 +140,35 @@ func run() error {
 		return cerr
 	}
 	if *doOutline {
-		st := outline.Module(built, outline.Options{Target: target})
+		st := outline.Module(built, outline.Options{Target: f.Target})
 		if st.FunctionsCreated > 0 {
 			fmt.Printf("outliner: %d functions extracted, %d calls inserted\n",
 				st.FunctionsCreated, st.CallsInserted)
 		}
 	}
-	size := codegen.ModuleSize(built, target)
+	size := codegen.ModuleSize(built, f.Target)
 	label := flag.Arg(0)
-	if *doLink {
+	if f.Link {
 		label = fmt.Sprintf("linked(%d files)", flag.NArg())
 	}
 	fmt.Printf("%s: %d inlinable calls, %d inlined, .text %d bytes (%s, -inline %s)\n",
-		label, len(g.Edges), cfg.InlineCount(), size, target, *inlineMode)
-	if *cacheDir != "" {
-		if err := fncache.Save(); err != nil {
-			fmt.Fprintln(os.Stderr, "mincc:", err)
-		}
-	}
-	if *cacheStats {
-		fmt.Fprintf(os.Stderr, "fn content cache: %v\n", fncache.Stats())
-	}
+		label, len(g.Edges), cfg.InlineCount(), size, f.Target, *inlineMode)
 
 	if *emitIR {
 		fmt.Println(built.String())
 	}
 	if *listing {
-		fmt.Println(codegen.Listing(built, target))
+		fmt.Println(codegen.Listing(built, f.Target))
 	}
 	if *entry != "" {
 		res, err := interp.Run(built, *entry, args, interp.Options{
-			SizeOf: codegen.SizeOf(built, target),
+			SizeOf: codegen.SizeOf(built, f.Target),
 		})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%s(%v) = %d  [%d steps, %d cycles, %d outputs]\n",
 			*entry, []int64(args), res.Ret, res.Steps, res.Cycles, res.OutputLen)
-	}
-	return nil
-}
-
-func parseDupPolicy(name string) (link.DupPolicy, error) {
-	switch name {
-	case "error":
-		return link.DupExportedError, nil
-	case "rename":
-		return link.DupExportedRename, nil
-	}
-	return 0, fmt.Errorf("-link-dup: unknown policy %q (want error or rename)", name)
-}
-
-func fileTUs(files []string) []link.TU {
-	tus := make([]link.TU, 0, len(files))
-	for _, path := range files {
-		path := path
-		tus = append(tus, link.LazyTU(path, func() (*ir.Module, error) {
-			return source.Load(path)
-		}))
-	}
-	return tus
-}
-
-// runRelinkCC replays a -relink edit script: patch steps swap one unit's
-// contents, search steps print the mincc one-line summary of the linked
-// optimum — computed from the search result alone, without materializing
-// the linked module. It drives an incremental link.Session; with -check
-// the session re-links and re-searches from scratch at every step, and the
-// two stdouts are byte-identical (the ci.sh gate diffs them).
-func runRelinkCC(script string, files []string, target codegen.Target, dup link.DupPolicy,
-	fncache *compile.FnCache, cacheDir string, check, cacheStats bool) error {
-	scriptData, err := os.ReadFile(script)
-	if err != nil {
-		return fmt.Errorf("-relink: %w", err)
-	}
-	ops, err := link.ParseEditScript(scriptData)
-	if err != nil {
-		return fmt.Errorf("-relink %s: %w", script, err)
-	}
-	scriptDir := filepath.Dir(script)
-
-	sess, err := link.NewSession(fileTUs(files), link.SessionOptions{Link: link.Options{DupExported: dup}})
-	if err != nil {
-		return err
-	}
-	opts := link.SearchOptions{
-		ShardOptions: link.ShardOptions{
-			Target:  target,
-			Compile: compile.Options{Check: check, FnCache: fncache},
-		},
-		MaxSpace: 1 << 22,
-	}
-	for step, op := range ops {
-		switch op.Verb {
-		case "patch":
-			path := op.Path
-			if !filepath.IsAbs(path) {
-				path = filepath.Join(scriptDir, path)
-			}
-			fmt.Printf("== step %d: patch %s <- %s ==\n", step+1, op.TU, op.Path)
-			tu := link.LazyTU(op.TU, func() (*ir.Module, error) { return source.Load(path) })
-			rep, err := sess.ReplaceNamed(tu)
-			if err != nil {
-				return fmt.Errorf("step %d: %w", step+1, err)
-			}
-			if rep.PlanReused {
-				fmt.Fprintf(os.Stderr, "step %d: body-only edit, plan reused\n", step+1)
-			} else {
-				fmt.Fprintf(os.Stderr, "step %d: link surface changed, plan rebuilt\n", step+1)
-			}
-		case "search":
-			pl := sess.Plan()
-			res, info, ok, err := sess.Search(opts)
-			if err != nil {
-				return fmt.Errorf("step %d: %w", step+1, err)
-			}
-			fmt.Fprintf(os.Stderr, "step %d: components solved %d, replayed %d; residual solved %d, replayed %d\n",
-				step+1, info.ComponentsSolved, info.ComponentsReplayed, info.ResidualSolved, info.ResidualReplayed)
-			if !ok {
-				return fmt.Errorf("step %d: search space too large for exhaustive search; use inlinesearch -relink -max-space", step+1)
-			}
-			fmt.Printf("linked(%d files): %d inlinable calls, %d inlined, .text %d bytes (%s, -inline optimal)\n",
-				len(files), len(pl.Edges), res.Config.InlineCount(), res.Size, target)
-		case "tune":
-			return fmt.Errorf("step %d: tune steps replay with inlinetune -relink", step+1)
-		}
-	}
-	if cacheDir != "" {
-		if err := fncache.Save(); err != nil {
-			fmt.Fprintln(os.Stderr, "mincc:", err)
-		}
-	}
-	if cacheStats {
-		fmt.Fprintf(os.Stderr, "fn content cache: %v\n", fncache.Stats())
 	}
 	return nil
 }

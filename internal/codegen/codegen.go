@@ -35,6 +35,19 @@ func (t Target) String() string {
 	return "x86"
 }
 
+// ParseTarget returns the target String names: "x86" or "wasm". The empty
+// name selects the default, x86. Every CLI's -target flag and the daemon's
+// target field parse through it, so all of them accept the same names.
+func ParseTarget(name string) (Target, error) {
+	switch name {
+	case "", "x86":
+		return TargetX86, nil
+	case "wasm":
+		return TargetWASM, nil
+	}
+	return TargetX86, fmt.Errorf("unknown target %q", name)
+}
+
 // costModel holds per-target encoding byte costs.
 type costModel struct {
 	prologue int // function entry sequence

@@ -158,7 +158,7 @@ func TestCaseStudiesUseHarnessCompilers(t *testing.T) {
 	texts := map[bool]string{}
 	for _, checked := range []bool{false, true} {
 		h := NewHarness(Config{Scale: 0.05, Rounds: 2, Checked: checked})
-		before := h.FnCacheStats()
+		before := h.FnCache().Stats()
 		for _, id := range []string{"sqlite-case", "llvm-case"} {
 			res, err := h.Run(id)
 			if err != nil {
@@ -166,7 +166,7 @@ func TestCaseStudiesUseHarnessCompilers(t *testing.T) {
 			}
 			texts[checked] += res.Text
 		}
-		after := h.FnCacheStats()
+		after := h.FnCache().Stats()
 		lookups := after.Hits + after.Misses - before.Hits - before.Misses
 		if checked && lookups != 0 {
 			t.Errorf("checked case studies made %d content-cache lookups", lookups)

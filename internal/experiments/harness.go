@@ -278,12 +278,6 @@ func (h *Harness) FuncCacheStats() stats.CacheStats {
 // corpus compilers (for Save after a -cache-dir run).
 func (h *Harness) FnCache() *compile.FnCache { return h.fncache }
 
-// FnCacheStats returns the shared content cache's counters: hits here mean
-// a function compilation was skipped because some compiler — any file, any
-// configuration, or a previous persisted run — already compiled a closure
-// with identical content.
-func (h *Harness) FnCacheStats() compile.FnCacheStats { return h.fncache.Stats() }
-
 // DeltaStats aggregates the incremental-evaluation counters over every
 // compiler in the corpus.
 func (h *Harness) DeltaStats() stats.DeltaStats {

@@ -12,8 +12,8 @@ import "sort"
 //   - Values and blocks are referred to by canonical position (definition
 //     order / block index), never by ID or name: printing artifacts like
 //     value names cannot split cache entries, and two functions that differ
-//     only in naming hash identically. The printed-form hash is retained as
-//     PrintFingerprint, a test oracle for exactly this property.
+//     only in naming hash identically. Tests check this against the
+//     printed form, Module.String, which does change under renaming.
 //   - Call-site IDs and inline trails are NOT part of Function.Fingerprint:
 //     site numbering is per-module, and hashing it would make structurally
 //     identical helper functions in different translation units hash apart.
@@ -177,8 +177,7 @@ func (f *Function) hashInto(h *Hasher) {
 // numbering, so size caches may key whole-module entries on
 // (module fingerprint, inlining configuration) — the site sensitivity is
 // what ties a configuration's site labels to this exact module. The hash
-// streams the IR directly; the legacy printed-form hash survives as
-// PrintFingerprint, a test oracle only.
+// streams the IR directly, never the printed form.
 func (m *Module) Fingerprint() uint64 {
 	h := NewHasher()
 	globals := append([]string(nil), m.Globals...)
@@ -205,18 +204,4 @@ func (m *Module) Fingerprint() uint64 {
 		}
 	}
 	return h.Sum64()
-}
-
-// PrintFingerprint returns the legacy FNV-1a hash of the module's printed
-// form. Retained as a test oracle only: it is sensitive to printing
-// artifacts (value and block names) that the structural Fingerprint
-// deliberately ignores, so tests use the pair to show the structural hash
-// is renaming-invariant while still separating genuinely different modules.
-func (m *Module) PrintFingerprint() uint64 {
-	h := uint64(fnvOffset)
-	for _, b := range []byte(m.String()) {
-		h ^= uint64(b)
-		h *= fnvPrime
-	}
-	return h
 }

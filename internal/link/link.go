@@ -88,6 +88,20 @@ const (
 	DupExportedRename
 )
 
+// ParseDupPolicy returns the policy named "error" (DupExportedError) or
+// "rename" (DupExportedRename); the empty name selects the default,
+// DupExportedError. The CLIs' -link-dup flag and the daemon's dupPolicy
+// field parse through it.
+func ParseDupPolicy(name string) (DupPolicy, error) {
+	switch name {
+	case "", "error":
+		return DupExportedError, nil
+	case "rename":
+		return DupExportedRename, nil
+	}
+	return DupExportedError, fmt.Errorf("unknown dupPolicy %q (want error or rename)", name)
+}
+
 // Options configures a link.
 type Options struct {
 	// ModuleName names the merged module; empty means "linked".

@@ -440,24 +440,3 @@ func TestComponentCacheWithdraw(t *testing.T) {
 		t.Fatalf("hit after fulfill: v=%v hit=%v err=%v", v, hit, err)
 	}
 }
-
-// TestParseEditScript covers the script grammar.
-func TestParseEditScript(t *testing.T) {
-	ops, err := ParseEditScript([]byte("# edit session\n\npatch app.minc v2/app.minc\nsearch\ntune\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []EditOp{
-		{Verb: "patch", TU: "app.minc", Path: "v2/app.minc"},
-		{Verb: "search"},
-		{Verb: "tune"},
-	}
-	if !reflect.DeepEqual(ops, want) {
-		t.Errorf("ops = %+v, want %+v", ops, want)
-	}
-	for _, bad := range []string{"", "replace a b", "patch onlyone", "search extra"} {
-		if _, err := ParseEditScript([]byte(bad)); err == nil {
-			t.Errorf("ParseEditScript(%q) succeeded", bad)
-		}
-	}
-}

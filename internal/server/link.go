@@ -123,16 +123,6 @@ func (reg *linkRegistry) stats() LinkSessionPoolStats {
 	}
 }
 
-func parseDupPolicy(name string) (link.DupPolicy, bool) {
-	switch name {
-	case "", "error":
-		return link.DupExportedError, true
-	case "rename":
-		return link.DupExportedRename, true
-	}
-	return link.DupExportedError, false
-}
-
 func planSummary(p *link.Plan) LinkPlanSummary {
 	return LinkPlanSummary{
 		TUs:           len(p.TUs),
@@ -173,14 +163,14 @@ func (s *Server) handleLinkCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer wr.release()
 
-	target, tok := parseTarget(req.Target)
-	if !tok {
-		s.fail(w, wr.ep, http.StatusBadRequest, "unknown target %q", req.Target)
+	target, err := codegen.ParseTarget(req.Target)
+	if err != nil {
+		s.fail(w, wr.ep, http.StatusBadRequest, "%v", err)
 		return
 	}
-	dup, dok := parseDupPolicy(req.DupPolicy)
-	if !dok {
-		s.fail(w, wr.ep, http.StatusBadRequest, "unknown dupPolicy %q (want error or rename)", req.DupPolicy)
+	dup, err := link.ParseDupPolicy(req.DupPolicy)
+	if err != nil {
+		s.fail(w, wr.ep, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.ID == "" {
@@ -216,7 +206,7 @@ func (s *Server) handleLinkCreate(w http.ResponseWriter, r *http.Request) {
 	s.linkReg.put(&linkSession{id: req.ID, target: target, sess: sess}, s.cfg.MaxLinkSessions)
 	writeJSON(w, http.StatusOK, LinkCreateResponse{
 		ID:     req.ID,
-		Target: targetName(target),
+		Target: target.String(),
 		Plan:   planSummary(sess.Plan()),
 	})
 }
@@ -295,7 +285,7 @@ func (s *Server) handleLinkSearch(w http.ResponseWriter, r *http.Request) {
 	s.addPrune(res.Prune)
 	resp := LinkSearchResponse{
 		ID:         id,
-		Target:     targetName(ls.target),
+		Target:     ls.target.String(),
 		Searched:   searched,
 		SpaceTotal: res.SpaceTotal,
 		Components: make([]LinkComponentStat, 0, len(res.Components)),
@@ -392,7 +382,7 @@ func (s *Server) handleLinkTune(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := LinkTuneResponse{
 		ID:          id,
-		Target:      targetName(ls.target),
+		Target:      ls.target.String(),
 		Init:        initMode,
 		InitSize:    tr.Result.InitSize,
 		BestSize:    tr.Result.Size,

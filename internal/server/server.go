@@ -415,23 +415,6 @@ func (s *Server) fail(w http.ResponseWriter, ep *endpointCounters, code int, for
 	writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-func parseTarget(name string) (codegen.Target, bool) {
-	switch name {
-	case "", "x86":
-		return codegen.TargetX86, true
-	case "wasm":
-		return codegen.TargetWASM, true
-	}
-	return codegen.TargetX86, false
-}
-
-func targetName(t codegen.Target) string {
-	if t == codegen.TargetWASM {
-		return "wasm"
-	}
-	return "x86"
-}
-
 // compilerKey identifies a compiler by the exact source text, the source
 // language (the name's extension picks the frontend), and the target. The
 // exact bytes — not a structural fingerprint — so two modules that swap
@@ -643,9 +626,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	defer wr.release()
 
-	target, tok := parseTarget(req.Target)
-	if !tok {
-		s.fail(w, wr.ep, http.StatusBadRequest, "unknown target %q", req.Target)
+	target, err := codegen.ParseTarget(req.Target)
+	if err != nil {
+		s.fail(w, wr.ep, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.Name == "" || req.Source == "" {
@@ -695,7 +678,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, CompileResponse{
 		Name:           req.Name,
-		Target:         targetName(target),
+		Target:         target.String(),
 		Inline:         mode,
 		Size:           comp.Size(cfg),
 		InlinableSites: len(g.Edges),
@@ -718,9 +701,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer wr.release()
 
-	target, tok := parseTarget(req.Target)
-	if !tok {
-		s.fail(w, wr.ep, http.StatusBadRequest, "unknown target %q", req.Target)
+	target, err := codegen.ParseTarget(req.Target)
+	if err != nil {
+		s.fail(w, wr.ep, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.Name == "" || req.Source == "" {
@@ -740,7 +723,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := SearchResponse{
 		Name:           req.Name,
-		Target:         targetName(target),
+		Target:         target.String(),
 		NoInlineSize:   comp.Size(callgraph.NewConfig()),
 		HeuristicSize:  comp.Size(hc),
 		InlinableSites: len(g.Edges),
@@ -771,9 +754,9 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	}
 	defer wr.release()
 
-	target, tok := parseTarget(req.Target)
-	if !tok {
-		s.fail(w, wr.ep, http.StatusBadRequest, "unknown target %q", req.Target)
+	target, err := codegen.ParseTarget(req.Target)
+	if err != nil {
+		s.fail(w, wr.ep, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.Name == "" || req.Source == "" {
@@ -850,7 +833,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	}
 	out := TuneResponse{
 		Name:        req.Name,
-		Target:      targetName(target),
+		Target:      target.String(),
 		Init:        initMode,
 		InitSize:    res.InitSize,
 		BestSize:    res.Size,
@@ -890,9 +873,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	defer wr.release()
 
-	target, tok := parseTarget(req.Target)
-	if !tok {
-		s.fail(w, wr.ep, http.StatusBadRequest, "unknown target %q", req.Target)
+	target, err := codegen.ParseTarget(req.Target)
+	if err != nil {
+		s.fail(w, wr.ep, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.Name == "" || req.Source == "" {
@@ -931,7 +914,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, AnalyzeResponse{
 		Name:          req.Name,
-		Target:        targetName(target),
+		Target:        target.String(),
 		SchemaVersion: interproc.FeatureSchemaVersion,
 		FeatureNames:  interproc.SiteFeatureNames[:],
 		Functions:     fnJSON,
