@@ -52,10 +52,11 @@ go test -run '^$' -fuzz FuzzInterprocSummaries -fuzztime 30x ./internal/analysis
 
 echo "== delta-engine bench smoke =="
 # One iteration each: catches compile errors or assertion failures in the
-# delta-vs-full, config-identity, and pruned-vs-exhaustive benchmarks
-# without paying bench time.
+# delta-vs-full, config-identity, pruned-vs-exhaustive and compile
+# miss-path benchmarks without paying bench time.
 go test -run '^$' -bench 'DeltaVsFull|ConfigKey|OptimalPrunedVsExhaustive|FnCacheColdVsWarm|CycleRepriceVsReinterp' -benchtime=1x . >/dev/null
 go test -run '^$' -bench 'ICacheNaive|ICacheIndexed' -benchtime=1x ./internal/interp >/dev/null
+go test -run '^$' -bench 'CompileMissPath' -benchtime=1x ./internal/compile >/dev/null
 
 echo "== fn content cache persistence smoke =="
 # A warm -cache-dir rerun must reproduce the cold run's stdout byte for
@@ -181,7 +182,9 @@ ref_gate mincc -inline optimal -S -run trace -arg 6 testdata/matrixsum.minc
 # -link-dup rename path); -check solves it on one merged compiler.
 link_files=(examples/minc/*.minc examples/minc/linked/*.minc)
 ref_gate inlinesearch -link -link-dup rename "${link_files[@]}"
-if ! "${ref_bin}/inlinesearch" -link -link-dup rename "${link_files[@]}" 2>/dev/null | grep -q '^optimal:'; then
+# grep reads the whole output: under pipefail, grep -q exiting at the first
+# match could kill inlinesearch with SIGPIPE and fail this gate at random.
+if ! "${ref_bin}/inlinesearch" -link -link-dup rename "${link_files[@]}" 2>/dev/null | grep '^optimal:' >/dev/null; then
   echo "linked search did not report an optimum"
   exit 1
 fi
@@ -205,5 +208,17 @@ fi
 # verified evaluations) over a scaled corpus.
 bench_ids="$("${ref_bin}/inlinebench" -list | grep -vx 'linked-case' | paste -sd, -)"
 ref_gate inlinebench -exp "${bench_ids}" -scale 0.05
+
+echo "== experiments golden (scale 0.05) =="
+# The gate above proves the fast paths agree with the reference evaluator,
+# but both run the same inliner and optimizer, so a change to either that
+# moved the answers would pass it. This pins the answers themselves: the
+# stdout of the same run (~3 s) must equal the committed golden. Regenerate
+# the golden only in a change meant to move the numbers, and say why.
+golden=testdata/experiments_scale0.05.golden
+if ! diff <("${ref_bin}/inlinebench" -exp "${bench_ids}" -scale 0.05 2>/dev/null) "${golden}"; then
+  echo "inlinebench -exp <all but linked-case> -scale 0.05 stdout differs from ${golden}"
+  exit 1
+fi
 
 echo "CI OK"

@@ -10,10 +10,8 @@ import (
 
 	"optinline/internal/callgraph"
 	"optinline/internal/codegen"
-	"optinline/internal/inline"
 	"optinline/internal/interp"
 	"optinline/internal/ir"
-	"optinline/internal/opt"
 )
 
 // This file implements the incremental cycle-evaluation engine: the
@@ -299,20 +297,11 @@ func (p *CyclePricer) closureCost(fi *funcInfo, cfg *callgraph.Config) (int64, i
 // compileClosureCost is compileClosure returning the final body's per-entry
 // cost and size instead of just the size.
 func (p *CyclePricer) compileClosureCost(fi *funcInfo, members []*funcInfo, cfg *callgraph.Config) (int64, int32, bool) {
-	c := p.c
-	sub := ir.NewModule(c.base.Name)
-	for _, g := range c.base.Globals {
-		sub.AddGlobal(g)
-	}
-	for _, m := range members {
-		sub.AddFunc(c.base.Func(m.name).Clone())
-	}
-	if err := inline.Apply(sub, cfg, inline.Options{}); err != nil {
+	fn := p.c.optimizeClosure(fi, members, cfg)
+	if fn == nil {
 		return 0, 0, false
 	}
-	fn := sub.Func(fi.name)
-	opt.Function(fn)
-	return p.bodyCost(fn), int32(codegen.FunctionSize(fn, c.target)), true
+	return p.bodyCost(fn), int32(codegen.FunctionSize(fn, p.c.target)), true
 }
 
 // replay re-simulates the LRU i-cache over the profiled touch sequence:

@@ -199,7 +199,7 @@ func (ms *memoState) dirty(toggles []int) []int32 {
 
 // alive is the label-based DFE predicate of one function, decided locally
 // from its incoming candidate edges: it matches callgraph.CalleesAllInline
-// combined with the exported check of measureMemo, without building the
+// combined with RemoveDeadFunctions' exported check, without building the
 // whole-module maps.
 func (ms *memoState) alive(fi *funcInfo, cfg *callgraph.Config) bool {
 	if fi.exported || fi.recIn || len(fi.inSites) == 0 {
@@ -240,10 +240,9 @@ func (ms *memoState) closure(f *funcInfo, cfg *callgraph.Config) []*funcInfo {
 // label-based DFE decides survival analytically, and each survivor's size
 // comes from the per-closure cache.
 func (c *Compiler) measureMemo(cfg *callgraph.Config) int {
-	removable := c.graph.CalleesAllInline(cfg)
 	total := 0
 	for _, fi := range c.memo.funcs {
-		if !fi.exported && removable[fi.name] {
+		if !c.memo.alive(fi, cfg) {
 			continue
 		}
 		s := c.funcSize(fi, cfg)
@@ -378,17 +377,44 @@ func (c *Compiler) closureKey(fi *funcInfo, members []*funcInfo, cfg *callgraph.
 // compileClosure runs inlining over just the closure's functions and
 // optimizes + measures the one function of interest.
 func (c *Compiler) compileClosure(fi *funcInfo, members []*funcInfo, cfg *callgraph.Config) int {
-	sub := ir.NewModule(c.base.Name)
-	for _, g := range c.base.Globals {
-		sub.AddGlobal(g)
+	fn := c.optimizeClosure(fi, members, cfg)
+	if fn == nil {
+		return InfSize
 	}
+	return codegen.FunctionSize(fn, c.target)
+}
+
+// optimizeClosure inlines over a module of just the closure's functions
+// and returns fi's optimized body, or nil if the inliner's growth bound
+// tripped. Only the members inline.Apply can write are cloned: fi, and
+// each member with an inline-labeled call of its own. Apply expands only
+// calls it finds labeled in a function's body, and copies a callee's body
+// before splicing it, so every other member is only read and the shared
+// base function serves as is.
+func (c *Compiler) optimizeClosure(fi *funcInfo, members []*funcInfo, cfg *callgraph.Config) *ir.Function {
+	sub := ir.NewModule(c.base.Name)
+	sub.Globals = append(sub.Globals, c.base.Globals...)
 	for _, m := range members {
-		sub.AddFunc(c.base.Func(m.name).Clone())
+		f := c.base.Func(m.name)
+		if m == fi || m.inlinesAny(cfg) {
+			f = f.Clone()
+		}
+		sub.AddFunc(f)
 	}
 	if err := inline.Apply(sub, cfg, inline.Options{}); err != nil {
-		return InfSize
+		return nil
 	}
 	fn := sub.Func(fi.name)
 	opt.Function(fn)
-	return codegen.FunctionSize(fn, c.target)
+	return fn
+}
+
+// inlinesAny reports whether any call in fi's base body is labeled inline.
+func (fi *funcInfo) inlinesAny(cfg *callgraph.Config) bool {
+	for _, s := range fi.callSites {
+		if cfg.Inline(s) {
+			return true
+		}
+	}
+	return false
 }

@@ -15,7 +15,8 @@ package inline
 
 import (
 	"fmt"
-	"sync"
+	"slices"
+	"strconv"
 
 	"optinline/internal/callgraph"
 	"optinline/internal/ir"
@@ -27,9 +28,16 @@ import (
 const DefaultMaxInstrs = 4_000_000
 
 // Call inlines a single call instruction within f. The call must be an
-// instruction of f and callee must be the called function. Returns an error
-// if the call cannot be located in f.
-func Call(f *ir.Function, call *ir.Instr, callee *ir.Function) error {
+// instruction of f and callee must be the called function. It returns the
+// blocks it inserted into f, in order: the callee's cloned blocks, then the
+// continuation. It returns an error if the call cannot be located in f.
+func Call(f *ir.Function, call *ir.Instr, callee *ir.Function) ([]*ir.Block, error) {
+	return expand(f, call, callee, newNamePool(f))
+}
+
+// expand is Call drawing block names from names, which must hold every
+// block name of f.
+func expand(f *ir.Function, call *ir.Instr, callee *ir.Function, names *namePool) ([]*ir.Block, error) {
 	blockIdx, instrIdx := -1, -1
 	for bi, b := range f.Blocks {
 		for ii, in := range b.Instrs {
@@ -43,10 +51,10 @@ func Call(f *ir.Function, call *ir.Instr, callee *ir.Function) error {
 		}
 	}
 	if blockIdx < 0 {
-		return fmt.Errorf("inline: call to %s not found in %s", call.Callee, f.Name)
+		return nil, fmt.Errorf("inline: call to %s not found in %s", call.Callee, f.Name)
 	}
 	if len(call.Args) != callee.NumParams() {
-		return fmt.Errorf("inline: call to %s has %d args, want %d",
+		return nil, fmt.Errorf("inline: call to %s has %d args, want %d",
 			call.Callee, len(call.Args), callee.NumParams())
 	}
 	host := f.Blocks[blockIdx]
@@ -65,11 +73,6 @@ func Call(f *ir.Function, call *ir.Instr, callee *ir.Function) error {
 			}
 		}
 	}
-
-	// One shared name pool for the continuation and the cloned blocks: the
-	// new blocks are not in f.Blocks until the splice below, so checking
-	// f.Blocks alone would let them collide with each other.
-	names := newNamePool(f)
 
 	// Continuation block: receives the return value as its parameter and
 	// takes over the instructions after the call (including the original
@@ -102,16 +105,15 @@ func Call(f *ir.Function, call *ir.Instr, callee *ir.Function) error {
 	// Splice: cloned blocks (renamed for readability) then the continuation.
 	insert := make([]*ir.Block, 0, len(body.Blocks)+1)
 	for _, b := range body.Blocks {
-		b.Name = names.unique(fmt.Sprintf("%s.%s", callee.Name, b.Name))
+		b.Name = names.unique(callee.Name + "." + b.Name)
 		insert = append(insert, b)
 	}
 	insert = append(insert, cont)
-	rest := append([]*ir.Block(nil), f.Blocks[blockIdx+1:]...)
-	f.Blocks = append(f.Blocks[:blockIdx+1], append(insert, rest...)...)
+	f.Blocks = slices.Insert(f.Blocks, blockIdx+1, insert...)
 
 	// The call result is now the continuation parameter.
 	replaceUses(f, call.Result, retParam)
-	return nil
+	return insert, nil
 }
 
 // Options configures Apply.
@@ -181,14 +183,11 @@ func Apply(m *ir.Module, cfg *callgraph.Config, opts Options) error {
 	}
 
 	total := m.NumInstrs()
-	// One reusable pre-expansion block set, cleared per expansion: Apply runs
-	// once per per-function cache miss, and allocating a fresh map per
-	// expansion was a measurable slice of the evaluation engine's garbage.
-	before := blockSetPool.Get().(map[*ir.Block]bool)
-	defer func() {
-		clear(before)
-		blockSetPool.Put(before)
-	}()
+	// One block-name pool per expanded function for the whole Apply:
+	// expansions only add blocks, so a pool seeded with the function's
+	// names and fed every name it issues always holds exactly the
+	// function's current block names.
+	pools := make(map[*ir.Function]*namePool)
 	for len(queue) > 0 {
 		w := queue[0]
 		queue = queue[1:]
@@ -200,13 +199,15 @@ func Apply(m *ir.Module, cfg *callgraph.Config, opts Options) error {
 			return fmt.Errorf("inline: module exceeds %d instructions while applying %s", maxInstrs, cfg)
 		}
 		// Locate and inline; the call may have moved blocks but its
-		// instruction identity is stable. Capture cloned calls by scanning
-		// the blocks added for this expansion.
-		clear(before)
-		for _, b := range w.fn.Blocks {
-			before[b] = true
+		// instruction identity is stable. Cloned calls sit in the blocks
+		// the expansion inserted.
+		names := pools[w.fn]
+		if names == nil {
+			names = newNamePool(w.fn)
+			pools[w.fn] = names
 		}
-		if err := Call(w.fn, w.call, callee); err != nil {
+		inserted, err := expand(w.fn, w.call, callee, names)
+		if err != nil {
 			return err
 		}
 		if opts.Check != nil {
@@ -216,23 +217,13 @@ func Apply(m *ir.Module, cfg *callgraph.Config, opts Options) error {
 			}
 		}
 		total += callee.NumInstrs()
-		for _, b := range w.fn.Blocks {
-			if before[b] {
-				continue
-			}
+		for _, b := range inserted {
 			for _, in := range b.Instrs {
-				if in.Op == ir.OpCall && in != w.call {
-					push(w.fn, in)
-				}
+				push(w.fn, in)
 			}
 		}
 	}
 	return nil
-}
-
-// blockSetPool recycles Apply's pre-expansion block set.
-var blockSetPool = sync.Pool{
-	New: func() any { return make(map[*ir.Block]bool, 16) },
 }
 
 // namePool hands out block names that are unique against both the
@@ -252,7 +243,7 @@ func newNamePool(f *ir.Function) *namePool {
 func (np *namePool) unique(name string) string {
 	cand := name
 	for i := 2; np.taken[cand]; i++ {
-		cand = fmt.Sprintf("%s%d", name, i)
+		cand = name + strconv.Itoa(i)
 	}
 	np.taken[cand] = true
 	return cand

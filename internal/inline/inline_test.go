@@ -7,6 +7,7 @@ import (
 	"optinline/internal/callgraph"
 	"optinline/internal/interp"
 	"optinline/internal/ir"
+	"optinline/internal/lang"
 )
 
 const src = `
@@ -228,12 +229,12 @@ func TestCallErrors(t *testing.T) {
 	other := m.Func("combo")
 	// A call instruction that is not in f.
 	foreign := other.Calls()[0]
-	if err := Call(f, foreign, m.Func("double")); err == nil {
+	if _, err := Call(f, foreign, m.Func("double")); err == nil {
 		t.Fatal("expected not-found error")
 	}
 	// Arity mismatch.
 	own := f.Calls()[0] // call @combo(%n, %n)
-	if err := Call(f, own, m.Func("double")); err == nil {
+	if _, err := Call(f, own, m.Func("double")); err == nil {
 		t.Fatal("expected arity error")
 	}
 }
@@ -349,4 +350,125 @@ func randomModule(rng *rand.Rand, id int) *ir.Module {
 	m.AddFunc(eb.Fn)
 	m.AssignSites()
 	return m
+}
+
+// refApply is Apply without its shortcuts: every expansion goes through
+// Call, which builds a fresh name pool from the caller's blocks, and the
+// new calls are found by diffing the caller's block set.
+// TestApplyMatchesPerCallReference holds Apply to its output.
+func refApply(m *ir.Module, cfg *callgraph.Config) error {
+	type work struct {
+		fn   *ir.Function
+		call *ir.Instr
+	}
+	var queue []work
+	seen := make(map[*ir.Instr]bool)
+	push := func(fn *ir.Function, in *ir.Instr) {
+		if in.Op != ir.OpCall || !cfg.Inline(in.Site) || seen[in] || m.Func(in.Callee) == nil {
+			return
+		}
+		for _, s := range in.Trail {
+			if s == in.Site {
+				return
+			}
+		}
+		seen[in] = true
+		queue = append(queue, work{fn, in})
+	}
+	for _, f := range m.Funcs {
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				push(f, in)
+			}
+		}
+	}
+	for len(queue) > 0 {
+		w := queue[0]
+		queue = queue[1:]
+		before := make(map[*ir.Block]bool)
+		for _, b := range w.fn.Blocks {
+			before[b] = true
+		}
+		if _, err := Call(w.fn, w.call, m.Func(w.call.Callee)); err != nil {
+			return err
+		}
+		for _, b := range w.fn.Blocks {
+			if !before[b] {
+				for _, in := range b.Instrs {
+					push(w.fn, in)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestApplyMatchesPerCallReference checks that Apply's persistent name
+// pools and inserted-block scan produce the same module text, block names
+// included, as fresh per-expansion pools and a block-set diff.
+func TestApplyMatchesPerCallReference(t *testing.T) {
+	var mods []*ir.Module
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 30; trial++ {
+		mods = append(mods, randomModule(rng, trial))
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		m, err := lang.Compile("gen", lang.GenerateSource(seed, lang.GenOptions{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.AssignSites()
+		mods = append(mods, m)
+	}
+	for i, m := range mods {
+		g := callgraph.Build(m)
+		for c := 0; c < 4; c++ {
+			cfg := callgraph.NewConfig()
+			for _, e := range g.Edges {
+				if c == 0 || rng.Intn(2) == 0 {
+					cfg.Set(e.Site, true)
+				}
+			}
+			got, want := m.Clone(), m.Clone()
+			if err := Apply(got, cfg, Options{}); err != nil {
+				t.Fatalf("module %d cfg %v: %v", i, cfg, err)
+			}
+			if err := refApply(want, cfg); err != nil {
+				t.Fatalf("module %d cfg %v: reference: %v", i, cfg, err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("module %d cfg %v: Apply differs from the per-call reference\ngot:\n%s\nwant:\n%s",
+					i, cfg, got, want)
+			}
+		}
+	}
+}
+
+func TestCallReportsInsertedBlocks(t *testing.T) {
+	m := parse(t)
+	f := m.Func("main")
+	before := append([]*ir.Block(nil), f.Blocks...)
+	call := f.Calls()[0]
+	inserted, err := Call(f, call, m.Func(call.Callee))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh []*ir.Block
+	for _, b := range f.Blocks {
+		old := false
+		for _, o := range before {
+			old = old || o == b
+		}
+		if !old {
+			fresh = append(fresh, b)
+		}
+	}
+	if len(inserted) != len(fresh) {
+		t.Fatalf("Call reported %d blocks, inserted %d", len(inserted), len(fresh))
+	}
+	for i := range fresh {
+		if inserted[i] != fresh[i] {
+			t.Fatalf("block %d: reported %s, inserted %s", i, inserted[i].Name, fresh[i].Name)
+		}
+	}
 }

@@ -129,7 +129,8 @@ func (u UnOp) String() string {
 // Value is an SSA value: either the result of an instruction or a block
 // parameter. Values are identified by pointer; ID and Name aid printing.
 type Value struct {
-	ID   int
+	ID   int32
+	num  int32 // dense index from the last Function.Number
 	Name string
 	Def  *Instr // defining instruction, nil for block parameters
 	Parm *Block // owning block when the value is a block parameter
@@ -155,11 +156,11 @@ type Succ struct {
 // Instr is a single instruction.
 type Instr struct {
 	Op     Op
+	BinOp  BinOp    // operator for OpBin
+	UnOp   UnOp     // operator for OpUn
 	Result *Value   // nil for void and terminator instructions
 	Args   []*Value // operand values
 	Const  int64    // literal for OpConst
-	BinOp  BinOp    // operator for OpBin
-	UnOp   UnOp     // operator for OpUn
 	Callee string   // target function name for OpCall
 	Global string   // global variable name for OpLoadG/OpStoreG
 	Succs  []Succ   // successor edges for terminators
@@ -196,6 +197,8 @@ type Block struct {
 	Name   string
 	Params []*Value
 	Instrs []*Instr
+
+	num int32 // dense index from the last Function.Number
 }
 
 // Term returns the block terminator, or nil if the block is not yet sealed.
@@ -249,7 +252,7 @@ func (f *Function) NumParams() int {
 
 // NewValue allocates a fresh value owned by the function.
 func (f *Function) NewValue(name string) *Value {
-	v := &Value{ID: f.nextValue, Name: name}
+	v := &Value{ID: int32(f.nextValue), Name: name}
 	f.nextValue++
 	return v
 }
@@ -275,6 +278,40 @@ func (f *Function) NewBlock(name string) *Block {
 	f.Blocks = append(f.Blocks, b)
 	return b
 }
+
+// Number gives every block of f, and every value f defines (block
+// parameters and instruction results), a dense index in block order, and
+// returns how many blocks and values it numbered. A pass that owns f uses
+// the indices to keep per-block and per-value tables in slices instead of
+// maps. They stay distinct while f only loses blocks and values; after f
+// gains any, they mean nothing until the next Number.
+//
+// Number writes into f, so it must never run on a function that another
+// goroutine may read: the compile engine clones shared base functions
+// concurrently.
+func (f *Function) Number() (blocks, values int) {
+	n := int32(0)
+	for i, b := range f.Blocks {
+		b.num = int32(i)
+		for _, p := range b.Params {
+			p.num = n
+			n++
+		}
+		for _, in := range b.Instrs {
+			if in.Result != nil {
+				in.Result.num = n
+				n++
+			}
+		}
+	}
+	return len(f.Blocks), int(n)
+}
+
+// Num returns the block's index from the last Number of its function.
+func (b *Block) Num() int { return int(b.num) }
+
+// Num returns the value's index from the last Number of its function.
+func (v *Value) Num() int { return int(v.num) }
 
 // NumInstrs returns the total instruction count across all blocks.
 func (f *Function) NumInstrs() int {

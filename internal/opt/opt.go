@@ -30,14 +30,13 @@ type Stats struct {
 	BranchesFolded int
 	ConstsFolded   int
 	ParamsPropped  int
-	FuncsRemoved   int
 }
 
 // pipeline is the fixed pass order, named so checked compilation mode can
 // attribute an invariant violation to the exact pass that introduced it.
 var pipeline = []struct {
 	name string
-	run  func(*ir.Function, *Stats) bool
+	run  func(*state) bool
 }{
 	{"propagate-params", propagateParams},
 	{"fold-constants", foldConstants},
@@ -93,10 +92,11 @@ func Function(f *ir.Function) Stats {
 // Function.
 func FunctionChecked(f *ir.Function, check CheckFunc) (Stats, error) {
 	var st Stats
+	s := newState(f, &st)
 	for st.Iterations = 1; st.Iterations <= MaxIterations; st.Iterations++ {
 		changed := false
 		for _, p := range pipeline {
-			if !p.run(f, &st) {
+			if !p.run(s) {
 				continue
 			}
 			changed = true
@@ -160,22 +160,94 @@ func RemoveDeadFunctions(m *ir.Module, removable func(name string) bool) int {
 	return n
 }
 
-// replaceUses rewrites every use of old to repl throughout the function.
-func replaceUses(f *ir.Function, old, repl *ir.Value) {
-	for _, b := range f.Blocks {
+// state is one pipeline run's scratch over the function it optimizes. The
+// run owns f, so it numbers f's blocks and values once (ir.Function.Number)
+// and keeps every per-block and per-value table in a slice indexed by those
+// numbers. The passes only delete blocks and values, never add them, so
+// the numbers stay distinct for the whole run and the slices are sized
+// once.
+//
+// A pass that replaces a value records it with substitute instead of
+// rewriting uses on the spot; reads during the pass go through resolve,
+// and flush rewrites every use in one walk when the pass ends. Each pass
+// therefore leaves f exactly as if it had rewritten uses immediately, and
+// checked mode's per-pass hook sees the finished pass.
+type state struct {
+	f  *ir.Function
+	st *Stats
+
+	nblocks int
+
+	subst   []*ir.Value // by value number; nil when not replaced
+	pending bool        // subst holds entries not yet flushed
+
+	// Per-block and per-value scratch, cleared by the pass that uses it.
+	blockCount []int32
+	blockEdge  []inEdge
+	blockPred  []*ir.Block
+	reach      []bool
+	blockStack []*ir.Block
+	uses       []int32
+	dead       []*ir.Instr
+
+	cse cseScratch
+}
+
+func newState(f *ir.Function, st *Stats) *state {
+	nb, nv := f.Number()
+	return &state{
+		f: f, st: st, nblocks: nb,
+		subst:      make([]*ir.Value, nv),
+		blockCount: make([]int32, nb),
+		blockEdge:  make([]inEdge, nb),
+		blockPred:  make([]*ir.Block, nb),
+		reach:      make([]bool, nb),
+		uses:       make([]int32, nv),
+	}
+}
+
+// resolve returns the value v stands for under the pass's pending
+// substitution, following chains (a value replaced by a value that was
+// replaced in turn).
+func (s *state) resolve(v *ir.Value) *ir.Value {
+	for {
+		r := s.subst[v.Num()]
+		if r == nil {
+			return v
+		}
+		v = r
+	}
+}
+
+// substitute records that every use of old becomes a use of repl. old must
+// not have been substituted already in this pass; repl is resolved first,
+// so no chain ever loops back (replacing a value by itself records
+// nothing).
+func (s *state) substitute(old, repl *ir.Value) {
+	if repl = s.resolve(repl); repl != old {
+		s.subst[old.Num()] = repl
+		s.pending = true
+	}
+}
+
+// flush rewrites every use in the function through the pending
+// substitution, in one walk, and clears it.
+func (s *state) flush() {
+	if !s.pending {
+		return
+	}
+	for _, b := range s.f.Blocks {
 		for _, in := range b.Instrs {
 			for i, a := range in.Args {
-				if a == old {
-					in.Args[i] = repl
-				}
+				in.Args[i] = s.resolve(a)
 			}
-			for si := range in.Succs {
-				for i, a := range in.Succs[si].Args {
-					if a == old {
-						in.Succs[si].Args[i] = repl
-					}
+			for _, sc := range in.Succs {
+				for i, a := range sc.Args {
+					sc.Args[i] = s.resolve(a)
 				}
 			}
 		}
 	}
+	clear(s.subst)
+	s.pending = false
 }

@@ -1,17 +1,6 @@
 package opt
 
-import (
-	"sync"
-
-	"optinline/internal/ir"
-)
-
-// The fixpoint passes below rebuild small per-function maps on every
-// invocation, and the memoized compile path invokes the pipeline once per
-// per-function cache miss — enough that these maps showed up as a large
-// slice of the evaluation engine's allocations. They are pooled and cleared
-// instead: clear keeps the bucket arrays, so steady-state pass runs stop
-// allocating map headers and rehash growth entirely.
+import "optinline/internal/ir"
 
 // inEdge is one incoming CFG edge: the branching instruction and which of
 // its successors points at the block. Two edges from one branch count
@@ -21,62 +10,38 @@ type inEdge struct {
 	succ  int
 }
 
-var inEdgesPool = sync.Pool{
-	New: func() any { return make(map[*ir.Block][]inEdge, 16) },
-}
-
-var predCountPool = sync.Pool{
-	New: func() any { return make(map[*ir.Block]int, 16) },
-}
-
-var predOfPool = sync.Pool{
-	New: func() any { return make(map[*ir.Block]*ir.Block, 16) },
-}
-
-var usedPool = sync.Pool{
-	New: func() any { return make(map[*ir.Value]bool, 64) },
-}
-
-var reachPool = sync.Pool{
-	New: func() any { return make(map[*ir.Block]bool, 16) },
-}
-
 // propagateParams substitutes block parameters of single-predecessor blocks
 // with the argument passed on the unique incoming edge. Combined with block
 // merging this implements the "optimization scope extension" that inlining
 // enables: the inlined callee entry has one predecessor (the call site), so
 // constant call arguments flow straight into the callee body.
-func propagateParams(f *ir.Function, st *Stats) bool {
-	edges := inEdgesPool.Get().(map[*ir.Block][]inEdge)
-	defer func() {
-		clear(edges)
-		inEdgesPool.Put(edges)
-	}()
+func propagateParams(s *state) bool {
+	f := s.f
+	count, edge := s.blockCount, s.blockEdge
+	clear(count)
 	for _, b := range f.Blocks {
 		t := b.Term()
 		if t == nil {
 			continue
 		}
-		for i, s := range t.Succs {
-			edges[s.Dest] = append(edges[s.Dest], inEdge{t, i})
+		for i, sc := range t.Succs {
+			n := sc.Dest.Num()
+			count[n]++
+			edge[n] = inEdge{t, i}
 		}
 	}
 	changed := false
 	for _, b := range f.Blocks {
-		if b == f.Entry() || len(b.Params) == 0 {
+		if b == f.Entry() || len(b.Params) == 0 || count[b.Num()] != 1 {
 			continue
 		}
-		es := edges[b]
-		if len(es) != 1 {
-			continue
-		}
-		e := es[0]
+		e := edge[b.Num()]
 		args := e.instr.Succs[e.succ].Args
 		// A block cannot feed its own parameters (self-loop): substitution
 		// would be circular. Such a block is unreachable anyway.
 		self := false
 		for _, a := range args {
-			if a.Parm == b {
+			if s.resolve(a).Parm == b {
 				self = true
 				break
 			}
@@ -85,19 +50,21 @@ func propagateParams(f *ir.Function, st *Stats) bool {
 			continue
 		}
 		for i, p := range b.Params {
-			replaceUses(f, p, args[i])
+			s.substitute(p, args[i])
 		}
 		b.Params = nil
 		e.instr.Succs[e.succ].Args = nil
-		st.ParamsPropped++
+		s.st.ParamsPropped++
 		changed = true
 	}
+	s.flush()
 	return changed
 }
 
-// constOf returns the constant value of v if its definition is a constant.
-func constOf(v *ir.Value) (int64, bool) {
-	if v != nil && v.Def != nil && v.Def.Op == ir.OpConst {
+// constOf returns the constant value v stands for if its definition is a
+// constant.
+func (s *state) constOf(v *ir.Value) (int64, bool) {
+	if v = s.resolve(v); v.Def != nil && v.Def.Op == ir.OpConst {
 		return v.Def.Const, true
 	}
 	return 0, false
@@ -105,7 +72,8 @@ func constOf(v *ir.Value) (int64, bool) {
 
 // foldConstants rewrites arithmetic on constants into constants and applies
 // algebraic identities (x+0, x*1, x*0, ...).
-func foldConstants(f *ir.Function, st *Stats) bool {
+func foldConstants(s *state) bool {
+	st := s.st
 	changed := false
 	toConst := func(in *ir.Instr, c int64) {
 		in.Op = ir.OpConst
@@ -114,18 +82,18 @@ func foldConstants(f *ir.Function, st *Stats) bool {
 		st.ConstsFolded++
 		changed = true
 	}
-	// identity replaces the instruction's result with an existing value by
-	// rewriting uses; the now-dead instruction is collected by DCE.
+	// identity replaces the instruction's result with an existing value;
+	// the now-dead instruction is collected by DCE.
 	identity := func(in *ir.Instr, v *ir.Value) {
-		replaceUses(f, in.Result, v)
+		s.substitute(in.Result, v)
 		st.ConstsFolded++
 		changed = true
 	}
-	for _, b := range f.Blocks {
+	for _, b := range s.f.Blocks {
 		for _, in := range b.Instrs {
 			switch in.Op {
 			case ir.OpUn:
-				if c, ok := constOf(in.Args[0]); ok {
+				if c, ok := s.constOf(in.Args[0]); ok {
 					if in.UnOp == ir.Neg {
 						toConst(in, -c)
 					} else if c == 0 {
@@ -135,8 +103,8 @@ func foldConstants(f *ir.Function, st *Stats) bool {
 					}
 				}
 			case ir.OpBin:
-				a, aok := constOf(in.Args[0])
-				bc, bok := constOf(in.Args[1])
+				a, aok := s.constOf(in.Args[0])
+				bc, bok := s.constOf(in.Args[1])
 				switch {
 				case aok && bok:
 					toConst(in, evalConstBin(in.BinOp, a, bc))
@@ -165,6 +133,7 @@ func foldConstants(f *ir.Function, st *Stats) bool {
 			}
 		}
 	}
+	s.flush()
 	return changed
 }
 
@@ -223,21 +192,22 @@ func b2i(v bool) int64 {
 
 // foldBranches turns conditional branches with constant conditions (or with
 // identical arms) into unconditional branches.
-func foldBranches(f *ir.Function, st *Stats) bool {
+func foldBranches(s *state) bool {
+	st := s.st
 	changed := false
-	for _, b := range f.Blocks {
+	for _, b := range s.f.Blocks {
 		t := b.Term()
 		if t == nil || t.Op != ir.OpCondBr {
 			continue
 		}
-		if c, ok := constOf(t.Args[0]); ok {
+		if c, ok := s.constOf(t.Args[0]); ok {
 			taken := t.Succs[1]
 			if c != 0 {
 				taken = t.Succs[0]
 			}
 			t.Op = ir.OpBr
 			t.Args = nil
-			t.Succs = []ir.Succ{taken}
+			t.Succs = append(t.Succs[:0], taken)
 			st.BranchesFolded++
 			changed = true
 			continue
@@ -266,22 +236,38 @@ func sameSucc(a, b ir.Succ) bool {
 }
 
 // removeUnreachable deletes blocks not reachable from the entry.
-func removeUnreachable(f *ir.Function, st *Stats) bool {
-	reach := reachPool.Get().(map[*ir.Block]bool)
-	defer func() {
-		clear(reach)
-		reachPool.Put(reach)
-	}()
-	f.ReachableInto(reach)
-	if len(reach) == len(f.Blocks) {
+func removeUnreachable(s *state) bool {
+	f := s.f
+	entry := f.Entry()
+	if entry == nil {
+		return false
+	}
+	reach := s.reach
+	clear(reach)
+	reach[entry.Num()] = true
+	n := 1
+	stack := append(s.blockStack[:0], entry)
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, sc := range b.Succs() {
+			if d := sc.Dest.Num(); !reach[d] {
+				reach[d] = true
+				n++
+				stack = append(stack, sc.Dest)
+			}
+		}
+	}
+	s.blockStack = stack
+	if n == len(f.Blocks) {
 		return false
 	}
 	kept := f.Blocks[:0]
 	for _, b := range f.Blocks {
-		if reach[b] {
+		if reach[b.Num()] {
 			kept = append(kept, b)
 		} else {
-			st.BlocksRemoved++
+			s.st.BlocksRemoved++
 		}
 	}
 	f.Blocks = kept
@@ -290,104 +276,101 @@ func removeUnreachable(f *ir.Function, st *Stats) bool {
 
 // mergeBlocks splices a block into its unique predecessor when that
 // predecessor ends in an unconditional branch to it.
-func mergeBlocks(f *ir.Function, st *Stats) bool {
-	changed := false
-	predEdges := predCountPool.Get().(map[*ir.Block]int)
-	predOf := predOfPool.Get().(map[*ir.Block]*ir.Block)
-	defer func() {
-		clear(predEdges)
-		clear(predOf)
-		predCountPool.Put(predEdges)
-		predOfPool.Put(predOf)
-	}()
-	for {
-		merged := false
-		clear(predEdges)
-		clear(predOf)
-		for _, b := range f.Blocks {
-			t := b.Term()
-			if t == nil {
-				continue
-			}
-			for _, s := range t.Succs {
-				predEdges[s.Dest]++
-				predOf[s.Dest] = b
-			}
+//
+// One scan in block order merges exactly what merging the first eligible
+// block and rescanning would: a merge moves the block's terminator, with
+// its successor edges, into the predecessor, so edge counts stay the same,
+// the moved edges' source becomes the predecessor (whose terminator is the
+// same instruction), and no block that was ineligible becomes eligible.
+func mergeBlocks(s *state) bool {
+	f := s.f
+	count, pred := s.blockCount, s.blockPred
+	clear(count)
+	for _, b := range f.Blocks {
+		t := b.Term()
+		if t == nil {
+			continue
 		}
-		for _, b := range f.Blocks {
-			if b == f.Entry() || predEdges[b] != 1 {
-				continue
-			}
-			p := predOf[b]
-			if p == b {
-				continue
-			}
-			t := p.Term()
-			if t.Op != ir.OpBr {
-				continue
-			}
-			// Substitute params (propagateParams usually did this already,
-			// but merging may expose new single-pred blocks mid-loop).
-			for i, prm := range b.Params {
-				replaceUses(f, prm, t.Succs[0].Args[i])
-			}
-			p.Instrs = p.Instrs[:len(p.Instrs)-1] // drop the br
-			p.Instrs = append(p.Instrs, b.Instrs...)
-			for i, bb := range f.Blocks {
-				if bb == b {
-					f.Blocks = append(f.Blocks[:i], f.Blocks[i+1:]...)
-					break
-				}
-			}
-			st.BlocksRemoved++
-			merged, changed = true, true
-			break // maps are stale; recompute
-		}
-		if !merged {
-			return changed
+		for _, sc := range t.Succs {
+			count[sc.Dest.Num()]++
+			pred[sc.Dest.Num()] = b
 		}
 	}
-}
-
-// removeDeadInstrs deletes pure instructions whose results are unused.
-// Calls, stores, outputs, and terminators are never deleted here.
-func removeDeadInstrs(f *ir.Function, st *Stats) bool {
+	entry := f.Entry()
 	changed := false
-	used := usedPool.Get().(map[*ir.Value]bool)
-	defer func() {
-		clear(used)
-		usedPool.Put(used)
-	}()
-	for {
-		clear(used)
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				for _, a := range in.Args {
-					used[a] = true
-				}
-				for _, s := range in.Succs {
-					for _, a := range s.Args {
-						used[a] = true
-					}
-				}
-			}
+	kept := f.Blocks[:0]
+	for _, b := range f.Blocks {
+		p := pred[b.Num()]
+		if b == entry || count[b.Num()] != 1 || p == b || p.Term().Op != ir.OpBr {
+			kept = append(kept, b)
+			continue
 		}
-		removedAny := false
-		for _, b := range f.Blocks {
-			kept := b.Instrs[:0]
-			for _, in := range b.Instrs {
-				if in.Result != nil && !used[in.Result] && !in.HasSideEffects() {
-					st.InstrsRemoved++
-					removedAny = true
-					continue
-				}
-				kept = append(kept, in)
-			}
-			b.Instrs = kept
+		// Substitute params (propagateParams usually did this already,
+		// but merging may expose new single-pred blocks mid-loop).
+		for i, prm := range b.Params {
+			s.substitute(prm, p.Term().Succs[0].Args[i])
 		}
-		if !removedAny {
-			return changed
+		p.Instrs = append(p.Instrs[:len(p.Instrs)-1], b.Instrs...) // drop the br
+		for _, sc := range b.Term().Succs {
+			pred[sc.Dest.Num()] = p
 		}
+		s.st.BlocksRemoved++
 		changed = true
 	}
+	f.Blocks = kept
+	s.flush()
+	return changed
+}
+
+// removeDeadInstrs deletes pure instructions whose results are unused,
+// transitively: a deleted instruction's operands lose a use, and an
+// operand whose count drops to zero is deleted in turn. Calls, stores,
+// outputs, and terminators are never deleted here.
+func removeDeadInstrs(s *state) bool {
+	uses := s.uses
+	clear(uses)
+	for _, b := range s.f.Blocks {
+		for _, in := range b.Instrs {
+			for _, a := range in.Args {
+				uses[a.Num()]++
+			}
+			for _, sc := range in.Succs {
+				for _, a := range sc.Args {
+					uses[a.Num()]++
+				}
+			}
+		}
+	}
+	pure := func(in *ir.Instr) bool { return in.Result != nil && !in.HasSideEffects() }
+	dead := s.dead[:0]
+	for _, b := range s.f.Blocks {
+		for _, in := range b.Instrs {
+			if pure(in) && uses[in.Result.Num()] == 0 {
+				dead = append(dead, in)
+			}
+		}
+	}
+	if len(dead) == 0 {
+		return false
+	}
+	for i := 0; i < len(dead); i++ {
+		for _, a := range dead[i].Args {
+			if uses[a.Num()]--; uses[a.Num()] == 0 && a.Def != nil && pure(a.Def) {
+				dead = append(dead, a.Def)
+			}
+		}
+	}
+	s.dead = dead[:0]
+	for _, b := range s.f.Blocks {
+		kept := b.Instrs[:0]
+		for _, in := range b.Instrs {
+			if pure(in) && uses[in.Result.Num()] == 0 {
+				s.st.InstrsRemoved++
+				continue
+			}
+			kept = append(kept, in)
+		}
+		b.Instrs = kept
+	}
+	return true
 }
