@@ -257,80 +257,6 @@ func BenchmarkSearchSequentialVsParallel(b *testing.B) {
 	}
 }
 
-// chainModule builds a call chain fn0 -> fn1 -> ... -> fn_n — the paper's
-// Figure 5 path shape, and the shape deep call stacks give real units. Its
-// recursive space grows fast with n while staying bridge-decomposable, so
-// the branch-and-bound layer has maximal structure to share: sub-paths
-// recur all over the tree, and contraction order collapses in the memo key.
-func chainModule(n int) *ir.Module {
-	m := ir.NewModule("chain")
-	m.AddGlobal("state")
-	for i := n; i >= 0; i-- {
-		b := ir.NewFunction(fmt.Sprintf("fn%d", i), 1, i == 0)
-		x := b.Param(0)
-		v := b.Bin(ir.Mul, x, x)
-		v = b.Bin(ir.Add, v, x)
-		if i < n {
-			r := b.Call(fmt.Sprintf("fn%d", i+1), v)
-			v = b.Bin(ir.Add, v, r)
-		}
-		if i%3 == 0 {
-			b.StoreG("state", v)
-		}
-		b.Ret(v)
-		m.AddFunc(b.Fn)
-	}
-	m.AssignSites()
-	return m
-}
-
-// BenchmarkOptimalPrunedVsExhaustive measures the branch-and-bound search
-// (component memo + admissible bounds, the default) against the exhaustive
-// recursion on the same translation unit: a 16-call chain whose recursive
-// space holds 732 tree evaluations (>= 500). The exhaustive recursion only
-// runs on a checked compiler (the reference evaluator, which cannot price
-// bounds), so its time also carries per-pass verification and whole-module
-// builds; the evals metric — real configuration evaluations, lower is
-// cheaper — is the like-for-like comparison. Both searches return
-// byte-identical optima; memo-hit-pct is the component memo's hit rate and
-// pruned-subtrees the admissible bound's cuts on the pruned run. Recorded
-// in BENCH_search.json.
-func BenchmarkOptimalPrunedVsExhaustive(b *testing.B) {
-	m := chainModule(16)
-	{
-		c := compile.New(m, codegen.TargetX86)
-		space, capped := search.RecursiveSpaceSize(c.Graph(), 1<<13)
-		if capped || space < 500 {
-			b.Fatalf("chain unit space = %d (capped=%v), need uncapped >= 500", space, capped)
-		}
-		b.Logf("unit: %d-evaluation recursive space", space)
-	}
-	for _, mode := range []struct {
-		name  string
-		check bool
-	}{{"pruned", false}, {"exhaustive", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var evals int64
-			var stats search.PruneStats
-			for i := 0; i < b.N; i++ {
-				comp := compile.NewWithOptions(m, codegen.TargetX86, compile.Options{Check: mode.check})
-				res, ok := search.Optimal(comp, search.Options{MaxSpace: 1 << 13})
-				if !ok {
-					b.Fatal("aborted")
-				}
-				evals = res.Evaluations
-				stats = res.Prune
-			}
-			b.ReportMetric(float64(evals), "evals")
-			if lookups := stats.MemoHits + stats.MemoMisses; lookups > 0 {
-				b.ReportMetric(100*float64(stats.MemoHits)/float64(lookups), "memo-hit-pct")
-				b.ReportMetric(float64(stats.Subtrees), "pruned-subtrees")
-			}
-		})
-	}
-}
-
 // BenchmarkSizeCachedVsUncached measures an autotuner-shaped workload — a
 // base configuration plus every single-site toggle — priced by the memoized
 // Size and by a plain whole-module Build + ModuleSize. With the cache,
@@ -618,28 +544,19 @@ func BenchmarkCycleRepriceVsReinterp(b *testing.B) {
 }
 
 // BenchmarkConfigKeyBitset measures the configuration-identity operations
-// the evaluation hot paths lean on: the compile cache's binary CacheKey,
-// the Hash + Equal pair, a cached Key, and a cold Key after invalidation.
-// Recorded in BENCH_search.json.
+// the evaluation hot paths lean on: the compile cache's binary CacheKey, a
+// cached Key, and a cold Key after invalidation. Recorded in
+// BENCH_search.json.
 func BenchmarkConfigKeyBitset(b *testing.B) {
 	cfg := callgraph.NewConfig()
 	for s := 1; s <= 192; s += 2 {
 		cfg.Set(s, true)
 	}
-	other := cfg.Clone()
 	b.Run("cache-key", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if cfg.CacheKey() == "" {
 				b.Fatal("empty cache key")
-			}
-		}
-	})
-	b.Run("hash-equal", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if cfg.Hash() != other.Hash() || !cfg.Equal(other) {
-				b.Fatal("identity mismatch")
 			}
 		}
 	})

@@ -52,9 +52,9 @@ go test -run '^$' -fuzz FuzzInterprocSummaries -fuzztime 30x ./internal/analysis
 
 echo "== delta-engine bench smoke =="
 # One iteration each: catches compile errors or assertion failures in the
-# delta-vs-full, config-identity, pruned-vs-exhaustive and compile
-# miss-path benchmarks without paying bench time.
-go test -run '^$' -bench 'DeltaVsFull|ConfigKey|OptimalPrunedVsExhaustive|FnCacheColdVsWarm|CycleRepriceVsReinterp' -benchtime=1x . >/dev/null
+# delta-vs-full, config-identity and compile miss-path benchmarks without
+# paying bench time.
+go test -run '^$' -bench 'DeltaVsFull|ConfigKey|FnCacheColdVsWarm|CycleRepriceVsReinterp' -benchtime=1x . >/dev/null
 go test -run '^$' -bench 'ICacheNaive|ICacheIndexed' -benchtime=1x ./internal/interp >/dev/null
 go test -run '^$' -bench 'CompileMissPath' -benchtime=1x ./internal/compile >/dev/null
 
@@ -135,8 +135,8 @@ fi
 echo "== reference evaluator: default vs -check =="
 # -check runs every CLI on the reference evaluator: each configuration is
 # compiled fresh with IR invariants verified after every inline step and
-# opt pass; no function cache, delta engine, pruning, shard or relink
-# replay, or interprocedural summary cache. Every fast path must reproduce
+# opt pass; no function cache, delta engine, shard or relink replay, or
+# interprocedural summary cache. Every fast path must reproduce
 # its whole stdout byte for byte (counters and cache statistics go to
 # stderr), and a checked run fails loudly, with stage/pass attribution, if
 # any pipeline step breaks the IR.
@@ -169,6 +169,9 @@ done
 for f in examples/minc/*.minc; do
   ref_gate inlinetune -objective weighted "$f"
 done
+# The exact-component polish runs the optimal search under a tuned prefix;
+# its compilation count is on stdout, so both modes must count alike.
+ref_gate inlinetune -exact-components 4096 testdata/matrixsum.minc
 pareto_out="$("${ref_bin}/inlinetune" -objective pareto examples/minc/collatz.minc 2>/dev/null)"
 if ! grep -q 'lambda' <<<"${pareto_out}"; then
   echo "pareto sweep printed no frontier:"

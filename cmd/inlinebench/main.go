@@ -105,7 +105,6 @@ func run() error {
 	cli.Stat("config cache", h.ConfigCacheStats())
 	cli.Stat("function cache", h.FuncCacheStats())
 	cli.Stat("delta engine", h.DeltaStats())
-	cli.Stat("search pruning", h.PruneStats())
 	cli.Stat("cycle pricer", h.CycleStats())
 	cli.Stat("total time", time.Since(start).Round(time.Millisecond))
 	if f.Check {

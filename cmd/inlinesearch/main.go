@@ -111,7 +111,6 @@ func run() error {
 	fmt.Printf("agreement optimal-vs-heuristic: both-no %d, heur-only %d, opt-only %d, both %d\n",
 		matrix[0][0], matrix[0][1], matrix[1][0], matrix[1][1])
 
-	cli.Stat("search pruning", res.Prune)
 	cli.Stat("evaluations", res.Evaluations)
 	cli.Stat("config cache", comp.ConfigCacheStats())
 	cli.Stat("function cache", comp.FuncCacheStats())
@@ -164,7 +163,6 @@ func runLink(f *cli.Flags) error {
 	cli.SearchReport(os.Stdout, pl, res)
 	cli.Stat("evaluations", res.Evaluations)
 	cli.Stat("config cache", res.ConfigCache)
-	cli.Stat("search pruning", res.Prune)
 	cli.Stat("function cache", res.FuncCache)
 	return nil
 }

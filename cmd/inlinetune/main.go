@@ -14,10 +14,10 @@
 //	-dot                  print the tuned call graph as DOT
 //	-groups               also test per-callee group inlining
 //	-incremental          only re-tune changed regions after round 1
-//	-exact-components N   after the rounds, re-solve exactly (branch-and-
-//	                      bound) every call-graph component whose recursive
-//	                      space fits N tree evaluations, under the tuned
-//	                      labels of the rest (0 disables; try 4096)
+//	-exact-components N   after the rounds, re-solve exactly every call-graph
+//	                      component whose recursive space fits N tree
+//	                      evaluations, under the tuned labels of the rest
+//	                      (0 disables; try 4096)
 //	-objective o          tuned objective: size (default), weighted
 //	                      (bytes + lambda*cycles), cycles, or pareto (a
 //	                      lambda sweep printing the size/speed frontier);
@@ -39,7 +39,6 @@
 //	-target x86|wasm      size model (default x86)
 //	-link-dup p           duplicate exported symbols: error (default) or rename
 //	-check                run the reference evaluator; stdout is byte-identical
-//	                      (the compilation count aside under -exact-components)
 //	-cache-dir d          persist the per-function content cache in directory d
 //	-cpuprofile f         write a CPU profile to f
 //	-memprofile f         write a heap profile to f at exit

@@ -31,8 +31,8 @@ type ExtOptions struct {
 	Incremental bool
 	// ExactComponents, when nonzero, polishes the tuned result after the
 	// rounds: every call-graph component whose recursive search space fits
-	// this many tree evaluations is re-solved exactly (branch-and-bound)
-	// under the tuned labels of the rest of the module. Component optima are
+	// this many tree evaluations is re-solved exactly under the tuned labels
+	// of the rest of the module. Component optima are
 	// independent of outside labels (the paper's independence theorem), so
 	// each polish yields the true component optimum given the rest and the
 	// result is monotonically no worse than the tuned one.

@@ -1,6 +1,7 @@
 package callgraph
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"strconv"
 	"strings"
@@ -13,19 +14,18 @@ import (
 // shared one.
 //
 // The representation is a dense bitset over site IDs (AssignSites hands
-// them out contiguously from 1), so Clone, Equal, Hash, and Merge are
-// O(words) instead of O(sites·log sites), and the canonical Key is computed
-// at most once per distinct label set. Mutation (Set, Merge) is not safe
-// for concurrent use; everything else — including the lazily cached Key and
-// Hash — is, so a configuration shared by search workers stays race-free.
+// them out contiguously from 1), so Clone, Equal, and Merge are O(words)
+// instead of O(sites·log sites), and the canonical Key is computed at most
+// once per distinct label set. Mutation (Set, Merge) is not safe for
+// concurrent use; everything else — including the lazily cached Key — is,
+// so a configuration shared by search workers stays race-free.
 type Config struct {
 	words []uint64 // bit s set = site s labeled inline; no trailing zero words
 	count int      // population count, kept incrementally
 
-	// key and hash cache the canonical identities; atomics because read-only
-	// sharing across goroutines is allowed (mutators reset both).
-	key  atomic.Pointer[string]
-	hash atomic.Uint64 // stored value is hash+1; 0 means "not computed"
+	// key caches the canonical Key; atomic because read-only sharing across
+	// goroutines is allowed (mutators reset it).
+	key atomic.Pointer[string]
 }
 
 // NewConfig returns the empty (clean-slate) configuration.
@@ -34,9 +34,7 @@ func NewConfig() *Config {
 }
 
 // NewConfigOf returns a configuration labeling exactly the given sites
-// inline. Convenience for building canonical site-set identities (the
-// search's component-memo keys reuse Config's compact CacheKey encoding
-// rather than inventing another serialization).
+// inline.
 func NewConfigOf(sites []int) *Config {
 	c := &Config{}
 	for _, s := range sites {
@@ -45,7 +43,7 @@ func NewConfigOf(sites []int) *Config {
 	return c
 }
 
-// Clone returns an independent copy, carrying over any cached Key/Hash.
+// Clone returns an independent copy, carrying over any cached Key.
 func (c *Config) Clone() *Config {
 	nc := &Config{count: c.count}
 	if len(c.words) > 0 {
@@ -53,14 +51,12 @@ func (c *Config) Clone() *Config {
 		copy(nc.words, c.words)
 	}
 	nc.key.Store(c.key.Load())
-	nc.hash.Store(c.hash.Load())
 	return nc
 }
 
-// invalidate drops the cached canonical identities after a mutation.
+// invalidate drops the cached canonical Key after a mutation.
 func (c *Config) invalidate() {
 	c.key.Store(nil)
-	c.hash.Store(0)
 }
 
 // Set assigns a label to a site.
@@ -170,9 +166,8 @@ func (c *Config) DiffSites(other *Config) []int {
 
 // Key returns a canonical string identity: two configurations with the same
 // inline-labeled site set share it. It is computed once per distinct label
-// set and cached (mutators invalidate), so hot paths that key maps by
-// string — the whole-config compile cache's spill path, the objective
-// tuner's memo — stop re-sorting per call.
+// set and cached (mutators invalidate), so hot paths that key maps by it —
+// the objective tuner's memo — stop re-sorting per call.
 func (c *Config) Key() string {
 	if k := c.key.Load(); k != nil {
 		return *k
@@ -201,41 +196,15 @@ func (c *Config) Key() string {
 // bytes per 64 sites it is both cheaper to build and much smaller to retain
 // than the decimal Key — the whole-configuration compile cache keys by it,
 // and those keys dominate that cache's live heap on big runs.
-func (c *Config) CacheKey() string {
-	if len(c.words) == 0 {
-		return ""
-	}
-	var sb strings.Builder
-	sb.Grow(8 * len(c.words))
-	for _, w := range c.words {
-		for i := 0; i < 8; i++ {
-			sb.WriteByte(byte(w >> (8 * i)))
-		}
-	}
-	return sb.String()
-}
+func (c *Config) CacheKey() string { return string(c.AppendCacheKey(nil)) }
 
-// Hash returns a 64-bit identity hash of the label set (FNV-1a over the
-// bitset words). Equal configurations hash equally; the compile cache
-// buckets by it and confirms with Equal, avoiding Key's string entirely.
-// Cached like Key.
-func (c *Config) Hash() uint64 {
-	if h := c.hash.Load(); h != 0 {
-		return h - 1
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+// AppendCacheKey appends CacheKey's bytes to dst, so a cache lookup can
+// build its key in a stack buffer and index a map without allocating.
+func (c *Config) AppendCacheKey(dst []byte) []byte {
 	for _, w := range c.words {
-		for i := 0; i < 8; i++ {
-			h ^= (w >> (8 * i)) & 0xff
-			h *= prime64
-		}
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	c.hash.Store(h + 1)
-	return h
+	return dst
 }
 
 // Equal reports whether two configurations label the same sites inline.

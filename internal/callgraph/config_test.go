@@ -52,7 +52,7 @@ func TestConfigBitsetRoundTrip(t *testing.T) {
 }
 
 // TestConfigTrailingWordsTrimmed: clearing the highest sites must shrink the
-// word slice so Equal/Hash/Key see the same representation as a config that
+// word slice so Equal/CacheKey/Key see the same representation as a config that
 // never visited them.
 func TestConfigTrailingWordsTrimmed(t *testing.T) {
 	a := NewConfig().Set(3, true).Set(200, true).Set(200, false)
@@ -60,25 +60,24 @@ func TestConfigTrailingWordsTrimmed(t *testing.T) {
 	if !a.Equal(b) {
 		t.Fatalf("trimmed config %v != fresh %v", a, b)
 	}
-	if a.Hash() != b.Hash() {
-		t.Fatalf("trimmed hash %d != fresh %d", a.Hash(), b.Hash())
+	if a.CacheKey() != b.CacheKey() {
+		t.Fatalf("trimmed cache key %x != fresh %x", a.CacheKey(), b.CacheKey())
 	}
 	if a.Key() != b.Key() {
 		t.Fatalf("trimmed key %q != fresh %q", a.Key(), b.Key())
 	}
 }
 
-// TestConfigKeyCacheInvalidation: the cached Key/Hash must survive reads and
+// TestConfigKeyCacheInvalidation: the cached Key must survive reads and
 // clones but never a mutation.
 func TestConfigKeyCacheInvalidation(t *testing.T) {
 	c := NewConfig().Set(1, true).Set(5, true)
 	if k := c.Key(); k != "1,5" {
 		t.Fatalf("key %q, want \"1,5\"", k)
 	}
-	h := c.Hash()
 	cl := c.Clone()
-	if cl.Key() != "1,5" || cl.Hash() != h {
-		t.Fatal("clone lost the cached identities")
+	if cl.Key() != "1,5" {
+		t.Fatal("clone lost the cached key")
 	}
 	cl.Set(9, true)
 	if cl.Key() != "1,5,9" {
@@ -99,28 +98,28 @@ func TestConfigKeyCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestConfigHashEqualConsistency: Equal configurations share a Hash, and the
-// hash actually separates distinct label sets (no blanket collisions).
-func TestConfigHashEqualConsistency(t *testing.T) {
+// TestConfigCacheKeyEqualConsistency: the compile caches' CacheKey is an
+// identity — Equal configurations share it, and distinct label sets never
+// do — and AppendCacheKey appends exactly its bytes.
+func TestConfigCacheKeyEqualConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	seen := map[uint64]*Config{}
-	collisions := 0
+	seen := map[string]*Config{}
 	for trial := 0; trial < 300; trial++ {
 		c := randomCfg(rng, 130)
 		d := NewConfig()
 		for _, s := range c.InlineSites() {
 			d.Set(s, true)
 		}
-		if !c.Equal(d) || c.Hash() != d.Hash() || c.Key() != d.Key() {
+		if !c.Equal(d) || c.CacheKey() != d.CacheKey() || c.Key() != d.Key() {
 			t.Fatalf("reconstructed config disagrees: %v vs %v", c, d)
 		}
-		if prev, ok := seen[c.Hash()]; ok && !prev.Equal(c) {
-			collisions++
+		if prev, ok := seen[c.CacheKey()]; ok && !prev.Equal(c) {
+			t.Fatalf("cache key collision: %v vs %v", prev, c)
 		}
-		seen[c.Hash()] = c
-	}
-	if collisions > 2 {
-		t.Fatalf("%d hash collisions across 300 random configs", collisions)
+		seen[c.CacheKey()] = c
+		if got := string(c.AppendCacheKey([]byte("p"))); got != "p"+c.CacheKey() {
+			t.Fatalf("AppendCacheKey = %x, want p + %x", got, c.CacheKey())
+		}
 	}
 }
 
@@ -159,27 +158,24 @@ func TestConfigDiffSites(t *testing.T) {
 	}
 }
 
-// TestConfigConcurrentReads: the lazily cached Key/Hash must be safe under
+// TestConfigConcurrentReads: the lazily cached Key must be safe under
 // concurrent readers of a shared configuration (the search workers' pattern;
 // run with -race).
 func TestConfigConcurrentReads(t *testing.T) {
 	c := NewConfig().Set(2, true).Set(67, true).Set(131, true)
 	var wg sync.WaitGroup
 	keys := make([]string, 16)
-	hashes := make([]uint64, 16)
 	for i := range keys {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			keys[i] = c.Key()
-			hashes[i] = c.Hash()
 		}(i)
 	}
 	wg.Wait()
 	for i := 1; i < len(keys); i++ {
-		if keys[i] != keys[0] || hashes[i] != hashes[0] {
-			t.Fatalf("concurrent readers saw different identities: %q/%d vs %q/%d",
-				keys[i], hashes[i], keys[0], hashes[0])
+		if keys[i] != keys[0] {
+			t.Fatalf("concurrent readers saw different keys: %q vs %q", keys[i], keys[0])
 		}
 	}
 	if keys[0] != "2,67,131" {

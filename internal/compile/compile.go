@@ -41,12 +41,11 @@ type Options struct {
 	//
 	// Checked mode is also the reference evaluator every fast path is
 	// compared against: it bypasses the per-function memo (and with it the
-	// content-addressed function cache), the delta engines for size and
-	// cycles, and the search's branch-and-bound layer — those paths skip
-	// whole-module pipelines, which is precisely the work being checked —
-	// so every configuration is compiled fresh. It is substantially slower;
-	// it exists for tests, fuzzing, and the CLIs' -check flags, not for
-	// production search runs.
+	// content-addressed function cache) and the delta engines for size and
+	// cycles — those paths skip whole-module pipelines, which is precisely
+	// the work being checked — so every configuration is compiled fresh.
+	// It is substantially slower; it exists for tests, fuzzing, and the
+	// CLIs' -check flags, not for production search runs.
 	Check bool
 
 	// FnCache, when non-nil, is the content-addressed per-function cache
@@ -66,8 +65,7 @@ type Compiler struct {
 	target      codegen.Target
 	fingerprint uint64
 
-	mu    sync.Mutex
-	cache map[string]*sizeEntry // Config.CacheKey -> single-flight slot
+	sizes *configTable[int]
 
 	memo    *memoState
 	check   bool
@@ -108,30 +106,61 @@ func (e *CheckError) Error() string {
 
 func (e *CheckError) Unwrap() error { return e.Err }
 
-// sizeEntry is a single-flight slot of the whole-configuration cache.
-type sizeEntry struct {
-	done chan struct{}
-	size int
+// configTable is the single-flight whole-configuration cache: Compiler
+// keeps sizes in one, CyclePricer keeps cycles in another. Concurrent
+// requests for one configuration share one computation, which is what
+// makes evaluation counters schedule-independent.
+//
+// The key is Config.CacheKey, the raw bitset words. Retention matters as
+// much as speed here: the table holds one entry per configuration a search
+// or tuner ever priced, hundreds of thousands on big runs. So a finished
+// entry is just its value under a compact pointer-free key, and only an
+// in-flight computation carries a channel for its waiters.
+type configTable[V any] struct {
+	mu       sync.Mutex
+	done     map[string]V
+	inflight map[string]*flight[V]
 }
 
-// lookup finds or creates the single-flight slot for cfg. isNew reports
-// whether the caller owns the computation (and must close e.done).
-//
-// The key is Config.CacheKey — the raw bitset words, O(words) to build and
-// far denser than the canonical decimal Key the old cache sorted out per
-// call. Retention matters as much as speed here: the cache holds hundreds
-// of thousands of entries on big runs, and a compact pointer-free key per
-// entry keeps the live heap (and so every GC scan) small.
-func (c *Compiler) lookup(cfg *callgraph.Config) (e *sizeEntry, isNew bool) {
-	key := cfg.CacheKey()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.cache[key]; ok {
-		return e, false
+// flight is one in-flight computation; ready closes once val is set.
+type flight[V any] struct {
+	ready chan struct{}
+	val   V
+}
+
+func newConfigTable[V any]() *configTable[V] {
+	return &configTable[V]{done: make(map[string]V), inflight: make(map[string]*flight[V])}
+}
+
+// get returns cfg's value and whether the table served it (a finished
+// entry, or another caller's computation it waited for). On a miss it runs
+// compute, stores the result and wakes the waiters. A hit on a finished
+// entry does not allocate.
+func (t *configTable[V]) get(cfg *callgraph.Config, compute func() V) (V, bool) {
+	var buf [64]byte
+	key := cfg.AppendCacheKey(buf[:0])
+	t.mu.Lock()
+	if v, ok := t.done[string(key)]; ok {
+		t.mu.Unlock()
+		return v, true
 	}
-	e = &sizeEntry{done: make(chan struct{})}
-	c.cache[key] = e
-	return e, true
+	if f, ok := t.inflight[string(key)]; ok {
+		t.mu.Unlock()
+		<-f.ready
+		return f.val, true
+	}
+	k := string(key)
+	f := &flight[V]{ready: make(chan struct{})}
+	t.inflight[k] = f
+	t.mu.Unlock()
+
+	f.val = compute()
+	t.mu.Lock()
+	t.done[k] = f.val
+	delete(t.inflight, k)
+	t.mu.Unlock()
+	close(f.ready)
+	return f.val, false
 }
 
 // New prepares a compiler for the module. The module is cloned defensively;
@@ -154,7 +183,7 @@ func NewWithOptions(m *ir.Module, target codegen.Target, opts Options) *Compiler
 		graph:       g,
 		target:      target,
 		fingerprint: base.Fingerprint(),
-		cache:       make(map[string]*sizeEntry),
+		sizes:       newConfigTable[int](),
 		memo:        buildMemo(base, g),
 		fncache:     fc,
 		check:       opts.Check,
@@ -278,15 +307,11 @@ func (c *Compiler) Build(cfg *callgraph.Config) (*ir.Module, error) {
 // share one compilation (single-flight), so the evaluation counter counts
 // distinct configurations regardless of scheduling.
 func (c *Compiler) Size(cfg *callgraph.Config) int {
-	e, isNew := c.lookup(cfg)
-	if !isNew {
-		<-e.done
+	size, hit := c.sizes.get(cfg, func() int { return c.measure(cfg) })
+	if hit {
 		c.hits.Add(1)
-		return e.size
 	}
-	e.size = c.measure(cfg)
-	close(e.done)
-	return e.size
+	return size
 }
 
 func (c *Compiler) measure(cfg *callgraph.Config) int {

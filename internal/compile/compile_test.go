@@ -185,6 +185,12 @@ func TestSizeParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestConcurrentSizeIsSafe: many goroutines pricing overlapping
+// configurations stay race-free, and goroutines pricing one configuration
+// through every entry point of the shared whole-configuration table — Size,
+// SizeDelta, Rebase and Sized for sizes, Cycles and CyclesDelta for cycles —
+// compute it exactly once per table: the first arrival computes, the rest
+// wait for it or hit.
 func TestConcurrentSizeIsSafe(t *testing.T) {
 	c := newCompiler(t)
 	var wg sync.WaitGroup
@@ -204,6 +210,82 @@ func TestConcurrentSizeIsSafe(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+
+	c, p := newPricedCompiler(t)
+	clean := callgraph.NewConfig()
+	base := c.DeltaBase(clean) // priced outside the counted table
+	cbase := p.Priced(clean)   // one cycle repricing, before the race
+	toggles := []int{1, 3}
+	cfg := callgraph.NewConfigOf(toggles)
+	const n = 8
+	sizes := make([]int, 4*n)
+	cycles := make([]int64, 2*n)
+	start := make(chan struct{})
+	for g := 0; g < n; g++ {
+		wg.Add(6)
+		go func() { defer wg.Done(); <-start; sizes[g] = c.Size(cfg) }()
+		go func() { defer wg.Done(); <-start; sizes[n+g] = c.SizeDelta(base, toggles) }()
+		go func() { defer wg.Done(); <-start; sizes[2*n+g] = c.Rebase(base, toggles).Size() }()
+		go func() { defer wg.Done(); <-start; sizes[3*n+g] = c.Sized(cfg).Size() }()
+		go func() { defer wg.Done(); <-start; cycles[g] = p.Cycles(cfg) }()
+		go func() { defer wg.Done(); <-start; cycles[n+g] = p.CyclesDelta(cbase, toggles) }()
+	}
+	close(start)
+	wg.Wait()
+	if got := c.Evaluations(); got != 1 {
+		t.Errorf("%d size evaluations of one configuration, want 1", got)
+	}
+	if got := c.CacheHits(); got != 4*n-1 {
+		t.Errorf("%d size cache hits, want %d", got, 4*n-1)
+	}
+	if st := p.Stats(); st.Repricings != 2 || st.CacheHits != 2*n-1 {
+		t.Errorf("cycle pricer %+v: want 2 repricings (base and config) and %d hits", st, 2*n-1)
+	}
+	for _, s := range sizes {
+		if s != sizes[0] {
+			t.Fatalf("size entry points disagree: %v", sizes)
+		}
+	}
+	for _, cy := range cycles {
+		if cy != cycles[0] {
+			t.Fatalf("cycle entry points disagree: %v", cycles)
+		}
+	}
+}
+
+// TestConfigTableHitDoesNotAllocate: a finished whole-configuration entry
+// is served without allocating, for sizes and cycles alike.
+func TestConfigTableHitDoesNotAllocate(t *testing.T) {
+	c, p := newPricedCompiler(t)
+	cfg := callgraph.NewConfig().Set(2, true).Set(4, true)
+	c.Size(cfg)
+	p.Cycles(cfg)
+	if a := testing.AllocsPerRun(100, func() { c.Size(cfg) }); a != 0 {
+		t.Errorf("Size hit allocates %.1f times", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { p.Cycles(cfg) }); a != 0 {
+		t.Errorf("Cycles hit allocates %.1f times", a)
+	}
+}
+
+// newPricedCompiler returns newCompiler's compiler with a cycle pricer
+// profiled on main(5).
+func newPricedCompiler(t *testing.T) (*Compiler, *CyclePricer) {
+	t.Helper()
+	c := newCompiler(t)
+	built, err := c.Build(callgraph.NewConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, prof, err := interp.Collect(built, "main", []int64{5}, interp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.NewCyclePricer(prof, CycleOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, p
 }
 
 func TestNewAssignsSitesAndIsDefensive(t *testing.T) {

@@ -112,8 +112,7 @@ type CyclePricer struct {
 	hits        map[int]int64 // candidate site -> profiled frames
 	events      []cycEvent
 
-	mu    sync.Mutex
-	cache map[string]*cycEntry
+	cycles *configTable[int64]
 
 	costMu sync.Mutex
 	costs  map[FnKey]*costEntry
@@ -126,12 +125,6 @@ type CyclePricer struct {
 	replayEvents atomic.Int64
 	costHits     atomic.Int64
 	costMisses   atomic.Int64
-}
-
-// cycEntry is a single-flight slot of the per-configuration cycle cache.
-type cycEntry struct {
-	done   chan struct{}
-	cycles int64
 }
 
 // costEntry is a single-flight slot of the per-closure cost cache: the
@@ -160,7 +153,7 @@ func (c *Compiler) NewCyclePricer(p *interp.Profile, opts CycleOptions) (*CycleP
 		cacheBytes:  cacheBytes,
 		entriesBase: []int64(nil),
 		hits:        map[int]int64{},
-		cache:       map[string]*cycEntry{},
+		cycles:      newConfigTable[int64](),
 		costs:       map[FnKey]*costEntry{},
 	}
 	cp.simPool.New = func() any { return interp.NewCacheSim(cacheBytes) }
@@ -349,19 +342,16 @@ func (h *Cycled) Config() *callgraph.Config { return h.cfg.Clone() }
 // Cycles prices one configuration, compiling at most once per canonical
 // configuration (single-flight, like Compiler.Size).
 func (p *CyclePricer) Cycles(cfg *callgraph.Config) int64 {
-	e, isNew := p.lookup(cfg)
-	if !isNew {
-		<-e.done
+	cycles, hit := p.cycles.get(cfg, func() int64 {
+		if p.c.check {
+			return p.fullCycles(cfg)
+		}
+		return p.pricedMiss(cfg).total
+	})
+	if hit {
 		p.cacheHits.Add(1)
-		return e.cycles
 	}
-	if p.c.check {
-		e.cycles = p.fullCycles(cfg)
-	} else {
-		e.cycles = p.pricedMiss(cfg).total
-	}
-	close(e.done)
-	return e.cycles
+	return cycles
 }
 
 // Priced evaluates cfg and returns the handle the delta calls start from.
@@ -369,31 +359,19 @@ func (p *CyclePricer) Priced(cfg *callgraph.Config) *Cycled {
 	if p.c.check {
 		return &Cycled{cfg: cfg.Clone(), total: p.Cycles(cfg), full: true}
 	}
-	e, isNew := p.lookup(cfg)
-	if !isNew {
-		<-e.done
-		p.cacheHits.Add(1)
-		if e.cycles == InfCycles {
-			return &Cycled{cfg: cfg.Clone(), total: InfCycles, full: true}
-		}
-		return p.contribCycled(cfg) // cost cache resident: a walk, not a compile
+	var h *Cycled
+	cycles, hit := p.cycles.get(cfg, func() int64 {
+		h = p.pricedMiss(cfg)
+		return h.total
+	})
+	if !hit {
+		return h
 	}
-	h := p.pricedMiss(cfg)
-	e.cycles = h.total
-	close(e.done)
-	return h
-}
-
-func (p *CyclePricer) lookup(cfg *callgraph.Config) (e *cycEntry, isNew bool) {
-	key := cfg.CacheKey()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if e, ok := p.cache[key]; ok {
-		return e, false
+	p.cacheHits.Add(1)
+	if cycles == InfCycles {
+		return &Cycled{cfg: cfg.Clone(), total: InfCycles, full: true}
 	}
-	e = &cycEntry{done: make(chan struct{})}
-	p.cache[key] = e
-	return e, true
+	return p.contribCycled(cfg) // cost cache resident: a walk, not a compile
 }
 
 // pricedMiss prices cfg from scratch on the incremental path, recording
@@ -480,15 +458,11 @@ func (p *CyclePricer) CyclesDelta(base *Cycled, toggles []int) int64 {
 	if base.full || p.c.check {
 		return p.Cycles(cfg)
 	}
-	e, isNew := p.lookup(cfg)
-	if !isNew {
-		<-e.done
+	cycles, hit := p.cycles.get(cfg, func() int64 { return p.measureCycleDelta(base, cfg, toggles, nil) })
+	if hit {
 		p.cacheHits.Add(1)
-		return e.cycles
 	}
-	e.cycles = p.measureCycleDelta(base, cfg, toggles, nil)
-	close(e.done)
-	return e.cycles
+	return cycles
 }
 
 // CyclesDeltaParallel prices many toggle sets against the same base
@@ -540,21 +514,17 @@ func (p *CyclePricer) Rebase(base *Cycled, toggles []int) *Cycled {
 		perEnt:  append([]int64(nil), base.perEnt...),
 		sizes:   append([]int32(nil), base.sizes...),
 	}
-	e, isNew := p.lookup(cfg)
-	if isNew {
-		e.cycles = p.measureCycleDelta(base, cfg, toggles, h)
-		close(e.done)
-	} else {
-		<-e.done
+	cycles, hit := p.cycles.get(cfg, func() int64 { return p.measureCycleDelta(base, cfg, toggles, h) })
+	if hit {
 		p.cacheHits.Add(1)
-		if e.cycles != InfCycles {
+		if cycles != InfCycles {
 			p.applyCycleDelta(base, cfg, toggles, h)
 		}
 	}
-	if e.cycles == InfCycles {
+	if cycles == InfCycles {
 		return &Cycled{cfg: cfg, total: InfCycles, full: true}
 	}
-	h.total = e.cycles
+	h.total = cycles
 	return h
 }
 

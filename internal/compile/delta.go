@@ -75,15 +75,15 @@ func (c *Compiler) Sized(cfg *callgraph.Config) *Sized {
 	if c.check {
 		return &Sized{cfg: cfg.Clone(), total: c.Size(cfg), full: true}
 	}
-	e, isNew := c.lookup(cfg)
-	if !isNew {
-		<-e.done
+	var h *Sized
+	size, hit := c.sizes.get(cfg, func() int {
+		h = c.newHandle(cfg)
+		return h.total
+	})
+	if hit {
 		c.hits.Add(1)
-		return c.handleFor(cfg, e.size)
+		return c.handleFor(cfg, size)
 	}
-	h := c.newHandle(cfg)
-	e.size = h.total
-	close(e.done)
 	return h
 }
 
@@ -108,15 +108,11 @@ func (c *Compiler) SizeDelta(base *Sized, toggles []int) int {
 	if base.full || c.check {
 		return c.Size(cfg)
 	}
-	e, isNew := c.lookup(cfg)
-	if !isNew {
-		<-e.done
+	size, hit := c.sizes.get(cfg, func() int { return c.measureDelta(base, cfg, toggles, nil) })
+	if hit {
 		c.hits.Add(1)
-		return e.size
 	}
-	e.size = c.measureDelta(base, cfg, toggles, nil)
-	close(e.done)
-	return e.size
+	return size
 }
 
 // SizeDeltaParallel prices many toggle sets against the same base
@@ -165,21 +161,17 @@ func (c *Compiler) Rebase(base *Sized, toggles []int) *Sized {
 	}
 	contrib := make([]int, len(base.contrib))
 	copy(contrib, base.contrib)
-	e, isNew := c.lookup(cfg)
-	if isNew {
-		e.size = c.measureDelta(base, cfg, toggles, contrib)
-		close(e.done)
-	} else {
-		<-e.done
+	size, hit := c.sizes.get(cfg, func() int { return c.measureDelta(base, cfg, toggles, contrib) })
+	if hit {
 		c.hits.Add(1)
-		if e.size != InfSize {
+		if size != InfSize {
 			c.applyDelta(base, cfg, toggles, contrib)
 		}
 	}
-	if e.size == InfSize {
+	if size == InfSize {
 		return &Sized{cfg: cfg, total: InfSize, full: true}
 	}
-	return &Sized{cfg: cfg, total: e.size, contrib: contrib}
+	return &Sized{cfg: cfg, total: size, contrib: contrib}
 }
 
 // measureDelta is the miss path of SizeDelta/Rebase: it mirrors measure()'s
@@ -200,16 +192,9 @@ func (c *Compiler) measureDelta(base *Sized, cfg *callgraph.Config, toggles []in
 // compile). When contrib is non-nil (a copy of base's contributions) the
 // dirty entries are updated in place.
 func (c *Compiler) applyDelta(base *Sized, cfg *callgraph.Config, toggles []int, contrib []int) int {
-	dirty := c.memo.dirty(toggles)
-	c.deltaDirty.Add(int64(len(dirty)))
-	return c.applyDirty(base, cfg, dirty, contrib)
-}
-
-// applyDirty reprices the given dirty functions under cfg against base's
-// contributions. Shared by the counted delta path above and the uncounted
-// bound bookkeeping in prune.go.
-func (c *Compiler) applyDirty(base *Sized, cfg *callgraph.Config, dirty []int32, contrib []int) int {
 	ms := c.memo
+	dirty := ms.dirty(toggles)
+	c.deltaDirty.Add(int64(len(dirty)))
 	total := base.total
 	for _, i := range dirty {
 		fi := ms.funcs[i]

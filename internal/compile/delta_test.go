@@ -146,8 +146,7 @@ func TestDeltaCounterParity(t *testing.T) {
 }
 
 // TestDeltaDisabledFallsBack: in checked mode the delta API must
-// transparently become the classic whole-configuration path, and the
-// pruning bookkeeping must be unavailable.
+// transparently become the classic whole-configuration path.
 func TestDeltaDisabledFallsBack(t *testing.T) {
 	f := memoCorpus(t)[0]
 	c := NewWithOptions(f.Module, codegen.TargetX86, Options{Check: true})
@@ -158,9 +157,6 @@ func TestDeltaDisabledFallsBack(t *testing.T) {
 		t.Fatal("DeltaBase returned a handle")
 	}
 	base := c.Sized(callgraph.NewConfig())
-	if base.HasContrib() || c.RebaseContrib(base, []int{s}) != nil {
-		t.Fatal("checked handle carries contributions")
-	}
 	if got, want := c.SizeDelta(base, []int{s}), ref.Size(probe); got != want {
 		t.Fatalf("fallback SizeDelta %d != Size %d", got, want)
 	}

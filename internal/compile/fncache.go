@@ -116,30 +116,20 @@ const defaultFsyncEvery = 64
 // ignorable.
 type FnKey struct{ Hi, Lo uint64 }
 
-// fnEntry is a single-flight slot. Entries loaded from disk are born ready
-// (done == nil); computed entries are ready once done is closed. failed
-// marks an entry whose compute panicked and was withdrawn from the map;
-// waiters seeing it retry instead of reading a bogus size. elem is the
-// entry's node in the cache's LRU list (nil while in flight: in-flight
-// entries are pinned and cannot be evicted).
+// fnEntry is a single-flight slot, ready once done is nil. Entries loaded
+// from disk are born ready; a computed entry carries done only while in
+// flight, and the finisher drops it (under mu) before closing it, so the
+// cache's many finished entries hold no channel. failed marks an entry
+// whose compute panicked and was withdrawn from the map; waiters seeing it
+// retry instead of reading a bogus size. elem is the entry's node in the
+// cache's LRU list (nil while in flight: in-flight entries are pinned and
+// cannot be evicted).
 type fnEntry struct {
 	done     chan struct{}
 	size     int
 	fromDisk bool
 	failed   bool
 	elem     *list.Element
-}
-
-func (e *fnEntry) ready() bool {
-	if e.done == nil {
-		return true
-	}
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
 }
 
 // FnCacheStats reports the content cache's counters.
@@ -478,9 +468,10 @@ func (fc *FnCache) sizeOf(key FnKey, hits, misses *atomic.Int64, compute func() 
 			if e.elem != nil {
 				fc.lru.MoveToBack(e.elem)
 			}
+			done := e.done
 			fc.mu.Unlock()
-			if e.done != nil {
-				<-e.done
+			if done != nil {
+				<-done
 			}
 			if e.failed {
 				continue // compute panicked and was withdrawn; retry
@@ -530,8 +521,10 @@ func (fc *FnCache) sizeOf(key FnKey, hits, misses *atomic.Int64, compute func() 
 		// taken) withdraws entries. Link it into the LRU as most recent.
 		e.elem = fc.lru.PushBack(key)
 		fc.evictOverflowLocked()
+		done := e.done
+		e.done = nil
 		fc.mu.Unlock()
-		close(e.done)
+		close(done)
 		return e.size
 	}
 }
@@ -616,7 +609,7 @@ func (fc *FnCache) Compact() error {
 	fc.mu.Lock()
 	snapshot := make([]kv, 0, len(fc.entries))
 	for k, e := range fc.entries {
-		if e.ready() && !e.failed {
+		if e.done == nil {
 			snapshot = append(snapshot, kv{k, e.size})
 		}
 	}

@@ -15,15 +15,7 @@ func snapshotSizes(fc *FnCache) map[FnKey]int {
 	defer fc.mu.Unlock()
 	out := make(map[FnKey]int, len(fc.entries))
 	for k, e := range fc.entries {
-		ready := e.done == nil // disk-loaded entries never had a done channel
-		if !ready {
-			select {
-			case <-e.done:
-				ready = true
-			default:
-			}
-		}
-		if ready && !e.failed {
+		if e.done == nil && !e.failed {
 			out[k] = e.size
 		}
 	}

@@ -497,6 +497,16 @@ func TestFnCachePanicDoesNotWedge(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("waiter never released after panicked compute")
 	}
+
+	// The recomputed entries finish like any other: ready, holding no
+	// channel.
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	for _, k := range []FnKey{key, key2} {
+		if e := fc.entries[k]; e == nil || e.done != nil {
+			t.Errorf("entry %v after recompute: %+v, want finished without a channel", k, e)
+		}
+	}
 }
 
 // TestFnCacheKeyTargetSensitive: the same module measured for two targets

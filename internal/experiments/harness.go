@@ -35,9 +35,9 @@ type Config struct {
 	// Checked runs every compiler the experiments build in checked
 	// compilation mode (compile.Options.Check): the reference evaluator,
 	// with invariants verified after every inline step and opt pass, no
-	// per-function memo, delta engines or search pruning, and linked
-	// modules solved on one merged compiler. Much slower; output must be
-	// byte-identical to the default run (inlinebench -check).
+	// per-function memo or delta engines, and linked modules solved on one
+	// merged compiler. Much slower; output must be byte-identical to the
+	// default run (inlinebench -check).
 	Checked bool
 	// FnCache, when non-nil, is the content-addressed cache shared by every
 	// compiler in the corpus — typically compile.OpenFnCache(dir) so sizes
@@ -284,19 +284,6 @@ func (h *Harness) DeltaStats() stats.DeltaStats {
 	var total stats.DeltaStats
 	for _, fd := range h.files {
 		total = total.Add(fd.comp.DeltaStats())
-	}
-	return total
-}
-
-// PruneStats aggregates the search branch-and-bound counters over every
-// file whose optimal search has run. Files never searched (space over the
-// cap, or the experiment set did not touch them) contribute nothing.
-func (h *Harness) PruneStats() search.PruneStats {
-	var total search.PruneStats
-	for _, fd := range h.files {
-		if fd.optOK {
-			total = total.Add(fd.opt.Prune)
-		}
 	}
 	return total
 }

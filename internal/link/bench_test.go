@@ -30,7 +30,7 @@ func benchLinker(b *testing.B, profile string) *Linker {
 // the linked-s mega-module two ways: per-component shards (each component
 // gets its own compiler and the results merge) versus search.Optimal on one
 // compiler over the materialized merged module (components still solved
-// independently but against the whole-module pruning engine). Results are
+// independently, but every evaluation prices the whole module). Results are
 // identical by test; this measures the wall-clock and cache-pressure
 // difference. On a 1-CPU host the sharded win is locality (smaller modules
 // to clone and compile), not parallelism.

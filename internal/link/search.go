@@ -83,7 +83,6 @@ type SearchResult struct {
 	// Diagnostics (mode- and schedule-dependent; the CLIs print them on
 	// stderr, never on the byte-diffed stdout).
 	Evaluations int64
-	Prune       search.PruneStats
 	ConfigCache stats.CacheStats
 	FuncCache   stats.CacheStats
 }
@@ -146,7 +145,6 @@ type compOut struct {
 	size      int
 	emptySize int
 	evals     int64
-	prune     search.PruneStats
 	cc, fc    stats.CacheStats
 }
 
@@ -174,7 +172,6 @@ func (l *Linker) solveComponent(ci int, opts SearchOptions) (compOut, error) {
 		size:      sres.Size,
 		emptySize: emptySize,
 		evals:     c.Evaluations(),
-		prune:     sres.Prune,
 		cc:        c.ConfigCacheStats(),
 		fc:        c.FuncCacheStats(),
 	}, nil
@@ -210,7 +207,6 @@ func (l *Linker) searchSharded(opts SearchOptions, res *SearchResult) error {
 		res.NoInlineSize += o.emptySize
 		res.Size += o.size
 		res.Evaluations += o.evals
-		res.Prune = res.Prune.Add(o.prune)
 		res.ConfigCache = res.ConfigCache.Add(o.cc)
 		res.FuncCache = res.FuncCache.Add(o.fc)
 		res.Components[ci].Inlined = o.cfg.InlineCount()
@@ -222,13 +218,10 @@ func (l *Linker) searchSharded(opts SearchOptions, res *SearchResult) error {
 
 // searchMerged is the reference path: one compiler over the fully linked
 // module, each component solved in place by OptimalCompletion over the
-// merged graph's own component subgraphs. Those subgraphs must be taken
-// from the merged compiler's graph — not the plan's compacted
-// multigraphs — because the pruning engine resolves edge endpoints
-// against whole-module function indices; a compacted graph would point
-// its bounds at the wrong functions. The subgraphs are node-order-
-// isomorphic to the component sub-modules' graphs and carry the same
-// site IDs, so partition-edge decisions and leaf configurations match
+// merged graph's own component subgraphs, taken from the merged compiler's
+// graph so that the reference path shares nothing with the plan. They are
+// node-order-isomorphic to the component sub-modules' graphs and carry the
+// same site IDs, so partition-edge decisions and leaf configurations match
 // the sharded path exactly (TestPlanMatchesMaterializedGraph pins the
 // per-index correspondence).
 func (l *Linker) searchMerged(opts SearchOptions, res *SearchResult) error {

@@ -28,8 +28,8 @@ func linkedS(t *testing.T) *Linker {
 // tinyLinker builds a linker over a test-only profile sized so the checked
 // reference search stays cheap even under the race detector,
 // while keeping everything the differentials need: colliding file-local
-// names, cross-TU calls, several non-trivial components, and component
-// clusters big enough for the pruning engine's bound to matter.
+// names, cross-TU calls, and several non-trivial components that span
+// units.
 func tinyLinker(t *testing.T) *Linker {
 	t.Helper()
 	lp := workload.LinkedProfile{
@@ -122,8 +122,7 @@ func TestOptimalSearchShardedMatchesNoShard(t *testing.T) {
 }
 
 // TestOptimalSearchShardedMatchesNoShardLinkedS repeats the comparison at
-// full linked-s scale (456k-evaluation total space — the size class where
-// the compacted-graph pruning bug actually showed) against a direct
+// full linked-s scale (456k-evaluation total space) against a direct
 // whole-module search of the merged module; the checked reference is far
 // too slow here. Too slow under the race detector as well; the
 // tiny-profile test covers those builds.

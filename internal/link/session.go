@@ -244,8 +244,8 @@ func sameStringSet(a, b []string) bool {
 // Search answers an optimal search over the current unit set, re-solving
 // only components absent from the result cache. Results — sizes, per-site
 // configuration, per-component stats, the capped abort — are byte-identical
-// to a cold Linker.OptimalSearch over the same units; Evaluations, Prune,
-// and the cache counters cover live solves only (replays evaluate
+// to a cold Linker.OptimalSearch over the same units; Evaluations and the
+// cache counters cover live solves only (replays evaluate
 // nothing). A checked query (Compile.Check) is answered by exactly that
 // cold search — a fresh link of the current units on the merged reference
 // path — and replays nothing.
@@ -311,7 +311,6 @@ func (s *Session) Search(opts SearchOptions) (SearchResult, RelinkInfo, bool, er
 		res.Components[ci].SizeDelta = o.size - o.emptySize
 		if lo := live[ci]; lo != nil {
 			res.Evaluations += lo.evals
-			res.Prune = res.Prune.Add(lo.prune)
 			res.ConfigCache = res.ConfigCache.Add(lo.cc)
 			res.FuncCache = res.FuncCache.Add(lo.fc)
 			info.ComponentsSolved++

@@ -1,6 +1,7 @@
 package link
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -94,11 +95,16 @@ type fnShape struct {
 // shared through the function-level content map: Function.Fingerprint
 // streams callee and global names along with the opcode structure, so equal
 // fingerprints imply equal shapes.
+//
+// The cache outlives the modules it summarizes, and a parsed module's names
+// are substrings of its source text, so every name the summary keeps is
+// cloned: otherwise each summary would pin the whole source of every unit
+// version the process has seen.
 func (c *SummaryCache) build(m *ir.Module, key uint64) *tuSummary {
 	s := &tuSummary{
-		modName: m.Name,
+		modName: strings.Clone(m.Name),
 		fp:      key,
-		globals: append([]string(nil), m.Globals...),
+		globals: cloneAll(m.Globals),
 		funcs:   make([]fnSummary, 0, len(m.Funcs)),
 		byName:  make(map[string]int, len(m.Funcs)),
 	}
@@ -113,9 +119,10 @@ func (c *SummaryCache) build(m *ir.Module, key uint64) *tuSummary {
 			c.fns[ffp] = shape
 			c.mu.Unlock()
 		}
-		s.byName[f.Name] = len(s.funcs)
+		name := strings.Clone(f.Name)
+		s.byName[name] = len(s.funcs)
 		s.funcs = append(s.funcs, fnSummary{
-			name:     f.Name,
+			name:     name,
 			exported: f.Exported,
 			fp:       ffp,
 			calls:    shape.calls,
@@ -142,5 +149,15 @@ func walkFunc(f *ir.Function) (calls, globals []string) {
 			}
 		}
 	}
-	return calls, globals
+	return cloneAll(calls), cloneAll(globals)
+}
+
+// cloneAll returns a copy of names whose strings share no memory with the
+// originals.
+func cloneAll(names []string) []string {
+	out := make([]string, len(names))
+	for i, n := range names {
+		out[i] = strings.Clone(n)
+	}
+	return out
 }

@@ -36,31 +36,5 @@ func SelectLowestID(mg *graph.Multigraph) graph.Edge {
 // partition-edge selector, for ablating the paper's heuristic. Semantics
 // match RecursiveSpaceSize.
 func SpaceSizeWith(g interface{ Undirected() *graph.Multigraph }, limit uint64, sel Selector) (uint64, bool) {
-	return countSpaceSel(g.Undirected(), limit, sel)
-}
-
-func countSpaceSel(mg *graph.Multigraph, limit uint64, sel Selector) (uint64, bool) {
-	if len(mg.Edges) == 0 {
-		return 1, false
-	}
-	subs := edgeComponents(mg)
-	if len(subs) > 1 {
-		total := uint64(1)
-		for _, sub := range subs {
-			n, capped := countSpaceSel(sub, limit, sel)
-			total += n
-			if capped || (limit > 0 && total > limit) {
-				return total, true
-			}
-		}
-		return total, false
-	}
-	e := sel(mg)
-	n1, c1 := countSpaceSel(mg.RemoveEdge(e.ID), limit, sel)
-	if c1 || (limit > 0 && n1 > limit) {
-		return n1, true
-	}
-	n2, c2 := countSpaceSel(mg.ContractEdge(e.ID), limit, sel)
-	total := n1 + n2
-	return total, c2 || (limit > 0 && total > limit)
+	return countSpace(g.Undirected(), limit, sel)
 }

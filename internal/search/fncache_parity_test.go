@@ -11,8 +11,8 @@ import (
 // TestOptimalFnCacheMatchesNoFnCache: the search over the content-addressed
 // function cache must match checked compilation mode — which compiles every
 // configuration fresh, with no function cache — bit for bit in optimal size,
-// configuration key, and space size, and must keep the search's
-// evaluation counter independent of a cache shared with another compiler.
+// configuration key, space size, and evaluation count, whether or not the
+// cache is shared with (and warmed by) another compiler.
 func TestOptimalFnCacheMatchesNoFnCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	trials, hits := 0, int64(0)
@@ -36,7 +36,7 @@ func TestOptimalFnCacheMatchesNoFnCache(t *testing.T) {
 		if ok1 != ok2 || ok1 != ok3 {
 			t.Fatalf("trial %d: ok diverges: %v / %v / %v", trials, ok1, ok2, ok3)
 		}
-		if rc.Size != rl.Size || rc.Size != rk.Size || rc.SpaceSize != rl.SpaceSize {
+		if rc.Size != rl.Size || rc.Size != rk.Size || rc.SpaceSize != rl.SpaceSize || rc.SpaceSize != rk.SpaceSize {
 			t.Fatalf("trial %d: fncache %d / warm %d / checked %d (spaces %d vs %d)\nmodule:\n%s",
 				trials, rc.Size, rl.Size, rk.Size, rc.SpaceSize, rl.SpaceSize, m.String())
 		}
@@ -44,9 +44,9 @@ func TestOptimalFnCacheMatchesNoFnCache(t *testing.T) {
 			t.Fatalf("trial %d: optimal config keys diverge: %q / %q / %q",
 				trials, rc.Config.Key(), rl.Config.Key(), rk.Config.Key())
 		}
-		if rc.Evaluations != rl.Evaluations {
-			t.Fatalf("trial %d: evaluation counters diverge: cold %d vs warm %d",
-				trials, rc.Evaluations, rl.Evaluations)
+		if rc.Evaluations != rl.Evaluations || rc.Evaluations != rk.Evaluations {
+			t.Fatalf("trial %d: evaluation counters diverge: cold %d / warm %d / checked %d",
+				trials, rc.Evaluations, rl.Evaluations, rk.Evaluations)
 		}
 		hits += cached.FnCache().Stats().Hits
 	}

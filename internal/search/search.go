@@ -18,6 +18,7 @@
 package search
 
 import (
+	"encoding/binary"
 	"math"
 	"math/big"
 	"runtime"
@@ -70,8 +71,7 @@ func ComponentSpaceSize(g *callgraph.Graph) *big.Int {
 // whether the limit was hit (the returned count is then a lower bound >
 // limit).
 func RecursiveSpaceSize(g *callgraph.Graph, limit uint64) (uint64, bool) {
-	mg := g.Undirected()
-	return countSpace(mg, limit)
+	return countSpace(g.Undirected(), limit, SelectPartitionEdge)
 }
 
 // RecursiveSpaceLog2 is a convenience: log2 of the (possibly capped) count.
@@ -87,33 +87,75 @@ func RecursiveSpaceLog2(g *callgraph.Graph, limit uint64) (float64, bool) {
 // component from ComponentSubgraphs): the number of tree evaluations an
 // OptimalCompletion over it costs.
 func SubspaceSize(mg *graph.Multigraph, limit uint64) (uint64, bool) {
-	return countSpace(mg, limit)
+	return countSpace(mg, limit, SelectPartitionEdge)
 }
 
-func countSpace(mg *graph.Multigraph, limit uint64) (uint64, bool) {
+// countSpace counts the inlining tree rooted at mg under the partition-edge
+// selector sel, without building it. The same subgraph recurs all over the
+// tree — a component that neither removing nor contracting a partition
+// edge touches appears under both branches — so exact counts are memoized
+// for the duration of one call, keyed by the subgraph's edge list (every
+// subgraph of one call shares mg's node numbering). Only counts that stayed
+// under limit are stored: a capped count is a lower bound that depends on
+// the order the recursion summed it in, while an uncapped count is the
+// subtree's exact size, which the plain recursion would also return
+// uncapped wherever the subgraph recurs.
+func countSpace(mg *graph.Multigraph, limit uint64, sel Selector) (uint64, bool) {
+	sc := spaceCounter{limit: limit, sel: sel, memo: make(map[string]uint64)}
+	return sc.count(mg)
+}
+
+type spaceCounter struct {
+	limit uint64
+	sel   Selector
+	memo  map[string]uint64 // edge-list key -> exact subtree count
+	buf   []byte            // key scratch; lookups convert without allocating
+}
+
+func (sc *spaceCounter) over(n uint64) bool { return sc.limit > 0 && n > sc.limit }
+
+func (sc *spaceCounter) count(mg *graph.Multigraph) (uint64, bool) {
 	if len(mg.Edges) == 0 {
 		return 1, false
 	}
-	subs := edgeComponents(mg)
-	if len(subs) > 1 {
+	sc.buf = sc.buf[:0]
+	for _, e := range mg.Edges {
+		sc.buf = binary.AppendUvarint(sc.buf, uint64(e.ID))
+		sc.buf = binary.AppendUvarint(sc.buf, uint64(e.U))
+		sc.buf = binary.AppendUvarint(sc.buf, uint64(e.V))
+	}
+	if n, ok := sc.memo[string(sc.buf)]; ok {
+		return n, false
+	}
+	key := string(sc.buf)
+	n, capped := sc.split(mg)
+	if !capped {
+		sc.memo[key] = n
+	}
+	return n, capped
+}
+
+// split is one step of the plain recursion, recursing through count.
+func (sc *spaceCounter) split(mg *graph.Multigraph) (uint64, bool) {
+	if subs := edgeComponents(mg); len(subs) > 1 {
 		total := uint64(1) // the combining evaluation of the components node
 		for _, sub := range subs {
-			n, capped := countSpace(sub, limit)
+			n, capped := sc.count(sub)
 			total += n
-			if capped || (limit > 0 && total > limit) {
+			if capped || sc.over(total) {
 				return total, true
 			}
 		}
 		return total, false
 	}
-	e := SelectPartitionEdge(mg)
-	n1, c1 := countSpace(mg.RemoveEdge(e.ID), limit)
-	if c1 || (limit > 0 && n1 > limit) {
+	e := sc.sel(mg)
+	n1, c1 := sc.count(mg.RemoveEdge(e.ID))
+	if c1 || sc.over(n1) {
 		return n1, true
 	}
-	n2, c2 := countSpace(mg.ContractEdge(e.ID), limit)
+	n2, c2 := sc.count(mg.ContractEdge(e.ID))
 	total := n1 + n2
-	return total, c2 || (limit > 0 && total > limit)
+	return total, c2 || sc.over(total)
 }
 
 // edgeComponents splits the multigraph into one subgraph per connected
@@ -223,7 +265,6 @@ type Result struct {
 	Size        int               // its .text size
 	SpaceSize   uint64            // evaluations in the full recursive space
 	Evaluations int64             // actual (uncached) compilations
-	Prune       PruneStats        // branch-and-bound layer counters
 }
 
 // Options configures Optimal.
@@ -231,38 +272,32 @@ type Options struct {
 	// Workers bounds the worker pool for concurrent subtree evaluations:
 	// 0 selects GOMAXPROCS, negative forces the sequential recursion, and
 	// any positive value is used as given. Results are bit-identical across
-	// worker counts: sibling subtrees are merged in deterministic order,
-	// the compile caches and the component memo are single-flight, and
-	// pruning decisions are functions of the subproblem rather than of the
-	// schedule, so even evaluation counters do not depend on scheduling.
+	// worker counts: sibling subtrees are merged in deterministic order and
+	// the compile caches are single-flight, so even evaluation counters do
+	// not depend on scheduling.
 	Workers int
 	// MaxSpace aborts the search (returns ok=false) if the recursive space
-	// exceeds this many evaluations. 0 means no bound. The bound is on the
-	// full tree: pruning changes how much of it is visited, not its size.
+	// exceeds this many evaluations. 0 means no bound.
 	MaxSpace uint64
 }
 
 // Optimal searches the recursively partitioned space and returns an optimal
 // configuration for the compiler's module and target. ok is false when
-// MaxSpace is exceeded. The search is exact; a branch-and-bound layer (see
-// prune.go) skips subtrees that provably cannot improve on a sibling and
-// memoizes repeated component subproblems. A checked compiler cannot price
-// the bounds, so on one the search runs the exhaustive recursion — the
-// reference the pruned search is compared against.
+// MaxSpace is exceeded. The search is exhaustive over the recursive space:
+// it evaluates every leaf and components node of the inlining tree, on a
+// checked compiler and a default one alike.
 func Optimal(c *compile.Compiler, opts Options) (Result, bool) {
 	g := c.Graph()
 	space, capped := RecursiveSpaceSize(g, opts.MaxSpace)
 	if opts.MaxSpace > 0 && (capped || space > opts.MaxSpace) {
 		return Result{SpaceSize: space}, false
 	}
-	ev := newEvaluator(c, opts)
-	cfg, size := ev.eval(g.Undirected(), callgraph.NewConfig(), ev.base)
+	cfg, size := newEvaluator(c, opts).eval(g.Undirected(), callgraph.NewConfig())
 	return Result{
 		Config:      cfg,
 		Size:        size,
 		SpaceSize:   space,
 		Evaluations: c.Evaluations(),
-		Prune:       ev.pruneStats(),
 	}, true
 }
 
@@ -274,10 +309,7 @@ func Optimal(c *compile.Compiler, opts Options) (Result, bool) {
 // independence theorem), so re-solving one component under a tuned context
 // yields the true component optimum given the rest.
 func OptimalCompletion(c *compile.Compiler, mg *graph.Multigraph, decided *callgraph.Config, opts Options) (*callgraph.Config, int) {
-	ev := newEvaluator(c, opts)
-	// Rebase the pruning handle onto the caller's decided prefix; the
-	// clean-slate handle only anchors searches from the root.
-	return ev.eval(mg, decided.Clone(), c.RebaseContrib(ev.base, decided.InlineSites()))
+	return newEvaluator(c, opts).eval(mg, decided.Clone())
 }
 
 // ComponentSubgraphs returns the edge-bearing connected components of the
@@ -294,11 +326,8 @@ type evaluator struct {
 	c      *compile.Compiler
 	base   *compile.Sized // clean-slate handle; nil disables delta pricing
 	tokens chan struct{}  // nil means sequential
-	eng    *engine        // branch-and-bound state; nil disables pruning
 }
 
-// newEvaluator wires the delta pricing base and the branch-and-bound
-// engine; both are off on a checked compiler.
 func newEvaluator(c *compile.Compiler, opts Options) *evaluator {
 	workers := opts.Workers
 	if workers == 0 {
@@ -312,22 +341,12 @@ func newEvaluator(c *compile.Compiler, opts Options) *evaluator {
 	// path. Both paths are byte-identical, including evaluation counters —
 	// the handle itself is built outside the config cache, so the clean
 	// slate is still "evaluated" at the first leaf that requests it,
-	// exactly as before. The same handle prices the pruning bounds.
+	// exactly as before.
 	ev := &evaluator{c: c, base: c.DeltaBase(callgraph.NewConfig())}
 	if workers > 1 {
 		ev.tokens = make(chan struct{}, workers)
 	}
-	if ev.base.HasContrib() {
-		ev.eng = newEngine(c.Graph())
-	}
 	return ev
-}
-
-func (ev *evaluator) pruneStats() PruneStats {
-	if ev.eng == nil {
-		return PruneStats{}
-	}
-	return ev.eng.stats()
 }
 
 // sizeOf prices a fully-merged (partial) configuration: incrementally
@@ -342,10 +361,8 @@ func (ev *evaluator) sizeOf(cfg *callgraph.Config) int {
 
 // eval is Algorithm 1 fused with Algorithm 2: it lazily builds and
 // evaluates the inlining tree rooted at the given graph state.
-// decided holds the labels assigned on the path from the root; h is the
-// contribution handle pricing decided (nil when pruning is off or the
-// prefix stopped compiling, in which case the subtree runs exhaustively).
-func (ev *evaluator) eval(mg *graph.Multigraph, decided *callgraph.Config, h *compile.Sized) (*callgraph.Config, int) {
+// decided holds the labels assigned on the path from the root.
+func (ev *evaluator) eval(mg *graph.Multigraph, decided *callgraph.Config) (*callgraph.Config, int) {
 	if len(mg.Edges) == 0 {
 		// InliningTreeLeaf: a fully labeled (partial w.r.t. siblings)
 		// configuration; evaluate it.
@@ -354,13 +371,11 @@ func (ev *evaluator) eval(mg *graph.Multigraph, decided *callgraph.Config, h *co
 	}
 	if subs := edgeComponents(mg); len(subs) > 1 {
 		// InliningTreeComponentsNode: independent components explored
-		// independently, then combined with one extra evaluation. The
-		// decided prefix — and with it the handle — is the same in every
-		// child.
+		// independently, then combined with one extra evaluation.
 		combined := decided.Clone()
 		results := make([]*callgraph.Config, len(subs))
 		ev.parallelEach(len(subs), func(i int) {
-			sub, _ := ev.eval(subs[i], decided, h)
+			sub, _ := ev.eval(subs[i], decided)
 			results[i] = sub
 		})
 		for _, sub := range results {
@@ -368,19 +383,15 @@ func (ev *evaluator) eval(mg *graph.Multigraph, decided *callgraph.Config, h *co
 		}
 		return combined, ev.sizeOf(combined)
 	}
-	if ev.eng != nil && h.HasContrib() {
-		// Single component with a priced prefix: memoized branch-and-bound.
-		return ev.evalComponent(mg, decided, h)
-	}
 	// InliningTreeBinaryNode: label the partition edge both ways.
 	e := SelectPartitionEdge(mg)
 	var cfg1, cfg2 *callgraph.Config
 	var size1, size2 int
 	ev.parallelEach(2, func(i int) {
 		if i == 0 {
-			cfg1, size1 = ev.eval(mg.RemoveEdge(e.ID), decided, nil)
+			cfg1, size1 = ev.eval(mg.RemoveEdge(e.ID), decided)
 		} else {
-			cfg2, size2 = ev.eval(mg.ContractEdge(e.ID), decided.Clone().Set(e.ID, true), nil)
+			cfg2, size2 = ev.eval(mg.ContractEdge(e.ID), decided.Clone().Set(e.ID, true))
 		}
 	})
 	if size1 <= size2 {
@@ -396,11 +407,8 @@ func (ev *evaluator) eval(mg *graph.Multigraph, decided *callgraph.Config, h *co
 // runs on a fresh goroutine or runs inline on the caller, so a parent
 // blocked on children always has at least one child running on its own
 // stack — including when every token holder is parked on a single-flight
-// memo or cache slot (the solver of that slot is itself running inline
-// somewhere). A FIFO work queue would deadlock exactly there, and pushing a
-// shared best-size through it (the classic branch-and-bound driver) would
-// trade the bit-exact counter guarantee for schedule-dependent pruning; the
-// handles and the component memo carry the incumbent instead (prune.go).
+// cache slot (the solver of that slot is itself running inline somewhere).
+// A FIFO work queue would deadlock exactly there.
 func (ev *evaluator) parallelEach(n int, fn func(i int)) {
 	if ev.tokens == nil || n <= 1 {
 		for i := 0; i < n; i++ {

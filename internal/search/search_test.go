@@ -3,6 +3,7 @@ package search
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"optinline/internal/callgraph"
@@ -10,6 +11,8 @@ import (
 	"optinline/internal/compile"
 	"optinline/internal/graph"
 	"optinline/internal/ir"
+	"optinline/internal/lang"
+	"optinline/internal/workload"
 )
 
 // pathGraph builds the undirected view of a call-graph path with n edges.
@@ -23,15 +26,15 @@ func pathGraph(n int) *graph.Multigraph {
 
 func TestCountSpaceBasics(t *testing.T) {
 	// No edges: a single leaf.
-	if n, _ := countSpace(&graph.Multigraph{N: 3}, 0); n != 1 {
+	if n, _ := countSpace(&graph.Multigraph{N: 3}, 0, SelectPartitionEdge); n != 1 {
 		t.Fatalf("empty graph count=%d", n)
 	}
 	// One edge: both labels, two evaluations (== naive).
-	if n, _ := countSpace(pathGraph(1), 0); n != 2 {
+	if n, _ := countSpace(pathGraph(1), 0, SelectPartitionEdge); n != 2 {
 		t.Fatalf("single edge count=%d", n)
 	}
 	// Two-edge path: no reduction possible, equals naive 4.
-	if n, _ := countSpace(pathGraph(2), 0); n != 4 {
+	if n, _ := countSpace(pathGraph(2), 0, SelectPartitionEdge); n != 4 {
 		t.Fatalf("P2 count=%d", n)
 	}
 }
@@ -39,7 +42,7 @@ func TestCountSpaceBasics(t *testing.T) {
 func TestCountSpacePathReduction(t *testing.T) {
 	// The paper's Figure 5 shape: a 5-edge path. One-level partitioning
 	// gives 25 (vs naive 32); recursive partitioning does at least as well.
-	n, capped := countSpace(pathGraph(5), 0)
+	n, capped := countSpace(pathGraph(5), 0, SelectPartitionEdge)
 	if capped {
 		t.Fatal("unexpected cap")
 	}
@@ -47,7 +50,7 @@ func TestCountSpacePathReduction(t *testing.T) {
 		t.Fatalf("no reduction on P5: %d", n)
 	}
 	// Longer paths: reduction grows to orders of magnitude.
-	n10, _ := countSpace(pathGraph(10), 0)
+	n10, _ := countSpace(pathGraph(10), 0, SelectPartitionEdge)
 	if n10 >= 200 { // naive is 1024
 		t.Fatalf("P10 count=%d, expected large reduction", n10)
 	}
@@ -59,7 +62,7 @@ func TestCountSpaceComponents(t *testing.T) {
 		{ID: 1, U: 0, V: 1}, {ID: 2, U: 1, V: 2}, // F->G->K
 		{ID: 3, U: 3, V: 4}, // H->L
 	}}
-	n, _ := countSpace(mg, 0)
+	n, _ := countSpace(mg, 0, SelectPartitionEdge)
 	// Components explored independently (4 + 2) plus one combine.
 	if n != 7 {
 		t.Fatalf("components count=%d, want 7", n)
@@ -67,9 +70,83 @@ func TestCountSpaceComponents(t *testing.T) {
 }
 
 func TestCountSpaceCap(t *testing.T) {
-	n, capped := countSpace(pathGraph(30), 100)
+	n, capped := countSpace(pathGraph(30), 100, SelectPartitionEdge)
 	if !capped || n <= 100 {
 		t.Fatalf("cap not honoured: n=%d capped=%v", n, capped)
+	}
+}
+
+// countSpacePlain is countSpace without the memo: the recursion it must
+// reproduce exactly, capped counts included.
+func countSpacePlain(mg *graph.Multigraph, limit uint64, sel Selector) (uint64, bool) {
+	if len(mg.Edges) == 0 {
+		return 1, false
+	}
+	over := func(n uint64) bool { return limit > 0 && n > limit }
+	if subs := edgeComponents(mg); len(subs) > 1 {
+		total := uint64(1)
+		for _, sub := range subs {
+			n, capped := countSpacePlain(sub, limit, sel)
+			total += n
+			if capped || over(total) {
+				return total, true
+			}
+		}
+		return total, false
+	}
+	e := sel(mg)
+	n1, c1 := countSpacePlain(mg.RemoveEdge(e.ID), limit, sel)
+	if c1 || over(n1) {
+		return n1, true
+	}
+	n2, c2 := countSpacePlain(mg.ContractEdge(e.ID), limit, sel)
+	total := n1 + n2
+	return total, c2 || over(total)
+}
+
+// TestCountSpaceMemoMatchesPlainRecursion: the memoized count returns the
+// plain recursion's (count, capped) pair exactly — under every selector,
+// with and without a cap small enough to trip — on random multigraphs
+// (parallel edges and self-loops included) and on every file of a scaled
+// corpus, capped at a size the plain recursion can afford.
+func TestCountSpaceMemoMatchesPlainRecursion(t *testing.T) {
+	check := func(name string, mg *graph.Multigraph, limit uint64, sel Selector) {
+		t.Helper()
+		n, capped := countSpace(mg, limit, sel)
+		pn, pcapped := countSpacePlain(mg, limit, sel)
+		if n != pn || capped != pcapped {
+			t.Fatalf("%s (limit %d): memoized (%d, %v) != plain (%d, %v)", name, limit, n, capped, pn, pcapped)
+		}
+	}
+	selectors := map[string]Selector{
+		"paper": SelectPartitionEdge, "first": SelectFirstEdge, "lowest": SelectLowestID,
+	}
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 200; trial++ {
+		mg := randomMultigraph(rng)
+		for name, sel := range selectors {
+			for _, limit := range []uint64{0, 1, 7, 40} {
+				check(fmt.Sprintf("trial %d/%s", trial, name), mg, limit, sel)
+			}
+		}
+	}
+
+	const spaceCap = 1 << 14
+	files, capped := 0, 0
+	for _, p := range workload.SPECProfiles() {
+		p.Files = max(1, p.Files/4)
+		p.TotalEdges = max(1, p.TotalEdges/4)
+		for _, f := range workload.Generate(p).Files {
+			mg := callgraph.Build(f.Module).Undirected()
+			check(f.Name, mg, spaceCap, SelectPartitionEdge)
+			files++
+			if _, c := countSpace(mg, spaceCap, SelectPartitionEdge); c {
+				capped++
+			}
+		}
+	}
+	if files < 20 || capped == 0 || capped == files {
+		t.Fatalf("corpus shape: %d files, %d capped; want both capped and uncapped files", files, capped)
 	}
 }
 
@@ -189,6 +266,47 @@ func TestRecursiveSearchIsExact(t *testing.T) {
 		if got := c.Size(res.Config); got != res.Size {
 			t.Fatalf("trial %d: config size %d != reported %d", trials, got, res.Size)
 		}
+	}
+
+	// Extra inputs: MinC programs from the generator, walking seeds until 30
+	// have been searched (graphs that are empty or exceed the space cap do
+	// not count); those small enough for brute force are certified against
+	// it.
+	const maxSpace = 1 << 12
+	searched := 0
+	for seed := int64(1); seed <= 200 && searched < 30; seed++ {
+		src := lang.GenerateSource(seed, lang.GenOptions{})
+		mod, err := lang.Compile(fmt.Sprintf("exact%03d", seed), src)
+		if err != nil {
+			t.Fatalf("seed %d: generated source does not lower: %v\n%s", seed, err, src)
+		}
+		c := compile.New(mod, codegen.TargetX86)
+		e := len(c.Graph().Edges)
+		if e == 0 {
+			continue
+		}
+		res, ok := Optimal(c, Options{MaxSpace: maxSpace})
+		if !ok {
+			continue
+		}
+		searched++
+		if e > 12 {
+			continue
+		}
+		cb := compile.New(mod, codegen.TargetX86)
+		_, bestSize := NaiveOptimal(cb)
+		if res.Size != bestSize {
+			t.Fatalf("seed %d: recursive optimum %d != brute-force optimum %d (E=%d)\n%s",
+				seed, res.Size, bestSize, e, src)
+		}
+		// Brute force enumerates in a different order, so only the size is
+		// canonical; still, the returned config must price to it.
+		if got := cb.Size(res.Config); got != bestSize {
+			t.Fatalf("seed %d: recursive config prices to %d, brute force found %d", seed, got, bestSize)
+		}
+	}
+	if searched < 30 {
+		t.Fatalf("generated corpus too small: only %d programs searched", searched)
 	}
 }
 
@@ -346,5 +464,114 @@ entry:
 	lengths := ChainLengths(g, cfg)
 	if len(lengths) != 1 || lengths[0] != 1 {
 		t.Fatalf("self-loop chain lengths=%v, want [1]", lengths)
+	}
+}
+
+// --- edgeComponents: parallel edges, self-loops, split invariants ----------
+
+func edgeIDSet(mg *graph.Multigraph) []int { return mg.EdgeIDs() }
+
+func TestEdgeComponentsParallelEdges(t *testing.T) {
+	// Two parallel edges between 0-1 plus an unrelated component 2-3.
+	mg := &graph.Multigraph{N: 4, Edges: []graph.Edge{
+		{ID: 1, U: 0, V: 1},
+		{ID: 2, U: 1, V: 0}, // parallel, opposite stored orientation
+		{ID: 3, U: 2, V: 3},
+	}}
+	subs := edgeComponents(mg)
+	if len(subs) != 2 {
+		t.Fatalf("got %d components, want 2", len(subs))
+	}
+	got0, got1 := edgeIDSet(subs[0]), edgeIDSet(subs[1])
+	if fmt.Sprint(got0) != "[1 2]" || fmt.Sprint(got1) != "[3]" {
+		t.Fatalf("component edge IDs = %v / %v, want [1 2] / [3]", got0, got1)
+	}
+}
+
+func TestEdgeComponentsSelfLoops(t *testing.T) {
+	// A self-loop is a one-node component with an edge; an isolated node
+	// must not produce a component.
+	mg := &graph.Multigraph{N: 3, Edges: []graph.Edge{
+		{ID: 7, U: 1, V: 1},
+		{ID: 9, U: 0, V: 2},
+	}}
+	subs := edgeComponents(mg)
+	if len(subs) != 2 {
+		t.Fatalf("got %d components, want 2", len(subs))
+	}
+	// Ordering is by smallest contained node: {0,2} before {1}.
+	if fmt.Sprint(edgeIDSet(subs[0])) != "[9]" || fmt.Sprint(edgeIDSet(subs[1])) != "[7]" {
+		t.Fatalf("component edge IDs = %v / %v, want [9] / [7]",
+			edgeIDSet(subs[0]), edgeIDSet(subs[1]))
+	}
+	// A self-loop alone is a single edge-bearing component: no split.
+	loop := &graph.Multigraph{N: 2, Edges: []graph.Edge{{ID: 3, U: 0, V: 0}}}
+	if subs := edgeComponents(loop); len(subs) != 1 || subs[0] != loop {
+		t.Fatalf("self-loop-only graph split unexpectedly: %v", subs)
+	}
+}
+
+// randomMultigraph samples a multigraph with duplicate endpoints and
+// self-loops allowed; edge IDs are distinct and dense from 1.
+func randomMultigraph(rng *rand.Rand) *graph.Multigraph {
+	n := 2 + rng.Intn(7)
+	e := rng.Intn(12)
+	mg := &graph.Multigraph{N: n}
+	for i := 0; i < e; i++ {
+		mg.Edges = append(mg.Edges, graph.Edge{ID: i + 1, U: rng.Intn(n), V: rng.Intn(n)})
+	}
+	return mg
+}
+
+// TestSearchSplitsPreserveEdges is the property test behind the space
+// accounting: every split the search applies — the components partition,
+// RemoveEdge, ContractEdge — preserves the multiset of surviving edge
+// identities (site IDs), so no configuration is ever duplicated or lost.
+func TestSearchSplitsPreserveEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(2022))
+	var walk func(mg *graph.Multigraph, depth int)
+	walk = func(mg *graph.Multigraph, depth int) {
+		if len(mg.Edges) == 0 || depth > 6 {
+			return
+		}
+		parent := edgeIDSet(mg)
+		if subs := edgeComponents(mg); len(subs) > 1 {
+			var union []int
+			for _, sub := range subs {
+				union = append(union, edgeIDSet(sub)...)
+			}
+			sort.Ints(union)
+			if fmt.Sprint(union) != fmt.Sprint(parent) {
+				t.Fatalf("components partition lost edges: %v -> %v", parent, union)
+			}
+			for _, sub := range subs {
+				walk(sub, depth+1)
+			}
+			return
+		}
+		e := SelectPartitionEdge(mg)
+		removed, contracted := mg.RemoveEdge(e.ID), mg.ContractEdge(e.ID)
+		want := make([]int, 0, len(parent)-1)
+		for _, id := range parent {
+			if id != e.ID {
+				want = append(want, id)
+			}
+		}
+		if fmt.Sprint(edgeIDSet(removed)) != fmt.Sprint(want) {
+			t.Fatalf("RemoveEdge(%d): %v -> %v, want %v", e.ID, parent, edgeIDSet(removed), want)
+		}
+		if fmt.Sprint(edgeIDSet(contracted)) != fmt.Sprint(want) {
+			t.Fatalf("ContractEdge(%d): %v -> %v, want %v", e.ID, parent, edgeIDSet(contracted), want)
+		}
+		// Contraction must never detach surviving edges from the merged
+		// endpoint class: the contracted graph's node universe is unchanged.
+		if contracted.N != mg.N {
+			t.Fatalf("ContractEdge changed N: %d -> %d", mg.N, contracted.N)
+		}
+		walk(removed, depth+1)
+		walk(contracted, depth+1)
+	}
+	for trial := 0; trial < 40; trial++ {
+		walk(randomMultigraph(rng), 0)
 	}
 }

@@ -61,8 +61,11 @@ func TestCheckedServerByteIdentical(t *testing.T) {
 	if fst.RelinkCache.Misses == 0 || rst.RelinkCache != (RelinkCacheCounters{}) {
 		t.Errorf("relink cache: default %+v, checked %+v (want used, unused)", fst.RelinkCache, rst.RelinkCache)
 	}
-	if fst.Delta.Evals == 0 || rst.Delta.Evals != 0 || rst.Prune.Subtrees != 0 {
-		t.Errorf("engines: default delta %+v, checked delta %+v prune %+v", fst.Delta, rst.Delta, rst.Prune)
+	if fst.Delta.Evals == 0 || rst.Delta.Evals != 0 {
+		t.Errorf("engines: default delta %+v, checked delta %+v", fst.Delta, rst.Delta)
+	}
+	if fst.Prune != (PruneCounters{}) || rst.Prune != (PruneCounters{}) {
+		t.Errorf("prune counters: default %+v, checked %+v (want zero)", fst.Prune, rst.Prune)
 	}
 	if fst.CyclePricers.Repricings == 0 || rst.CyclePricers.Repricings != 0 || rst.CyclePricers.FullEvals == 0 {
 		t.Errorf("cycle pricers: default %+v, checked %+v", fst.CyclePricers, rst.CyclePricers)

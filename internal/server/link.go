@@ -282,7 +282,6 @@ func (s *Server) handleLinkSearch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, wr.ep, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	s.addPrune(res.Prune)
 	resp := LinkSearchResponse{
 		ID:         id,
 		Target:     ls.target.String(),

@@ -210,9 +210,6 @@ type Server struct {
 	retiredDelta  stats.DeltaStats
 	retiredEvals  int64
 
-	pruneMu sync.Mutex
-	prune   search.PruneStats
-
 	// cycleMu guards the cycle-pricer pool behind cycle-aware /tune
 	// objectives: cached baseline profiles keyed by compiler + profiling
 	// parameters, FIFO-bounded, with evicted pricers' counters folded into
@@ -528,12 +525,6 @@ func (s *Server) evictCompilersLocked() {
 	}
 }
 
-func (s *Server) addPrune(p search.PruneStats) {
-	s.pruneMu.Lock()
-	s.prune = s.prune.Add(p)
-	s.pruneMu.Unlock()
-}
-
 // cycleProfile describes the profiling run behind a cycle-aware /tune
 // objective. Defaults are filled before keying so equivalent requests share
 // one baseline interpretation and pricer.
@@ -670,7 +661,6 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 				"recursive space %d exceeds maxSpace %d; raise maxSpace or use inline=tune", res.SpaceSize, maxSpace)
 			return
 		}
-		s.addPrune(res.Prune)
 		cfg = res.Config
 	default:
 		s.fail(w, wr.ep, http.StatusBadRequest, "unknown inline mode %q", mode)
@@ -732,7 +722,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	resp.Searched = searched
 	resp.SpaceSize = res.SpaceSize
 	if searched {
-		s.addPrune(res.Prune)
 		resp.OptimalSize = res.Size
 		resp.InlineSites = res.Config.InlineSites()
 		resp.ConfigKey = res.Config.Key()
@@ -982,16 +971,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.FuncCache = CacheCounters{Hits: fnStats.Hits, Misses: fnStats.Misses}
 	resp.Delta = DeltaCounters{Evals: deltaStats.Evals, DirtyFuncs: deltaStats.DirtyFuncs}
 	resp.Evaluations = evals
-
-	s.pruneMu.Lock()
-	resp.Prune = PruneCounters{
-		Enabled:    s.prune.Enabled,
-		Subtrees:   s.prune.Subtrees,
-		MemoHits:   s.prune.MemoHits,
-		MemoMisses: s.prune.MemoMisses,
-		BoundEvals: s.prune.BoundEvals,
-	}
-	s.pruneMu.Unlock()
 
 	s.cycleMu.Lock()
 	cyc := s.retiredCycle

@@ -428,7 +428,11 @@ type DeltaCounters struct {
 	DirtyFuncs int64 `json:"dirtyFuncs"`
 }
 
-// PruneCounters is search.PruneStats for the wire.
+// PruneCounters reported the optimal search's branch-and-bound layer. The
+// search no longer has one — it evaluates the whole recursive space — so
+// every field always reads zero. The object stays in /stats because
+// clients read it: the repository's benchmark reads subtrees, memoHits and
+// memoMisses.
 type PruneCounters struct {
 	Enabled    bool  `json:"enabled"`
 	Subtrees   int64 `json:"subtrees"`
