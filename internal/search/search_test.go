@@ -267,16 +267,28 @@ func TestRecursiveSearchIsExact(t *testing.T) {
 			t.Fatalf("trial %d: config size %d != reported %d", trials, got, res.Size)
 		}
 	}
+}
 
-	// Extra inputs: MinC programs from the generator, walking seeds until 30
-	// have been searched (graphs that are empty or exceed the space cap do
-	// not count); those small enough for brute force are certified against
-	// it.
+// TestPrunedSearchDifferentialFuzz: on MinC programs from the generator, the
+// recursive search — which prunes the naive 2^E space by partitioning — loses
+// no optimum. The parallel search agrees with the sequential recursion on a
+// fresh compiler in size, configuration and evaluation count; the reference
+// evaluator (a checked compiler: fresh compile, verified) prices the returned
+// configuration to the reported size; and where the graph is small enough for
+// brute force, the optimum is the best of all 2^E configurations. A whole
+// checked-mode search per program would cost about a hundred times the
+// default one; TestOptimalDeltaMatchesNoDelta runs that comparison on random
+// modules.
+func TestPrunedSearchDifferentialFuzz(t *testing.T) {
+	// Big enough that most generated programs are searchable, small enough
+	// that the brute-force side stays affordable under -race.
 	const maxSpace = 1 << 12
-	searched := 0
-	for seed := int64(1); seed <= 200 && searched < 30; seed++ {
+	// Walk seeds until 30 generated programs have actually been searched
+	// (graphs that are empty or blow the space cap do not count).
+	checked := 0
+	for seed := int64(1); seed <= 200 && checked < 30; seed++ {
 		src := lang.GenerateSource(seed, lang.GenOptions{})
-		mod, err := lang.Compile(fmt.Sprintf("exact%03d", seed), src)
+		mod, err := lang.Compile(fmt.Sprintf("prunefuzz%03d", seed), src)
 		if err != nil {
 			t.Fatalf("seed %d: generated source does not lower: %v\n%s", seed, err, src)
 		}
@@ -289,24 +301,52 @@ func TestRecursiveSearchIsExact(t *testing.T) {
 		if !ok {
 			continue
 		}
-		searched++
+		checked++
+
+		cs := compile.New(mod, codegen.TargetX86)
+		rs, okS := Optimal(cs, Options{MaxSpace: maxSpace, Workers: -1})
+		if !okS {
+			t.Fatalf("seed %d: sequential search aborted under the same space cap", seed)
+		}
+		if res.Size != rs.Size || res.SpaceSize != rs.SpaceSize {
+			t.Fatalf("seed %d: parallel (%d, space %d) != sequential (%d, space %d)\n%s",
+				seed, res.Size, res.SpaceSize, rs.Size, rs.SpaceSize, src)
+		}
+		if res.Config.Key() != rs.Config.Key() {
+			t.Fatalf("seed %d: parallel config {%s} != sequential config {%s}",
+				seed, res.Config.Key(), rs.Config.Key())
+		}
+		if res.Evaluations != rs.Evaluations {
+			t.Fatalf("seed %d: parallel search evaluated %d configurations, sequential %d",
+				seed, res.Evaluations, rs.Evaluations)
+		}
+
+		ref := compile.NewWithOptions(mod, codegen.TargetX86, compile.Options{Check: true})
+		if got := ref.Size(res.Config); got != res.Size {
+			t.Fatalf("seed %d: reference evaluator prices the optimum to %d, search reported %d",
+				seed, got, res.Size)
+		}
+		if err := ref.CheckFailure(); err != nil {
+			t.Fatalf("seed %d: checked compile of the optimum: %v", seed, err)
+		}
+
 		if e > 12 {
 			continue
 		}
 		cb := compile.New(mod, codegen.TargetX86)
 		_, bestSize := NaiveOptimal(cb)
 		if res.Size != bestSize {
-			t.Fatalf("seed %d: recursive optimum %d != brute-force optimum %d (E=%d)\n%s",
+			t.Fatalf("seed %d: search optimum %d != brute-force optimum %d (E=%d)\n%s",
 				seed, res.Size, bestSize, e, src)
 		}
 		// Brute force enumerates in a different order, so only the size is
 		// canonical; still, the returned config must price to it.
 		if got := cb.Size(res.Config); got != bestSize {
-			t.Fatalf("seed %d: recursive config prices to %d, brute force found %d", seed, got, bestSize)
+			t.Fatalf("seed %d: search config prices to %d, brute force found %d", seed, got, bestSize)
 		}
 	}
-	if searched < 30 {
-		t.Fatalf("generated corpus too small: only %d programs searched", searched)
+	if checked < 30 {
+		t.Fatalf("fuzz corpus too small: only %d programs searched", checked)
 	}
 }
 
