@@ -165,10 +165,11 @@ func BenchmarkCallGraphBuild(b *testing.B) {
 func BenchmarkBridges(b *testing.B) {
 	f := benchFile(80)
 	mg := callgraph.Build(f.Module).Undirected()
+	var s graph.Scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mg.Bridges()
+		s.Bridges(mg.Edges)
 	}
 }
 
@@ -281,10 +282,13 @@ func BenchmarkSizeCachedVsUncached(b *testing.B) {
 			if len(g.Edges) < 20 {
 				continue
 			}
-			comps := 0
-			for _, comp := range g.Undirected().ConnectedComponents() {
-				if len(comp) > 1 {
-					comps++
+			comps := 0 // components with more than one node
+			for _, comp := range search.ComponentSubgraphs(g) {
+				for _, e := range comp.Edges {
+					if e.U != e.V {
+						comps++
+						break
+					}
 				}
 			}
 			if comps > bestComps {

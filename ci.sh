@@ -52,11 +52,12 @@ go test -run '^$' -fuzz FuzzInterprocSummaries -fuzztime 30x ./internal/analysis
 
 echo "== delta-engine bench smoke =="
 # One iteration each: catches compile errors or assertion failures in the
-# delta-vs-full, config-identity and compile miss-path benchmarks without
-# paying bench time.
+# delta-vs-full, config-identity, compile miss-path and in-process
+# search-corpus benchmarks without paying bench time.
 go test -run '^$' -bench 'DeltaVsFull|ConfigKey|FnCacheColdVsWarm|CycleRepriceVsReinterp' -benchtime=1x . >/dev/null
 go test -run '^$' -bench 'ICacheNaive|ICacheIndexed' -benchtime=1x ./internal/interp >/dev/null
 go test -run '^$' -bench 'CompileMissPath' -benchtime=1x ./internal/compile >/dev/null
+go test -run '^$' -bench 'SearchCorpus' -benchtime=1x ./internal/search >/dev/null
 
 echo "== fn content cache persistence smoke =="
 # A warm -cache-dir rerun must reproduce the cold run's stdout byte for

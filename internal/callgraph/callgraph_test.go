@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"optinline/internal/graph"
 	"optinline/internal/ir"
 )
 
@@ -147,7 +148,8 @@ func TestUndirectedView(t *testing.T) {
 		t.Fatalf("undirected view: N=%d edges=%d", mg.N, len(mg.Edges))
 	}
 	// main-mid-leaf-rec all connect: one component (rec self-loop included).
-	if comps := mg.ConnectedComponents(); len(comps) != 1 {
+	var s graph.Scratch
+	if comps := s.Components(mg.Edges); comps != nil {
 		t.Fatalf("components = %d, want 1", len(comps))
 	}
 }

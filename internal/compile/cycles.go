@@ -290,7 +290,9 @@ func (p *CyclePricer) closureCost(fi *funcInfo, cfg *callgraph.Config) (int64, i
 // compileClosureCost is compileClosure returning the final body's per-entry
 // cost and size instead of just the size.
 func (p *CyclePricer) compileClosureCost(fi *funcInfo, members []*funcInfo, cfg *callgraph.Config) (int64, int32, bool) {
-	fn := p.c.optimizeClosure(fi, members, cfg)
+	a := arenaPool.Get().(*ir.Arena)
+	defer releaseArena(a)
+	fn := p.c.optimizeClosure(fi, members, cfg, a)
 	if fn == nil {
 		return 0, 0, false
 	}

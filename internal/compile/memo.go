@@ -377,11 +377,24 @@ func (c *Compiler) closureKey(fi *funcInfo, members []*funcInfo, cfg *callgraph.
 // compileClosure runs inlining over just the closure's functions and
 // optimizes + measures the one function of interest.
 func (c *Compiler) compileClosure(fi *funcInfo, members []*funcInfo, cfg *callgraph.Config) int {
-	fn := c.optimizeClosure(fi, members, cfg)
+	a := arenaPool.Get().(*ir.Arena)
+	defer releaseArena(a)
+	fn := c.optimizeClosure(fi, members, cfg, a)
 	if fn == nil {
 		return InfSize
 	}
 	return codegen.FunctionSize(fn, c.target)
+}
+
+// arenaPool recycles the arenas closure compiles clone into. Nothing keeps
+// a closure's optimized body: the content cache keeps its size and the
+// cycle pricer its cost and size, so each compile hands its arena back
+// once it has read them.
+var arenaPool = sync.Pool{New: func() any { return new(ir.Arena) }}
+
+func releaseArena(a *ir.Arena) {
+	a.Release()
+	arenaPool.Put(a)
 }
 
 // optimizeClosure inlines over a module of just the closure's functions
@@ -390,18 +403,20 @@ func (c *Compiler) compileClosure(fi *funcInfo, members []*funcInfo, cfg *callgr
 // each member with an inline-labeled call of its own. Apply expands only
 // calls it finds labeled in a function's body, and copies a callee's body
 // before splicing it, so every other member is only read and the shared
-// base function serves as is.
-func (c *Compiler) optimizeClosure(fi *funcInfo, members []*funcInfo, cfg *callgraph.Config) *ir.Function {
+// base function serves as is. Every copy, of a member or of a callee, is
+// carved from a (fresh when a is nil), so the body lives until a's next
+// Release.
+func (c *Compiler) optimizeClosure(fi *funcInfo, members []*funcInfo, cfg *callgraph.Config, a *ir.Arena) *ir.Function {
 	sub := ir.NewModule(c.base.Name)
 	sub.Globals = append(sub.Globals, c.base.Globals...)
 	for _, m := range members {
 		f := c.base.Func(m.name)
 		if m == fi || m.inlinesAny(cfg) {
-			f = f.Clone()
+			f = f.CloneIn(a)
 		}
 		sub.AddFunc(f)
 	}
-	if err := inline.Apply(sub, cfg, inline.Options{}); err != nil {
+	if err := inline.Apply(sub, cfg, inline.Options{Arena: a}); err != nil {
 		return nil
 	}
 	fn := sub.Func(fi.name)

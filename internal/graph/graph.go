@@ -20,156 +20,6 @@ type Multigraph struct {
 	Edges []Edge
 }
 
-// half is one direction of an undirected edge in the adjacency structure.
-type half struct {
-	to int
-	id int
-}
-
-func (g *Multigraph) adjacency() [][]half {
-	adj := make([][]half, g.N)
-	for _, e := range g.Edges {
-		adj[e.U] = append(adj[e.U], half{to: e.V, id: e.ID})
-		if e.U != e.V {
-			adj[e.V] = append(adj[e.V], half{to: e.U, id: e.ID})
-		}
-	}
-	return adj
-}
-
-// ConnectedComponents returns the node sets of the connected components,
-// ordered by smallest contained node. Isolated nodes form singleton
-// components.
-func (g *Multigraph) ConnectedComponents() [][]int {
-	adj := g.adjacency()
-	comp := make([]int, g.N)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var comps [][]int
-	for start := 0; start < g.N; start++ {
-		if comp[start] != -1 {
-			continue
-		}
-		id := len(comps)
-		var nodes []int
-		stack := []int{start}
-		comp[start] = id
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			nodes = append(nodes, u)
-			for _, h := range adj[u] {
-				if comp[h.to] == -1 {
-					comp[h.to] = id
-					stack = append(stack, h.to)
-				}
-			}
-		}
-		comps = append(comps, nodes)
-	}
-	return comps
-}
-
-// Bridges returns the bridge edges of the multigraph: edges whose deletion
-// increases the number of connected components. Self-loops and members of
-// parallel-edge bundles are never bridges. The implementation is an
-// iterative Tarjan low-link DFS that tracks edge identities, so parallel
-// edges are handled correctly.
-func (g *Multigraph) Bridges() []Edge {
-	adj := g.adjacency()
-	disc := make([]int, g.N)
-	low := make([]int, g.N)
-	for i := range disc {
-		disc[i] = -1
-	}
-	timer := 0
-	var bridges []Edge
-	edgeByID := make(map[int]Edge, len(g.Edges))
-	for _, e := range g.Edges {
-		edgeByID[e.ID] = e
-	}
-
-	type frame struct {
-		node   int
-		viaID  int // edge used to enter node; -1 at roots
-		nextIx int // next adjacency index to explore
-	}
-	for root := 0; root < g.N; root++ {
-		if disc[root] != -1 {
-			continue
-		}
-		stack := []frame{{node: root, viaID: -1}}
-		disc[root], low[root] = timer, timer
-		timer++
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			u := f.node
-			if f.nextIx < len(adj[u]) {
-				h := adj[u][f.nextIx]
-				f.nextIx++
-				if h.id == f.viaID {
-					continue // do not return along the entering edge
-				}
-				if h.to == u {
-					continue // self-loop contributes nothing
-				}
-				if disc[h.to] == -1 {
-					disc[h.to], low[h.to] = timer, timer
-					timer++
-					stack = append(stack, frame{node: h.to, viaID: h.id})
-				} else if disc[h.to] < low[u] {
-					low[u] = disc[h.to]
-				}
-				continue
-			}
-			// Done with u: propagate low-link to parent; detect bridge.
-			stack = stack[:len(stack)-1]
-			if len(stack) > 0 {
-				p := stack[len(stack)-1].node
-				if low[u] < low[p] {
-					low[p] = low[u]
-				}
-				if low[u] > disc[p] {
-					bridges = append(bridges, edgeByID[f.viaID])
-				}
-			}
-		}
-	}
-	return bridges
-}
-
-// Eccentricities returns, for every node, its eccentricity within its own
-// connected component: the maximum BFS distance to any reachable node.
-func (g *Multigraph) Eccentricities() []int {
-	adj := g.adjacency()
-	ecc := make([]int, g.N)
-	dist := make([]int, g.N)
-	for s := 0; s < g.N; s++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[s] = 0
-		queue := []int{s}
-		max := 0
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, h := range adj[u] {
-				if dist[h.to] == -1 {
-					dist[h.to] = dist[u] + 1
-					if dist[h.to] > max {
-						max = dist[h.to]
-					}
-					queue = append(queue, h.to)
-				}
-			}
-		}
-		ecc[s] = max
-	}
-	return ecc
-}
-
 // RemoveEdge returns a copy of the graph without the identified edge.
 func (g *Multigraph) RemoveEdge(id int) *Multigraph {
 	ng := &Multigraph{N: g.N, Edges: make([]Edge, 0, len(g.Edges)-1)}
@@ -219,17 +69,6 @@ func (g *Multigraph) ContractEdge(id int) *Multigraph {
 	return ng
 }
 
-// Degrees returns the undirected degree of every node (self-loops count
-// twice, the usual convention).
-func (g *Multigraph) Degrees() []int {
-	deg := make([]int, g.N)
-	for _, e := range g.Edges {
-		deg[e.U]++
-		deg[e.V]++
-	}
-	return deg
-}
-
 // EdgeIDs returns the identities of every edge, ascending.
 func (g *Multigraph) EdgeIDs() []int {
 	ids := make([]int, 0, len(g.Edges))
@@ -238,19 +77,4 @@ func (g *Multigraph) EdgeIDs() []int {
 	}
 	sort.Ints(ids)
 	return ids
-}
-
-// EdgeNodes returns the nodes with at least one incident edge, ascending.
-func (g *Multigraph) EdgeNodes() []int {
-	seen := make(map[int]bool, 2*len(g.Edges))
-	for _, e := range g.Edges {
-		seen[e.U] = true
-		seen[e.V] = true
-	}
-	nodes := make([]int, 0, len(seen))
-	for n := range seen {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
-	return nodes
 }

@@ -1,8 +1,8 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -15,30 +15,39 @@ func edges(pairs ...[2]int) []Edge {
 }
 
 func TestConnectedComponents(t *testing.T) {
-	// {0,1,2} via path, {3,4}, {5} isolated.
-	g := &Multigraph{N: 6, Edges: edges([2]int{0, 1}, [2]int{1, 2}, [2]int{3, 4})}
-	comps := g.ConnectedComponents()
-	if len(comps) != 3 {
-		t.Fatalf("got %d components, want 3", len(comps))
+	// {0,1,2} via path, {3,4}, {5} isolated: the reference numbers every
+	// node, the kernel groups only edges.
+	g := &Multigraph{N: 6, Edges: edges([2]int{3, 4}, [2]int{1, 2}, [2]int{0, 1})}
+	if comps := refComponents(g); len(comps) != 3 {
+		t.Fatalf("reference: got %d components, want 3", len(comps))
 	}
-	sizes := []int{len(comps[0]), len(comps[1]), len(comps[2])}
-	sort.Ints(sizes)
-	if sizes[0] != 1 || sizes[1] != 2 || sizes[2] != 3 {
-		t.Fatalf("component sizes %v", sizes)
+	var s Scratch
+	groups := s.Components(g.Edges)
+	if got := fmt.Sprint(groups); got != "[[{2 1 2} {3 0 1}] [{1 3 4}]]" {
+		t.Fatalf("components %s: want {0,1,2} first, edges in input order", got)
 	}
+	if s.Components(g.Edges[1:]) != nil {
+		t.Fatal("one component must not split")
+	}
+}
+
+// bridges runs the bridge kernel on a fresh scratch.
+func bridges(g *Multigraph) []Edge {
+	var s Scratch
+	return s.Bridges(g.Edges)
 }
 
 func TestBridgesPath(t *testing.T) {
 	// A path: every edge is a bridge.
 	g := &Multigraph{N: 4, Edges: edges([2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3})}
-	if got := len(g.Bridges()); got != 3 {
+	if got := len(bridges(g)); got != 3 {
 		t.Fatalf("path should have 3 bridges, got %d", got)
 	}
 }
 
 func TestBridgesCycle(t *testing.T) {
 	g := &Multigraph{N: 3, Edges: edges([2]int{0, 1}, [2]int{1, 2}, [2]int{2, 0})}
-	if got := len(g.Bridges()); got != 0 {
+	if got := len(bridges(g)); got != 0 {
 		t.Fatalf("cycle should have 0 bridges, got %d", got)
 	}
 }
@@ -46,14 +55,14 @@ func TestBridgesCycle(t *testing.T) {
 func TestBridgesParallelEdges(t *testing.T) {
 	// Two parallel edges between 0 and 1: neither is a bridge.
 	g := &Multigraph{N: 2, Edges: edges([2]int{0, 1}, [2]int{0, 1})}
-	if got := len(g.Bridges()); got != 0 {
+	if got := len(bridges(g)); got != 0 {
 		t.Fatalf("parallel edges are not bridges, got %d", got)
 	}
 }
 
 func TestBridgesSelfLoop(t *testing.T) {
 	g := &Multigraph{N: 2, Edges: edges([2]int{0, 0}, [2]int{0, 1})}
-	br := g.Bridges()
+	br := bridges(g)
 	if len(br) != 1 || br[0].U == br[0].V {
 		t.Fatalf("only the 0-1 edge is a bridge, got %v", br)
 	}
@@ -66,7 +75,7 @@ func TestBridgesBarbell(t *testing.T) {
 		[2]int{3, 4}, [2]int{4, 5}, [2]int{5, 3},
 		[2]int{2, 3},
 	)}
-	br := g.Bridges()
+	br := bridges(g)
 	if len(br) != 1 || br[0].ID != 7 {
 		t.Fatalf("want bridge id 7, got %v", br)
 	}
@@ -75,10 +84,10 @@ func TestBridgesBarbell(t *testing.T) {
 // naiveBridges implements the definition directly: remove each edge and see
 // whether the component count grows.
 func naiveBridges(g *Multigraph) map[int]bool {
-	base := len(g.ConnectedComponents())
+	base := len(refComponents(g))
 	out := make(map[int]bool)
 	for _, e := range g.Edges {
-		if len(g.RemoveEdge(e.ID).ConnectedComponents()) > base {
+		if len(refComponents(g.RemoveEdge(e.ID))) > base {
 			out[e.ID] = true
 		}
 	}
@@ -96,7 +105,7 @@ func TestBridgesMatchNaiveOnRandomGraphs(t *testing.T) {
 		}
 		want := naiveBridges(g)
 		got := make(map[int]bool)
-		for _, e := range g.Bridges() {
+		for _, e := range bridges(g) {
 			got[e.ID] = true
 		}
 		if len(got) != len(want) {
@@ -110,10 +119,22 @@ func TestBridgesMatchNaiveOnRandomGraphs(t *testing.T) {
 	}
 }
 
+// eccentricities returns every node's eccentricity from the kernel;
+// isolated nodes read 0, as in the reference.
+func eccentricities(g *Multigraph) []int {
+	var s Scratch
+	s.Bridges(g.Edges)
+	ecc := make([]int, g.N)
+	for _, e := range g.Edges {
+		ecc[e.U], ecc[e.V] = s.Eccentricity(e.U), s.Eccentricity(e.V)
+	}
+	return ecc
+}
+
 func TestEccentricities(t *testing.T) {
 	// Path 0-1-2-3: ecc = 3,2,2,3.
 	g := &Multigraph{N: 4, Edges: edges([2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3})}
-	ecc := g.Eccentricities()
+	ecc := eccentricities(g)
 	want := []int{3, 2, 2, 3}
 	for i := range want {
 		if ecc[i] != want[i] {
@@ -125,7 +146,7 @@ func TestEccentricities(t *testing.T) {
 func TestEccentricityPerComponent(t *testing.T) {
 	// Disconnected: eccentricity only counts the own component.
 	g := &Multigraph{N: 4, Edges: edges([2]int{0, 1}, [2]int{2, 3})}
-	ecc := g.Eccentricities()
+	ecc := eccentricities(g)
 	for i, e := range ecc {
 		if e != 1 {
 			t.Fatalf("node %d: ecc=%d want 1", i, e)
@@ -174,9 +195,14 @@ func TestContractMissingEdgeIsCopy(t *testing.T) {
 }
 
 func TestDegrees(t *testing.T) {
-	g := &Multigraph{N: 3, Edges: edges([2]int{0, 1}, [2]int{0, 2}, [2]int{0, 0})}
-	deg := g.Degrees()
-	if deg[0] != 4 || deg[1] != 1 || deg[2] != 1 {
-		t.Fatalf("degrees %v", deg)
+	// A self-loop counts once each way.
+	g := &Multigraph{N: 3, Edges: edges([2]int{0, 1}, [2]int{0, 2}, [2]int{0, 0}, [2]int{2, 1})}
+	var s Scratch
+	s.Bridges(g.Edges)
+	want := [][2]int{{3, 1}, {0, 2}, {1, 1}}
+	for v, w := range want {
+		if out, in := s.Degree(v); out != w[0] || in != w[1] {
+			t.Fatalf("node %d: degree (%d, %d), want %v", v, out, in, w)
+		}
 	}
 }

@@ -25,7 +25,7 @@ func genGraph(data []byte) *Multigraph {
 // design, so raw component counts may grow by one singleton).
 func TestContractPreservesConnectivityProperty(t *testing.T) {
 	edgeComponents := func(g *Multigraph) int {
-		comps := g.ConnectedComponents()
+		comps := refComponents(g)
 		inComp := make([]int, g.N)
 		for ci, nodes := range comps {
 			for _, n := range nodes {
@@ -61,14 +61,14 @@ func TestContractPreservesConnectivityProperty(t *testing.T) {
 func TestBridgeDefinitionProperty(t *testing.T) {
 	f := func(data []byte) bool {
 		g := genGraph(data)
-		bridges := map[int]bool{}
-		for _, b := range g.Bridges() {
-			bridges[b.ID] = true
+		isBridge := map[int]bool{}
+		for _, b := range bridges(g) {
+			isBridge[b.ID] = true
 		}
-		base := len(g.ConnectedComponents())
+		base := len(refComponents(g))
 		for _, e := range g.Edges {
-			after := len(g.RemoveEdge(e.ID).ConnectedComponents())
-			if bridges[e.ID] {
+			after := len(refComponents(g.RemoveEdge(e.ID)))
+			if isBridge[e.ID] {
 				if after != base+1 {
 					return false
 				}
@@ -93,7 +93,7 @@ func TestEccentricityDiameterProperty(t *testing.T) {
 		for i := 0; i < rng.Intn(2*n); i++ {
 			g.Edges = append(g.Edges, Edge{ID: i + 1, U: rng.Intn(n), V: rng.Intn(n)})
 		}
-		ecc := g.Eccentricities()
+		ecc := eccentricities(g)
 		max, count := 0, 0
 		for _, e := range ecc {
 			if e > max {
@@ -108,17 +108,62 @@ func TestEccentricityDiameterProperty(t *testing.T) {
 	}
 }
 
-// Property: sum of component sizes equals N.
+// Property: the kernel's components partition the edges. Every edge lands
+// in exactly one group, in input order within it; no node is shared by two
+// groups; groups ascend by smallest node.
 func TestComponentsPartitionProperty(t *testing.T) {
+	var s Scratch
 	f := func(data []byte) bool {
 		g := genGraph(data)
-		total := 0
-		for _, c := range g.ConnectedComponents() {
-			total += len(c)
+		groups := s.Components(g.Edges)
+		if groups == nil {
+			return len(refComponentsWithEdges(g)) < 2
 		}
-		return total == g.N
+		owner := map[int]int{}
+		pos := map[int]int{} // edge ID -> input index
+		for i, e := range g.Edges {
+			pos[e.ID] = i
+		}
+		total, prevMin := 0, -1
+		for gi, es := range groups {
+			lo, last := g.N, -1
+			for _, e := range es {
+				for _, v := range []int{e.U, e.V} {
+					if o, ok := owner[v]; ok && o != gi {
+						return false
+					}
+					owner[v] = gi
+					lo = min(lo, v)
+				}
+				if pos[e.ID] <= last {
+					return false
+				}
+				last = pos[e.ID]
+			}
+			if lo <= prevMin {
+				return false
+			}
+			prevMin = lo
+			total += len(es)
+		}
+		return total == len(g.Edges) && len(groups) == len(refComponentsWithEdges(g))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// refComponentsWithEdges is refComponents without the edgeless nodes.
+func refComponentsWithEdges(g *Multigraph) [][]int {
+	endpoint := make([]bool, g.N)
+	for _, e := range g.Edges {
+		endpoint[e.U], endpoint[e.V] = true, true
+	}
+	var out [][]int
+	for _, c := range refComponents(g) {
+		if endpoint[c[0]] {
+			out = append(out, c)
+		}
+	}
+	return out
 }

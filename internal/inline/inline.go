@@ -32,12 +32,12 @@ const DefaultMaxInstrs = 4_000_000
 // blocks it inserted into f, in order: the callee's cloned blocks, then the
 // continuation. It returns an error if the call cannot be located in f.
 func Call(f *ir.Function, call *ir.Instr, callee *ir.Function) ([]*ir.Block, error) {
-	return expand(f, call, callee, newNamePool(f))
+	return expand(f, call, callee, newNamePool(f), nil)
 }
 
 // expand is Call drawing block names from names, which must hold every
-// block name of f.
-func expand(f *ir.Function, call *ir.Instr, callee *ir.Function, names *namePool) ([]*ir.Block, error) {
+// block name of f, and carving the callee's copy from arena.
+func expand(f *ir.Function, call *ir.Instr, callee *ir.Function, names *namePool, arena *ir.Arena) ([]*ir.Block, error) {
 	blockIdx, instrIdx := -1, -1
 	for bi, b := range f.Blocks {
 		for ii, in := range b.Instrs {
@@ -59,16 +59,16 @@ func expand(f *ir.Function, call *ir.Instr, callee *ir.Function, names *namePool
 	}
 	host := f.Blocks[blockIdx]
 
-	body := callee.Clone()
+	body := callee.CloneIn(arena)
 	// Extend the trail of every cloned call: it was materialized by
 	// expanding this site.
 	for _, b := range body.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpCall {
-				trail := make([]int, 0, len(call.Trail)+len(in.Trail)+1)
-				trail = append(trail, call.Trail...)
-				trail = append(trail, call.Site)
-				trail = append(trail, in.Trail...)
+				trail := arena.Ints(len(call.Trail) + len(in.Trail) + 1)
+				n := copy(trail, call.Trail)
+				trail[n] = call.Site
+				copy(trail[n+1:], in.Trail)
 				in.Trail = trail
 			}
 		}
@@ -128,6 +128,10 @@ type Options struct {
 	// checked compilation mode uses this to attribute the first invariant
 	// violation to the exact expansion that introduced it.
 	Check func(step string) error
+
+	// Arena, when non-nil, is where every callee copy Apply splices in is
+	// carved from; the module is then only valid until its Release.
+	Arena *ir.Arena
 }
 
 // StepError attributes an invariant violation to the inline expansion that
@@ -195,6 +199,12 @@ func Apply(m *ir.Module, cfg *callgraph.Config, opts Options) error {
 		if callee == nil {
 			continue
 		}
+		if pools[callee] != nil {
+			// Expanding into callee left its numbers stale; renumbered, it
+			// is cloned by number instead of through maps. Apply owns
+			// every function it expands into, so it may write the numbers.
+			callee.Number()
+		}
 		if total+callee.NumInstrs() > maxInstrs {
 			return fmt.Errorf("inline: module exceeds %d instructions while applying %s", maxInstrs, cfg)
 		}
@@ -206,7 +216,7 @@ func Apply(m *ir.Module, cfg *callgraph.Config, opts Options) error {
 			names = newNamePool(w.fn)
 			pools[w.fn] = names
 		}
-		inserted, err := expand(w.fn, w.call, callee, names)
+		inserted, err := expand(w.fn, w.call, callee, names, opts.Arena)
 		if err != nil {
 			return err
 		}

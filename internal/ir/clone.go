@@ -17,13 +17,20 @@ package ir
 // current, as it is for any clone not edited since, Clone finds the copy
 // of a block or value by its number; otherwise it builds exact-size maps.
 // Clone only reads f: workers clone the same base function concurrently.
-func (f *Function) Clone() *Function {
-	nf := &Function{
-		Name:      f.Name,
-		Exported:  f.Exported,
-		nextValue: f.nextValue,
-		nextBlock: f.nextBlock,
+func (f *Function) Clone() *Function { return f.CloneIn(nil) }
+
+// CloneIn is Clone carving the copy's slabs, and the index of a numbered
+// f's values, from a; a nil a allocates them fresh, as Clone does. The
+// copy lives until a's next Release.
+func (f *Function) CloneIn(a *Arena) *Function {
+	var nf *Function
+	if a == nil {
+		nf = &Function{}
+	} else {
+		nf = &a.funcs.take(1)[0]
 	}
+	nf.Name, nf.Exported = f.Name, f.Exported
+	nf.nextValue, nf.nextBlock = f.nextValue, f.nextBlock
 	if len(f.Blocks) == 0 {
 		return nf
 	}
@@ -50,14 +57,23 @@ func (f *Function) Clone() *Function {
 			ntrail += len(in.Trail)
 		}
 	}
-	blocks := make([]Block, len(f.Blocks))
-	blockPtrs := make([]*Block, len(f.Blocks))
-	instrs := make([]Instr, ninstrs)
-	instrPtrs := make([]*Instr, ninstrs)
-	vals := make([]Value, nvals)
-	succs := make([]Succ, nsuccs)
-	ops := make([]*Value, nops)
-	trails := make([]int, ntrail)
+	var blocks []Block
+	var blockPtrs []*Block
+	var instrs []Instr
+	var instrPtrs []*Instr
+	var vals []Value
+	var succs []Succ
+	var ops []*Value
+	if a == nil {
+		blocks, blockPtrs = make([]Block, len(f.Blocks)), make([]*Block, len(f.Blocks))
+		instrs, instrPtrs = make([]Instr, ninstrs), make([]*Instr, ninstrs)
+		vals, succs, ops = make([]Value, nvals), make([]Succ, nsuccs), make([]*Value, nops)
+	} else {
+		blocks, blockPtrs = a.blocks.take(len(f.Blocks)), a.blockPtrs.take(len(f.Blocks))
+		instrs, instrPtrs = a.instrs.take(ninstrs), a.instrPtrs.take(ninstrs)
+		vals, succs, ops = a.values.take(nvals), a.succs.take(nsuccs), a.operands.take(nops)
+	}
+	trails := a.Ints(ntrail)
 
 	// A value maps to its copy through its number, checked against olds
 	// (f's values in definition order, parallel to vals), or through
@@ -67,9 +83,15 @@ func (f *Function) Clone() *Function {
 	var olds []*Value
 	var vindex map[*Value]int32
 	var bindex map[*Block]int32
-	if numbered {
+	switch {
+	case numbered && a == nil:
 		olds = make([]*Value, nvals)
-	} else {
+	case numbered:
+		if cap(a.olds) < nvals {
+			a.olds = make([]*Value, nvals)
+		}
+		olds = a.olds[:nvals] // every slot is defined before any is read
+	default:
 		vindex = make(map[*Value]int32, nvals)
 		bindex = make(map[*Block]int32, len(f.Blocks))
 	}

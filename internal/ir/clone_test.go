@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -21,6 +22,9 @@ func record(fs ...*Function) storage {
 		args: map[*Instr]string{}, succs: map[*Instr]string{},
 	}
 	for _, f := range fs {
+		if f == nil {
+			continue
+		}
 		for _, b := range f.Blocks {
 			s.params[b] = ptrs(b.Params)
 			s.instrs[b] = ptrs(b.Instrs)
@@ -73,15 +77,22 @@ func sameExcept(t *testing.T, what string, before, after storage, skipB *Block, 
 
 // TestCloneSlabsDoNotAlias appends to each block's and each instruction's
 // lists of a clone in turn, and requires every other block and instruction,
-// of the clone and of the original, to be left as it was.
+// of the clone and of the original, to be left as it was. An arena carves
+// the next clone right after the first, from the same slabs, so that one
+// must be left as it was too.
 func TestCloneSlabsDoNotAlias(t *testing.T) {
 	// A built function is cloned through maps, a clone through its numbers.
 	for _, orig := range []*Function{buildLoop(), buildLoop().Clone()} {
-		cloneSlabsDoNotAlias(t, orig)
+		cloneSlabsDoNotAlias(t, orig, func() (*Function, *Function) { return orig.Clone(), nil })
+		var a Arena
+		cloneSlabsDoNotAlias(t, orig, func() (*Function, *Function) {
+			a.Release()
+			return orig.CloneIn(&a), orig.CloneIn(&a)
+		})
 	}
 }
 
-func cloneSlabsDoNotAlias(t *testing.T, orig *Function) {
+func cloneSlabsDoNotAlias(t *testing.T, orig *Function, clone func() (c, next *Function)) {
 	extra := &Value{ID: 999}
 	mutations := []struct {
 		name   string
@@ -104,8 +115,8 @@ func cloneSlabsDoNotAlias(t *testing.T, orig *Function) {
 				if (ii < 0) != m.blocks {
 					continue
 				}
-				c := orig.Clone()
-				before := record(orig, c)
+				c, next := clone()
+				before := record(orig, c, next)
 				b := c.Blocks[bi]
 				var in *Instr
 				if ii >= 0 {
@@ -116,7 +127,7 @@ func cloneSlabsDoNotAlias(t *testing.T, orig *Function) {
 				if in != nil {
 					skipB = nil
 				}
-				sameExcept(t, m.name, before, record(orig, c), skipB, in)
+				sameExcept(t, m.name, before, record(orig, c, next), skipB, in)
 			}
 		}
 	}
@@ -204,6 +215,116 @@ func numberingCurrent(f *Function) bool {
 				}
 				n++
 			}
+		}
+	}
+	return true
+}
+
+// callChain builds a function with calls whose trails are set, so that
+// every slab Clone carves is non-empty.
+func callChain() *Function {
+	b := NewFunction("chain", 2, false)
+	x, y := b.Param(0), b.Param(1)
+	loop := b.Block("loop", 1)
+	done := b.Block("done", 0)
+	b.Br(loop, x)
+	b.SetBlock(loop)
+	i := loop.Params[0]
+	r := b.Call("g", i, y)
+	b.CondBr(r, loop, []*Value{r}, done, nil)
+	b.SetBlock(done)
+	b.Ret(b.Call("h", i))
+	for _, blk := range b.Fn.Blocks {
+		for _, in := range blk.Instrs {
+			if in.Op == OpCall {
+				in.Site, in.Trail = 5, []int{1, 2, 3}
+			}
+		}
+	}
+	return b.Fn
+}
+
+// carved returns a check per piece of memory the clone f was carved from:
+// the Function, every block, instruction and value, and every list they
+// own. Each check reports whether its piece reads zero.
+func carved(f *Function) []func() bool {
+	zero := func(v any) func() bool {
+		rv := reflect.ValueOf(v)
+		return func() bool {
+			if rv.Kind() == reflect.Pointer {
+				return rv.Elem().IsZero()
+			}
+			for i := 0; i < rv.Len(); i++ {
+				if !rv.Index(i).IsZero() {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	checks := []func() bool{zero(f), zero(f.Blocks)}
+	for _, b := range f.Blocks {
+		checks = append(checks, zero(b), zero(b.Params), zero(b.Instrs))
+		for _, p := range b.Params {
+			checks = append(checks, zero(p))
+		}
+		for _, in := range b.Instrs {
+			checks = append(checks, zero(in), zero(in.Args), zero(in.Succs), zero(in.Trail))
+			if in.Result != nil {
+				checks = append(checks, zero(in.Result))
+			}
+			for _, sc := range in.Succs {
+				checks = append(checks, zero(sc.Args))
+			}
+		}
+	}
+	return checks
+}
+
+// TestArenaReleaseZeroesEverySlot clones functions of every shape Clone
+// handles (numbered, stale, with calls and trails) into one arena, enough
+// to need several slabs, and requires every slot handed out to read zero
+// after Release, in the round that grows the arena and in one that reuses
+// it. A clone of a numbered function into a warm arena allocates nothing.
+func TestArenaReleaseZeroesEverySlot(t *testing.T) {
+	stale := buildLoop().Clone()
+	stale.Blocks[1], stale.Blocks[3] = stale.Blocks[3], stale.Blocks[1]
+	srcs := []*Function{buildLoop(), buildLoop().Clone(), stale, callChain(), callChain().Clone()}
+	var a Arena
+	for round := 0; round < 2; round++ {
+		var checks []func() bool
+		for i := 0; i < 40; i++ {
+			src := srcs[i%len(srcs)]
+			c := src.CloneIn(&a)
+			if c.String() != src.String() {
+				t.Fatalf("arena clone prints\n%s\nsource\n%s", c, src)
+			}
+			checks = append(checks, carved(c)...)
+		}
+		a.Release()
+		for i, zero := range checks {
+			if !zero() {
+				t.Fatalf("round %d: carved piece %d is not zero after Release", round, i)
+			}
+		}
+		if !allNil(a.olds[:cap(a.olds)]) {
+			t.Fatal("Release left Clone's value index filled")
+		}
+	}
+	for _, src := range srcs {
+		if !numberingCurrent(src) {
+			continue // indexed through maps, which the arena does not keep
+		}
+		if n := testing.AllocsPerRun(20, func() { src.CloneIn(&a); a.Release() }); n != 0 {
+			t.Fatalf("clone of %s into a warm arena allocates %.0f times", src.Name, n)
+		}
+	}
+}
+
+func allNil(vs []*Value) bool {
+	for _, v := range vs {
+		if v != nil {
+			return false
 		}
 	}
 	return true

@@ -7,6 +7,14 @@ import "optinline/internal/graph"
 // configurations it must evaluate (Section 3.2 of the paper).
 type Selector func(mg *graph.Multigraph) graph.Edge
 
+// selector is a Selector that may use its caller's kernel scratch.
+type selector func(s *graph.Scratch, mg *graph.Multigraph) graph.Edge
+
+// scratchless adapts a Selector, which brings its own memory.
+func (sel Selector) scratchless() selector {
+	return func(_ *graph.Scratch, mg *graph.Multigraph) graph.Edge { return sel(mg) }
+}
+
 // SelectFirstEdge is the ablation baseline: always partition on the first
 // remaining edge, ignoring graph structure. On bridge-rich graphs this
 // degenerates toward the naive 2^E exploration.
@@ -36,5 +44,5 @@ func SelectLowestID(mg *graph.Multigraph) graph.Edge {
 // partition-edge selector, for ablating the paper's heuristic. Semantics
 // match RecursiveSpaceSize.
 func SpaceSizeWith(g interface{ Undirected() *graph.Multigraph }, limit uint64, sel Selector) (uint64, bool) {
-	return countSpace(g.Undirected(), limit, sel)
+	return countSpace(g.Undirected(), limit, sel.scratchless())
 }

@@ -12,9 +12,9 @@ func TestSelectorsAgreeOnCount(t *testing.T) {
 	// Any selector explores a complete space: its count must be at least 2
 	// for one edge and all selectors must agree on a single-edge graph.
 	g := pathGraph(1)
-	a, _ := countSpace(g, 0, SelectFirstEdge)
-	b, _ := countSpace(g, 0, SelectLowestID)
-	c, _ := countSpace(g, 0, SelectPartitionEdge)
+	a, _ := countSpace(g, 0, Selector(SelectFirstEdge).scratchless())
+	b, _ := countSpace(g, 0, Selector(SelectLowestID).scratchless())
+	c, _ := countSpace(g, 0, selectPartitionEdge)
 	if a != 2 || b != 2 || c != 2 {
 		t.Fatalf("single edge counts: %d %d %d", a, b, c)
 	}
@@ -24,8 +24,8 @@ func TestPaperSelectorBeatsBaselineOnPaths(t *testing.T) {
 	// On a long path, the central-bridge heuristic splits the space while
 	// first-edge chews one edge at a time.
 	g := pathGraph(12)
-	paper, _ := countSpace(g, 0, SelectPartitionEdge)
-	naiveSel, capped := countSpace(g, 1<<20, SelectFirstEdge)
+	paper, _ := countSpace(g, 0, selectPartitionEdge)
+	naiveSel, capped := countSpace(g, 1<<20, Selector(SelectFirstEdge).scratchless())
 	if capped {
 		t.Fatal("unexpected cap")
 	}

@@ -22,7 +22,7 @@ import (
 	"math"
 	"math/big"
 	"runtime"
-	"sort"
+	"sync"
 
 	"optinline/internal/callgraph"
 	"optinline/internal/compile"
@@ -43,24 +43,9 @@ func NaiveSpaceSize(g *callgraph.Graph) *big.Int {
 // ComponentSpaceSize returns the space size when only connected components
 // are exploited: sum over components of 2^|E_c| (Section 3.1).
 func ComponentSpaceSize(g *callgraph.Graph) *big.Int {
-	mg := g.Undirected()
-	comps := mg.ConnectedComponents()
-	inComp := make([]int, mg.N)
-	for ci, nodes := range comps {
-		for _, n := range nodes {
-			inComp[n] = ci
-		}
-	}
-	edgeCount := make([]int, len(comps))
-	for _, e := range mg.Edges {
-		edgeCount[inComp[e.U]]++
-	}
 	total := new(big.Int)
-	for _, ec := range edgeCount {
-		if ec == 0 {
-			continue
-		}
-		total.Add(total, new(big.Int).Lsh(big.NewInt(1), uint(ec)))
+	for _, sub := range ComponentSubgraphs(g) {
+		total.Add(total, new(big.Int).Lsh(big.NewInt(1), uint(len(sub.Edges))))
 	}
 	return total
 }
@@ -71,7 +56,7 @@ func ComponentSpaceSize(g *callgraph.Graph) *big.Int {
 // whether the limit was hit (the returned count is then a lower bound >
 // limit).
 func RecursiveSpaceSize(g *callgraph.Graph, limit uint64) (uint64, bool) {
-	return countSpace(g.Undirected(), limit, SelectPartitionEdge)
+	return countSpace(g.Undirected(), limit, selectPartitionEdge)
 }
 
 // RecursiveSpaceLog2 is a convenience: log2 of the (possibly capped) count.
@@ -87,7 +72,7 @@ func RecursiveSpaceLog2(g *callgraph.Graph, limit uint64) (float64, bool) {
 // component from ComponentSubgraphs): the number of tree evaluations an
 // OptimalCompletion over it costs.
 func SubspaceSize(mg *graph.Multigraph, limit uint64) (uint64, bool) {
-	return countSpace(mg, limit, SelectPartitionEdge)
+	return countSpace(mg, limit, selectPartitionEdge)
 }
 
 // countSpace counts the inlining tree rooted at mg under the partition-edge
@@ -100,16 +85,17 @@ func SubspaceSize(mg *graph.Multigraph, limit uint64) (uint64, bool) {
 // the order the recursion summed it in, while an uncapped count is the
 // subtree's exact size, which the plain recursion would also return
 // uncapped wherever the subgraph recurs.
-func countSpace(mg *graph.Multigraph, limit uint64, sel Selector) (uint64, bool) {
+func countSpace(mg *graph.Multigraph, limit uint64, sel selector) (uint64, bool) {
 	sc := spaceCounter{limit: limit, sel: sel, memo: make(map[string]uint64)}
 	return sc.count(mg)
 }
 
 type spaceCounter struct {
-	limit uint64
-	sel   Selector
-	memo  map[string]uint64 // edge-list key -> exact subtree count
-	buf   []byte            // key scratch; lookups convert without allocating
+	limit   uint64
+	sel     selector
+	memo    map[string]uint64 // edge-list key -> exact subtree count
+	buf     []byte            // key scratch; lookups convert without allocating
+	scratch graph.Scratch
 }
 
 func (sc *spaceCounter) over(n uint64) bool { return sc.limit > 0 && n > sc.limit }
@@ -137,10 +123,10 @@ func (sc *spaceCounter) count(mg *graph.Multigraph) (uint64, bool) {
 
 // split is one step of the plain recursion, recursing through count.
 func (sc *spaceCounter) split(mg *graph.Multigraph) (uint64, bool) {
-	if subs := edgeComponents(mg); len(subs) > 1 {
+	if subs := edgeComponents(&sc.scratch, mg); subs != nil {
 		total := uint64(1) // the combining evaluation of the components node
-		for _, sub := range subs {
-			n, capped := sc.count(sub)
+		for i := range subs {
+			n, capped := sc.count(&subs[i])
 			total += n
 			if capped || sc.over(total) {
 				return total, true
@@ -148,7 +134,7 @@ func (sc *spaceCounter) split(mg *graph.Multigraph) (uint64, bool) {
 		}
 		return total, false
 	}
-	e := sc.sel(mg)
+	e := sc.sel(&sc.scratch, mg)
 	n1, c1 := sc.count(mg.RemoveEdge(e.ID))
 	if c1 || sc.over(n1) {
 		return n1, true
@@ -159,38 +145,23 @@ func (sc *spaceCounter) split(mg *graph.Multigraph) (uint64, bool) {
 }
 
 // edgeComponents splits the multigraph into one subgraph per connected
-// component that contains at least one edge. Node numbering is preserved.
-func edgeComponents(mg *graph.Multigraph) []*graph.Multigraph {
-	comps := mg.ConnectedComponents()
-	inComp := make([]int, mg.N)
-	for ci, nodes := range comps {
-		for _, n := range nodes {
-			inComp[n] = ci
-		}
+// component, or returns nil when its edges form fewer than two. Node
+// numbering is preserved.
+func edgeComponents(s *graph.Scratch, mg *graph.Multigraph) []graph.Multigraph {
+	groups := s.Components(mg.Edges)
+	if groups == nil {
+		return nil
 	}
-	byComp := make(map[int][]graph.Edge)
-	for _, e := range mg.Edges {
-		ci := inComp[e.U]
-		byComp[ci] = append(byComp[ci], e)
-	}
-	if len(byComp) <= 1 {
-		// Zero or one edge-bearing component: no split.
-		if len(byComp) == 0 {
-			return nil
-		}
-		return []*graph.Multigraph{mg}
-	}
-	cis := make([]int, 0, len(byComp))
-	for ci := range byComp {
-		cis = append(cis, ci)
-	}
-	sort.Ints(cis)
-	subs := make([]*graph.Multigraph, 0, len(cis))
-	for _, ci := range cis {
-		subs = append(subs, &graph.Multigraph{N: mg.N, Edges: byComp[ci]})
+	subs := make([]graph.Multigraph, len(groups))
+	for i, es := range groups {
+		subs[i] = graph.Multigraph{N: mg.N, Edges: es}
 	}
 	return subs
 }
+
+// scratchPool serves kernel scratch to goroutines that start without one:
+// SelectPartitionEdge's callers and the evaluator's spawned subtrees.
+var scratchPool = sync.Pool{New: func() any { return new(graph.Scratch) }}
 
 // SelectPartitionEdge implements the paper's partition-edge heuristic
 // (Algorithm 2, SelectPartitionEdge):
@@ -203,60 +174,51 @@ func edgeComponents(mg *graph.Multigraph) []*graph.Multigraph {
 // Ties break toward lower node index / lower edge ID for determinism.
 // Edge direction is taken from the stored (U=tail, V=head) orientation.
 func SelectPartitionEdge(mg *graph.Multigraph) graph.Edge {
+	s := scratchPool.Get().(*graph.Scratch)
+	defer scratchPool.Put(s)
+	return selectPartitionEdge(s, mg)
+}
+
+// selectPartitionEdge is SelectPartitionEdge on the caller's scratch. It
+// reads the eccentricity of bridge endpoints only.
+func selectPartitionEdge(s *graph.Scratch, mg *graph.Multigraph) graph.Edge {
 	if len(mg.Edges) == 0 {
 		panic("search: SelectPartitionEdge on empty graph")
 	}
-	bridges := mg.Bridges()
-	if len(bridges) > 0 {
-		ecc := mg.Eccentricities()
+	if bridges := s.Bridges(mg.Edges); len(bridges) > 0 {
 		best := bridges[0]
-		bestEcc := minEcc(ecc, best)
+		bestEcc := minEcc(s, best)
 		for _, b := range bridges[1:] {
-			be := minEcc(ecc, b)
+			be := minEcc(s, b)
 			if be < bestEcc || (be == bestEcc && b.ID < best.ID) {
 				best, bestEcc = b, be
 			}
 		}
 		return best
 	}
-	out := make([]int, mg.N)
-	in := make([]int, mg.N)
+	// Only edge tails have out-degree, and the highest is at least one.
+	u, uOut := -1, 0
 	for _, e := range mg.Edges {
-		out[e.U]++
-		in[e.V]++
-	}
-	u := -1
-	for n := 0; n < mg.N; n++ {
-		if u == -1 || out[n] > out[u] {
-			u = n
+		out, _ := s.Degree(e.U)
+		if out > uOut || (out == uOut && e.U < u) {
+			u, uOut = e.U, out
 		}
 	}
-	var best *graph.Edge
-	for i := range mg.Edges {
-		e := &mg.Edges[i]
+	best, bestIn := -1, 0
+	for i, e := range mg.Edges {
 		if e.U != u {
 			continue
 		}
-		if best == nil || in[e.V] < in[best.V] || (in[e.V] == in[best.V] && e.ID < best.ID) {
-			best = e
+		_, in := s.Degree(e.V)
+		if best < 0 || in < bestIn || (in == bestIn && e.ID < mg.Edges[best].ID) {
+			best, bestIn = i, in
 		}
 	}
-	if best == nil {
-		// Unreachable: u maximizes out-degree and the graph has edges, so
-		// out[u] >= 1 and the loop above found at least one candidate. A
-		// silent fallback here (an arbitrary edge) would desynchronize the
-		// evaluated tree from countSpace's accounting, so fail loudly.
-		panic("search: SelectPartitionEdge: max-out-degree node has no outgoing edge")
-	}
-	return *best
+	return mg.Edges[best]
 }
 
-func minEcc(ecc []int, e graph.Edge) int {
-	a, b := ecc[e.U], ecc[e.V]
-	if b < a {
-		return b
-	}
-	return a
+func minEcc(s *graph.Scratch, e graph.Edge) int {
+	return min(s.Eccentricity(e.U), s.Eccentricity(e.V))
 }
 
 // Result is the outcome of an optimal search.
@@ -292,7 +254,7 @@ func Optimal(c *compile.Compiler, opts Options) (Result, bool) {
 	if opts.MaxSpace > 0 && (capped || space > opts.MaxSpace) {
 		return Result{SpaceSize: space}, false
 	}
-	cfg, size := newEvaluator(c, opts).eval(g.Undirected(), callgraph.NewConfig())
+	cfg, size := newEvaluator(c, opts).run(g.Undirected(), callgraph.NewConfig())
 	return Result{
 		Config:      cfg,
 		Size:        size,
@@ -309,7 +271,7 @@ func Optimal(c *compile.Compiler, opts Options) (Result, bool) {
 // independence theorem), so re-solving one component under a tuned context
 // yields the true component optimum given the rest.
 func OptimalCompletion(c *compile.Compiler, mg *graph.Multigraph, decided *callgraph.Config, opts Options) (*callgraph.Config, int) {
-	return newEvaluator(c, opts).eval(mg, decided.Clone())
+	return newEvaluator(c, opts).run(mg, decided.Clone())
 }
 
 // ComponentSubgraphs returns the edge-bearing connected components of the
@@ -319,7 +281,16 @@ func ComponentSubgraphs(g *callgraph.Graph) []*graph.Multigraph {
 	if len(mg.Edges) == 0 {
 		return nil
 	}
-	return edgeComponents(mg)
+	var s graph.Scratch
+	subs := edgeComponents(&s, mg)
+	if subs == nil {
+		return []*graph.Multigraph{mg}
+	}
+	out := make([]*graph.Multigraph, len(subs))
+	for i := range subs {
+		out[i] = &subs[i]
+	}
+	return out
 }
 
 type evaluator struct {
@@ -359,24 +330,31 @@ func (ev *evaluator) sizeOf(cfg *callgraph.Config) int {
 	return ev.c.Size(cfg)
 }
 
+// run evaluates the inlining tree rooted at mg on pooled kernel scratch.
+func (ev *evaluator) run(mg *graph.Multigraph, decided *callgraph.Config) (*callgraph.Config, int) {
+	s := scratchPool.Get().(*graph.Scratch)
+	defer scratchPool.Put(s)
+	return ev.eval(s, mg, decided)
+}
+
 // eval is Algorithm 1 fused with Algorithm 2: it lazily builds and
 // evaluates the inlining tree rooted at the given graph state.
-// decided holds the labels assigned on the path from the root.
-func (ev *evaluator) eval(mg *graph.Multigraph, decided *callgraph.Config) (*callgraph.Config, int) {
+// decided holds the labels assigned on the path from the root; s is the
+// calling goroutine's kernel scratch.
+func (ev *evaluator) eval(s *graph.Scratch, mg *graph.Multigraph, decided *callgraph.Config) (*callgraph.Config, int) {
 	if len(mg.Edges) == 0 {
 		// InliningTreeLeaf: a fully labeled (partial w.r.t. siblings)
 		// configuration; evaluate it.
 		cfg := decided.Clone()
 		return cfg, ev.sizeOf(cfg)
 	}
-	if subs := edgeComponents(mg); len(subs) > 1 {
+	if subs := edgeComponents(s, mg); subs != nil {
 		// InliningTreeComponentsNode: independent components explored
 		// independently, then combined with one extra evaluation.
 		combined := decided.Clone()
 		results := make([]*callgraph.Config, len(subs))
-		ev.parallelEach(len(subs), func(i int) {
-			sub, _ := ev.eval(subs[i], decided)
-			results[i] = sub
+		ev.parallelEach(s, len(subs), func(s *graph.Scratch, i int) {
+			results[i], _ = ev.eval(s, &subs[i], decided)
 		})
 		for _, sub := range results {
 			combined.Merge(sub)
@@ -384,14 +362,14 @@ func (ev *evaluator) eval(mg *graph.Multigraph, decided *callgraph.Config) (*cal
 		return combined, ev.sizeOf(combined)
 	}
 	// InliningTreeBinaryNode: label the partition edge both ways.
-	e := SelectPartitionEdge(mg)
+	e := selectPartitionEdge(s, mg)
 	var cfg1, cfg2 *callgraph.Config
 	var size1, size2 int
-	ev.parallelEach(2, func(i int) {
+	ev.parallelEach(s, 2, func(s *graph.Scratch, i int) {
 		if i == 0 {
-			cfg1, size1 = ev.eval(mg.RemoveEdge(e.ID), decided)
+			cfg1, size1 = ev.eval(s, mg.RemoveEdge(e.ID), decided)
 		} else {
-			cfg2, size2 = ev.eval(mg.ContractEdge(e.ID), decided.Clone().Set(e.ID, true))
+			cfg2, size2 = ev.eval(s, mg.ContractEdge(e.ID), decided.Clone().Set(e.ID, true))
 		}
 	})
 	if size1 <= size2 {
@@ -401,7 +379,9 @@ func (ev *evaluator) eval(mg *graph.Multigraph, decided *callgraph.Config) (*cal
 }
 
 // parallelEach runs n closures, possibly concurrently if worker tokens are
-// available; it always runs index 0 on the calling goroutine.
+// available; it always runs index 0 on the calling goroutine. Closures run
+// on the caller's goroutine share its scratch s; a spawned one takes its
+// own from the pool.
 //
 // The pool is fire-and-forget by design: a closure either grabs a token and
 // runs on a fresh goroutine or runs inline on the caller, so a parent
@@ -409,10 +389,10 @@ func (ev *evaluator) eval(mg *graph.Multigraph, decided *callgraph.Config) (*cal
 // stack — including when every token holder is parked on a single-flight
 // cache slot (the solver of that slot is itself running inline somewhere).
 // A FIFO work queue would deadlock exactly there.
-func (ev *evaluator) parallelEach(n int, fn func(i int)) {
+func (ev *evaluator) parallelEach(s *graph.Scratch, n int, fn func(s *graph.Scratch, i int)) {
 	if ev.tokens == nil || n <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(s, i)
 		}
 		return
 	}
@@ -424,14 +404,16 @@ func (ev *evaluator) parallelEach(n int, fn func(i int)) {
 			spawned++
 			go func(ix int) {
 				defer func() { <-ev.tokens }()
-				fn(ix)
+				gs := scratchPool.Get().(*graph.Scratch)
+				fn(gs, ix)
+				scratchPool.Put(gs)
 				done <- ix
 			}(i)
 		default:
-			fn(i)
+			fn(s, i)
 		}
 	}
-	fn(0)
+	fn(s, 0)
 	for ; spawned > 0; spawned-- {
 		<-done
 	}

@@ -26,15 +26,15 @@ func pathGraph(n int) *graph.Multigraph {
 
 func TestCountSpaceBasics(t *testing.T) {
 	// No edges: a single leaf.
-	if n, _ := countSpace(&graph.Multigraph{N: 3}, 0, SelectPartitionEdge); n != 1 {
+	if n, _ := countSpace(&graph.Multigraph{N: 3}, 0, selectPartitionEdge); n != 1 {
 		t.Fatalf("empty graph count=%d", n)
 	}
 	// One edge: both labels, two evaluations (== naive).
-	if n, _ := countSpace(pathGraph(1), 0, SelectPartitionEdge); n != 2 {
+	if n, _ := countSpace(pathGraph(1), 0, selectPartitionEdge); n != 2 {
 		t.Fatalf("single edge count=%d", n)
 	}
 	// Two-edge path: no reduction possible, equals naive 4.
-	if n, _ := countSpace(pathGraph(2), 0, SelectPartitionEdge); n != 4 {
+	if n, _ := countSpace(pathGraph(2), 0, selectPartitionEdge); n != 4 {
 		t.Fatalf("P2 count=%d", n)
 	}
 }
@@ -42,7 +42,7 @@ func TestCountSpaceBasics(t *testing.T) {
 func TestCountSpacePathReduction(t *testing.T) {
 	// The paper's Figure 5 shape: a 5-edge path. One-level partitioning
 	// gives 25 (vs naive 32); recursive partitioning does at least as well.
-	n, capped := countSpace(pathGraph(5), 0, SelectPartitionEdge)
+	n, capped := countSpace(pathGraph(5), 0, selectPartitionEdge)
 	if capped {
 		t.Fatal("unexpected cap")
 	}
@@ -50,7 +50,7 @@ func TestCountSpacePathReduction(t *testing.T) {
 		t.Fatalf("no reduction on P5: %d", n)
 	}
 	// Longer paths: reduction grows to orders of magnitude.
-	n10, _ := countSpace(pathGraph(10), 0, SelectPartitionEdge)
+	n10, _ := countSpace(pathGraph(10), 0, selectPartitionEdge)
 	if n10 >= 200 { // naive is 1024
 		t.Fatalf("P10 count=%d, expected large reduction", n10)
 	}
@@ -62,7 +62,7 @@ func TestCountSpaceComponents(t *testing.T) {
 		{ID: 1, U: 0, V: 1}, {ID: 2, U: 1, V: 2}, // F->G->K
 		{ID: 3, U: 3, V: 4}, // H->L
 	}}
-	n, _ := countSpace(mg, 0, SelectPartitionEdge)
+	n, _ := countSpace(mg, 0, selectPartitionEdge)
 	// Components explored independently (4 + 2) plus one combine.
 	if n != 7 {
 		t.Fatalf("components count=%d, want 7", n)
@@ -70,7 +70,7 @@ func TestCountSpaceComponents(t *testing.T) {
 }
 
 func TestCountSpaceCap(t *testing.T) {
-	n, capped := countSpace(pathGraph(30), 100, SelectPartitionEdge)
+	n, capped := countSpace(pathGraph(30), 100, selectPartitionEdge)
 	if !capped || n <= 100 {
 		t.Fatalf("cap not honoured: n=%d capped=%v", n, capped)
 	}
@@ -78,15 +78,15 @@ func TestCountSpaceCap(t *testing.T) {
 
 // countSpacePlain is countSpace without the memo: the recursion it must
 // reproduce exactly, capped counts included.
-func countSpacePlain(mg *graph.Multigraph, limit uint64, sel Selector) (uint64, bool) {
+func countSpacePlain(mg *graph.Multigraph, limit uint64, sel selector) (uint64, bool) {
 	if len(mg.Edges) == 0 {
 		return 1, false
 	}
 	over := func(n uint64) bool { return limit > 0 && n > limit }
-	if subs := edgeComponents(mg); len(subs) > 1 {
+	if subs := edgeComponents(new(graph.Scratch), mg); subs != nil {
 		total := uint64(1)
-		for _, sub := range subs {
-			n, capped := countSpacePlain(sub, limit, sel)
+		for i := range subs {
+			n, capped := countSpacePlain(&subs[i], limit, sel)
 			total += n
 			if capped || over(total) {
 				return total, true
@@ -94,7 +94,7 @@ func countSpacePlain(mg *graph.Multigraph, limit uint64, sel Selector) (uint64, 
 		}
 		return total, false
 	}
-	e := sel(mg)
+	e := sel(new(graph.Scratch), mg)
 	n1, c1 := countSpacePlain(mg.RemoveEdge(e.ID), limit, sel)
 	if c1 || over(n1) {
 		return n1, true
@@ -110,7 +110,7 @@ func countSpacePlain(mg *graph.Multigraph, limit uint64, sel Selector) (uint64, 
 // (parallel edges and self-loops included) and on every file of a scaled
 // corpus, capped at a size the plain recursion can afford.
 func TestCountSpaceMemoMatchesPlainRecursion(t *testing.T) {
-	check := func(name string, mg *graph.Multigraph, limit uint64, sel Selector) {
+	check := func(name string, mg *graph.Multigraph, limit uint64, sel selector) {
 		t.Helper()
 		n, capped := countSpace(mg, limit, sel)
 		pn, pcapped := countSpacePlain(mg, limit, sel)
@@ -118,8 +118,10 @@ func TestCountSpaceMemoMatchesPlainRecursion(t *testing.T) {
 			t.Fatalf("%s (limit %d): memoized (%d, %v) != plain (%d, %v)", name, limit, n, capped, pn, pcapped)
 		}
 	}
-	selectors := map[string]Selector{
-		"paper": SelectPartitionEdge, "first": SelectFirstEdge, "lowest": SelectLowestID,
+	selectors := map[string]selector{
+		"paper":  selectPartitionEdge,
+		"first":  Selector(SelectFirstEdge).scratchless(),
+		"lowest": Selector(SelectLowestID).scratchless(),
 	}
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 200; trial++ {
@@ -138,9 +140,9 @@ func TestCountSpaceMemoMatchesPlainRecursion(t *testing.T) {
 		p.TotalEdges = max(1, p.TotalEdges/4)
 		for _, f := range workload.Generate(p).Files {
 			mg := callgraph.Build(f.Module).Undirected()
-			check(f.Name, mg, spaceCap, SelectPartitionEdge)
+			check(f.Name, mg, spaceCap, selectPartitionEdge)
 			files++
-			if _, c := countSpace(mg, spaceCap, SelectPartitionEdge); c {
+			if _, c := countSpace(mg, spaceCap, selectPartitionEdge); c {
 				capped++
 			}
 		}
@@ -163,7 +165,7 @@ func TestSelectPartitionEdgeNoBridges(t *testing.T) {
 	mg := &graph.Multigraph{N: 3, Edges: []graph.Edge{
 		{ID: 1, U: 0, V: 1}, {ID: 2, U: 0, V: 2}, {ID: 3, U: 1, V: 2}, {ID: 4, U: 2, V: 0},
 	}}
-	if len(mg.Bridges()) != 0 {
+	if len(new(graph.Scratch).Bridges(mg.Edges)) != 0 {
 		t.Fatal("test graph should have no bridges")
 	}
 	e := SelectPartitionEdge(mg)
@@ -518,11 +520,11 @@ func TestEdgeComponentsParallelEdges(t *testing.T) {
 		{ID: 2, U: 1, V: 0}, // parallel, opposite stored orientation
 		{ID: 3, U: 2, V: 3},
 	}}
-	subs := edgeComponents(mg)
+	subs := edgeComponents(new(graph.Scratch), mg)
 	if len(subs) != 2 {
 		t.Fatalf("got %d components, want 2", len(subs))
 	}
-	got0, got1 := edgeIDSet(subs[0]), edgeIDSet(subs[1])
+	got0, got1 := edgeIDSet(&subs[0]), edgeIDSet(&subs[1])
 	if fmt.Sprint(got0) != "[1 2]" || fmt.Sprint(got1) != "[3]" {
 		t.Fatalf("component edge IDs = %v / %v, want [1 2] / [3]", got0, got1)
 	}
@@ -535,18 +537,18 @@ func TestEdgeComponentsSelfLoops(t *testing.T) {
 		{ID: 7, U: 1, V: 1},
 		{ID: 9, U: 0, V: 2},
 	}}
-	subs := edgeComponents(mg)
+	subs := edgeComponents(new(graph.Scratch), mg)
 	if len(subs) != 2 {
 		t.Fatalf("got %d components, want 2", len(subs))
 	}
 	// Ordering is by smallest contained node: {0,2} before {1}.
-	if fmt.Sprint(edgeIDSet(subs[0])) != "[9]" || fmt.Sprint(edgeIDSet(subs[1])) != "[7]" {
+	if fmt.Sprint(edgeIDSet(&subs[0])) != "[9]" || fmt.Sprint(edgeIDSet(&subs[1])) != "[7]" {
 		t.Fatalf("component edge IDs = %v / %v, want [9] / [7]",
-			edgeIDSet(subs[0]), edgeIDSet(subs[1]))
+			edgeIDSet(&subs[0]), edgeIDSet(&subs[1]))
 	}
 	// A self-loop alone is a single edge-bearing component: no split.
 	loop := &graph.Multigraph{N: 2, Edges: []graph.Edge{{ID: 3, U: 0, V: 0}}}
-	if subs := edgeComponents(loop); len(subs) != 1 || subs[0] != loop {
+	if subs := edgeComponents(new(graph.Scratch), loop); subs != nil {
 		t.Fatalf("self-loop-only graph split unexpectedly: %v", subs)
 	}
 }
@@ -575,17 +577,17 @@ func TestSearchSplitsPreserveEdges(t *testing.T) {
 			return
 		}
 		parent := edgeIDSet(mg)
-		if subs := edgeComponents(mg); len(subs) > 1 {
+		if subs := edgeComponents(new(graph.Scratch), mg); subs != nil {
 			var union []int
-			for _, sub := range subs {
-				union = append(union, edgeIDSet(sub)...)
+			for i := range subs {
+				union = append(union, edgeIDSet(&subs[i])...)
 			}
 			sort.Ints(union)
 			if fmt.Sprint(union) != fmt.Sprint(parent) {
 				t.Fatalf("components partition lost edges: %v -> %v", parent, union)
 			}
-			for _, sub := range subs {
-				walk(sub, depth+1)
+			for i := range subs {
+				walk(&subs[i], depth+1)
 			}
 			return
 		}

@@ -81,8 +81,9 @@ func BuildTree(g *callgraph.Graph, maxNodes int) (*TreeNode, error) {
 }
 
 type treeBuilder struct {
-	g      *callgraph.Graph
-	budget int
+	g       *callgraph.Graph
+	budget  int
+	scratch graph.Scratch
 }
 
 func (tb *treeBuilder) spend() error {
@@ -104,14 +105,14 @@ func (tb *treeBuilder) build(mg *graph.Multigraph, decided *callgraph.Config) (*
 			Nodes:     tb.mergedNodeNames(mg, decided),
 		}, nil
 	}
-	if subs := edgeComponents(mg); len(subs) > 1 {
+	if subs := edgeComponents(&tb.scratch, mg); subs != nil {
 		node := &TreeNode{
 			Kind:      ComponentsNode,
 			Decisions: decided.Clone(),
 			Nodes:     tb.mergedNodeNames(mg, decided),
 		}
-		for _, sub := range subs {
-			child, err := tb.build(sub, decided)
+		for i := range subs {
+			child, err := tb.build(&subs[i], decided)
 			if err != nil {
 				return nil, err
 			}
@@ -119,7 +120,7 @@ func (tb *treeBuilder) build(mg *graph.Multigraph, decided *callgraph.Config) (*
 		}
 		return node, nil
 	}
-	e := SelectPartitionEdge(mg)
+	e := selectPartitionEdge(&tb.scratch, mg)
 	not, err := tb.build(mg.RemoveEdge(e.ID), decided)
 	if err != nil {
 		return nil, err
