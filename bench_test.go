@@ -199,7 +199,7 @@ func BenchmarkAutotuneRound(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		comp := compile.New(f.Module, codegen.TargetX86)
-		res := autotune.CleanSlate(comp, autotune.Options{Rounds: 1})
+		res := autotune.Tune(comp, nil, autotune.Options{Rounds: 1})
 		if res.Size <= 0 {
 			b.Fatal("no size")
 		}
@@ -214,7 +214,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				comp := compile.New(f.Module, codegen.TargetX86)
-				autotune.CleanSlate(comp, autotune.Options{Rounds: 1, Workers: workers})
+				autotune.Tune(comp, nil, autotune.Options{Rounds: 1, Workers: workers})
 			}
 		})
 	}
@@ -415,7 +415,7 @@ func BenchmarkAutotuneRoundDeltaVsFull(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			comp := compile.New(f.Module, codegen.TargetX86)
-			res := autotune.CleanSlate(comp, autotune.Options{Rounds: 1})
+			res := autotune.Tune(comp, nil, autotune.Options{Rounds: 1})
 			if res.Size <= 0 {
 				b.Fatal("no size")
 			}

@@ -225,4 +225,29 @@ if ! diff <("${ref_bin}/inlinebench" -exp "${bench_ids}" -scale 0.05 2>/dev/null
   exit 1
 fi
 
+echo "== tuner CLI goldens =="
+# No experiment runs the group-toggle, incremental or exact-component
+# tuner, the single-file cycle objectives or `mincc -inline tune`; these
+# goldens pin their stdout on the examples. Regenerate one only in a change
+# meant to move its answers, and say why.
+tune_golden() {
+  local golden="testdata/tune/$1.golden"
+  shift
+  if ! diff <("${ref_bin}/$1" "${@:2}" 2>/dev/null) "${golden}"; then
+    echo "$* stdout differs from ${golden}"
+    exit 1
+  fi
+}
+for f in examples/minc/*.minc; do
+  b="$(basename "$f" .minc)"
+  tune_golden "$b.groups" inlinetune -groups "$f"
+  tune_golden "$b.incremental" inlinetune -incremental "$f"
+  tune_golden "$b.groups-incremental-exact" inlinetune -groups -incremental -exact-components 4096 "$f"
+  tune_golden "$b.cycles" inlinetune -objective cycles "$f"
+  tune_golden "$b.pareto" inlinetune -objective pareto "$f"
+done
+tune_golden link inlinetune -link -link-dup rename examples/minc/*.minc \
+  examples/minc/linked/app.minc examples/minc/linked/mathlib.minc
+tune_golden mincc-tune-matrixsum mincc -inline tune -S testdata/matrixsum.minc
+
 echo "CI OK"

@@ -58,7 +58,6 @@ import (
 	"optinline/internal/cli"
 	"optinline/internal/compile"
 	"optinline/internal/heuristic"
-	"optinline/internal/interp"
 	"optinline/internal/link"
 	"optinline/internal/source"
 )
@@ -144,17 +143,12 @@ func run() error {
 		return comp.CheckFailure()
 	}
 
-	opts := autotune.Options{Rounds: f.Rounds, Workers: f.Jobs}
+	opts := autotune.ExtOptions{
+		Options:      autotune.Options{Rounds: f.Rounds, Workers: f.Jobs},
+		GroupCallees: *groups, Incremental: *incr, ExactComponents: *exactComps,
+	}
 	best, _ := cli.BestOf(f.Inits, func(in cli.Init) (autotune.Result, error) {
-		var res autotune.Result
-		if *groups || *incr || *exactComps > 0 {
-			res = autotune.TuneExtended(comp, initConfig(in), autotune.ExtOptions{
-				Options: opts, GroupCallees: *groups, Incremental: *incr,
-				ExactComponents: *exactComps,
-			})
-		} else {
-			res = autotune.Tune(comp, initConfig(in), opts)
-		}
+		res := autotune.TuneExtended(comp, initConfig(in), opts)
 		fmt.Printf("\n%s (init %d bytes):\n", in.Label, res.InitSize)
 		for _, r := range res.Rounds {
 			fmt.Printf("  round %d: %d bytes (%.1f%% of -Os), %d inlined / %d not, %d toggles\n",
@@ -240,28 +234,11 @@ func (cf cycleFlags) cost(size int, cycles int64) float64 {
 	return float64(size)
 }
 
-// pricerFor profiles the no-inline baseline and wraps it in a cycle pricer.
-func pricerFor(comp *compile.Compiler, cf cycleFlags) (*compile.CyclePricer, *interp.Profile, error) {
-	built, err := comp.Build(callgraph.NewConfig())
-	if err != nil {
-		return nil, nil, err
-	}
-	_, prof, err := interp.Collect(built, cf.entry, cf.args, interp.Options{Fuel: cf.fuel})
-	if err != nil {
-		return nil, nil, fmt.Errorf("profiling %s%v: %w", cf.entry, cf.args, err)
-	}
-	pricer, err := comp.NewCyclePricer(prof, compile.CycleOptions{CacheBytes: cf.cacheBytes})
-	if err != nil {
-		return nil, nil, err
-	}
-	return pricer, prof, nil
-}
-
 // runCycleTune tunes one translation unit for a cycle-aware objective.
 // stdout is byte-identical with and without -check.
 func runCycleTune(f *cli.Flags, comp *compile.Compiler, initConfig func(cli.Init) *callgraph.Config,
 	cf cycleFlags) error {
-	pricer, prof, err := pricerFor(comp, cf)
+	pricer, prof, err := comp.ProfileBaseline(cf.entry, cf.args, cf.fuel, compile.CycleOptions{CacheBytes: cf.cacheBytes})
 	if err != nil {
 		return err
 	}

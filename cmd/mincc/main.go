@@ -118,7 +118,7 @@ func run() error {
 		cfg = heuristic.OsConfig(comp.Module(), g)
 	case "tune":
 		init := heuristic.OsConfig(comp.Module(), g)
-		best, _, _ := autotune.Combined(comp, init, autotune.Options{Rounds: f.Rounds})
+		best, _, _ := autotune.Combined(comp, init, autotune.ExtOptions{Options: autotune.Options{Rounds: f.Rounds}})
 		cfg = best.Config
 	case "optimal":
 		res, ok := search.Optimal(comp, search.Options{MaxSpace: 1 << 22})

@@ -8,6 +8,11 @@
 // costs n+2 compilations for n candidate edges. Rounds extend the scope:
 // decisions that only pay off together (e.g. inlining every caller of a
 // callee so the callee itself dies) can be discovered incrementally.
+//
+// Every tuner here is a run of one Session (session.go): the variants
+// change only which probes a round prices — group toggles, the incremental
+// active set — and how it prices them: by size deltas, by size and cycle
+// deltas blended by a weight, or by a memoized objective.
 package autotune
 
 import (
@@ -68,90 +73,15 @@ type Result struct {
 // whole-configuration Size — results and evaluation counters are
 // byte-identical either way.
 func Tune(c *compile.Compiler, init *callgraph.Config, opts Options) Result {
-	rounds := opts.Rounds
-	if rounds <= 0 {
-		rounds = 1
-	}
-	sites := c.Graph().Sites()
-
-	base := callgraph.NewConfig()
-	if init != nil {
-		base = init.Clone()
-	}
-	sized := c.Sized(base)
-	baseSize := sized.Size()
-
-	res := Result{
-		Config:   base.Clone(),
-		Size:     baseSize,
-		InitSize: baseSize,
-	}
-	for round := 1; round <= rounds; round++ {
-		kept := tuneRound(c, sized, baseSize, sites, opts.Workers)
-		nextSized := c.Rebase(sized, kept)
-		next, nextSize := nextSized.Config(), nextSized.Size()
-		res.Rounds = append(res.Rounds, RoundTrace{
-			Round:      round,
-			Size:       nextSize,
-			Inlined:    next.InlineCount(),
-			NotInlined: len(sites) - next.InlineCount(),
-			Toggles:    len(kept),
-		})
-		if nextSize < res.Size {
-			res.Config, res.Size = next.Clone(), nextSize
-		}
-		res.Final, res.FinalSize = next, nextSize
-		if len(kept) == 0 {
-			break // fixpoint
-		}
-		sized, baseSize = nextSized, nextSize
-	}
-	if res.Final == nil {
-		res.Final, res.FinalSize = res.Config, res.Size
-	}
-	res.Evaluations = c.Evaluations()
-	return res
-}
-
-// tuneRound is Algorithm 3 generalized to an arbitrary starting point:
-// every edge is toggled against the same base; beneficial toggles are kept
-// and returned. Matching Algorithm 3's tie handling, a toggle *to* inline
-// is kept on ties, while a toggle away from inline must strictly shrink
-// the program.
-func tuneRound(c *compile.Compiler, base *compile.Sized, baseSize int, sites []int, workers int) []int {
-	toggles := make([][]int, len(sites))
-	for i, s := range sites {
-		toggles[i] = []int{s}
-	}
-	sizes := c.SizeDeltaParallel(base, toggles, workers)
-
-	var kept []int
-	for i, s := range sites {
-		toInline := !base.Inline(s)
-		keep := false
-		if toInline {
-			keep = sizes[i] <= baseSize
-		} else {
-			keep = sizes[i] < baseSize
-		}
-		if keep {
-			kept = append(kept, s)
-		}
-	}
-	return kept
-}
-
-// CleanSlate tunes from the all-no-inline configuration.
-func CleanSlate(c *compile.Compiler, opts Options) Result {
-	return Tune(c, nil, opts)
+	return TuneExtended(c, init, ExtOptions{Options: opts})
 }
 
 // Combined runs both a clean-slate and an init-initialized session and
-// returns the better result (paper Figure 15); the second return values
-// expose the two sessions for analysis.
-func Combined(c *compile.Compiler, init *callgraph.Config, opts Options) (best, clean, inited Result) {
-	clean = Tune(c, nil, opts)
-	inited = Tune(c, init, opts)
+// returns the better result, the clean slate on a tie (paper Figure 15);
+// the second return values expose the two sessions for analysis.
+func Combined(c *compile.Compiler, init *callgraph.Config, opts ExtOptions) (best, clean, inited Result) {
+	clean = TuneExtended(c, nil, opts)
+	inited = TuneExtended(c, init, opts)
 	if clean.Size <= inited.Size {
 		best = clean
 	} else {

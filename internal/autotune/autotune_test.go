@@ -61,7 +61,7 @@ func newCompiler(t *testing.T) *compile.Compiler {
 
 func TestCleanSlateFindsSingleToggles(t *testing.T) {
 	c := newCompiler(t)
-	res := CleanSlate(c, Options{})
+	res := Tune(c, nil, Options{})
 	if !res.Config.Inline(1) {
 		t.Fatal("beneficial wrapper toggle not kept")
 	}
@@ -75,7 +75,7 @@ func TestCleanSlateFindsSingleToggles(t *testing.T) {
 
 func TestResultSizesConsistent(t *testing.T) {
 	c := newCompiler(t)
-	res := CleanSlate(c, Options{Rounds: 2})
+	res := Tune(c, nil, Options{Rounds: 2})
 	if got := c.Size(res.Config); got != res.Size {
 		t.Fatalf("reported size %d != recomputed %d", res.Size, got)
 	}
@@ -98,7 +98,7 @@ func TestInitializedTuningCanBeatCleanSlate(t *testing.T) {
 	// no single outline-toggle improves, so tuning keeps the group win.
 	init := callgraph.NewConfig().Set(2, true).Set(3, true)
 	inited := Tune(c, init, Options{})
-	clean := CleanSlate(c, Options{})
+	clean := Tune(c, nil, Options{})
 	if inited.Size >= clean.Size {
 		// The group-DCE win must make the initialized result strictly
 		// better in this constructed module.
@@ -109,7 +109,7 @@ func TestInitializedTuningCanBeatCleanSlate(t *testing.T) {
 func TestCombinedPicksBest(t *testing.T) {
 	c := newCompiler(t)
 	init := callgraph.NewConfig().Set(2, true).Set(3, true)
-	best, clean, inited := Combined(c, init, Options{})
+	best, clean, inited := Combined(c, init, ExtOptions{})
 	if best.Size > clean.Size || best.Size > inited.Size {
 		t.Fatalf("combined %d worse than a branch (%d, %d)", best.Size, clean.Size, inited.Size)
 	}
@@ -117,7 +117,7 @@ func TestCombinedPicksBest(t *testing.T) {
 
 func TestFixpointStopsEarly(t *testing.T) {
 	c := newCompiler(t)
-	res := CleanSlate(c, Options{Rounds: 10})
+	res := Tune(c, nil, Options{Rounds: 10})
 	if len(res.Rounds) == 10 {
 		t.Fatal("expected early fixpoint")
 	}
@@ -129,8 +129,8 @@ func TestFixpointStopsEarly(t *testing.T) {
 
 func TestParallelMatchesSequential(t *testing.T) {
 	cs, cp := newCompiler(t), newCompiler(t)
-	rs := CleanSlate(cs, Options{Rounds: 3, Workers: 1})
-	rp := CleanSlate(cp, Options{Rounds: 3, Workers: 8})
+	rs := Tune(cs, nil, Options{Rounds: 3, Workers: 1})
+	rp := Tune(cp, nil, Options{Rounds: 3, Workers: 8})
 	if rs.Size != rp.Size || !rs.Config.Equal(rp.Config) {
 		t.Fatalf("parallel tuning diverged: %d vs %d", rs.Size, rp.Size)
 	}
@@ -156,7 +156,7 @@ func TestTunerFindsOptimalOnLocalModule(t *testing.T) {
 		t.Fatal("search aborted")
 	}
 	init := callgraph.NewConfig().Set(2, true).Set(3, true).Set(1, true)
-	best, _, _ := Combined(c, init, Options{Rounds: 4})
+	best, _, _ := Combined(c, init, ExtOptions{Options: Options{Rounds: 4}})
 	if best.Size != opt.Size {
 		t.Fatalf("autotuner %d != optimal %d", best.Size, opt.Size)
 	}
@@ -166,7 +166,7 @@ func TestEvaluationBudget(t *testing.T) {
 	// One round costs at most n+2 real compilations (plus cache hits).
 	c := newCompiler(t)
 	n := len(c.Graph().Sites())
-	CleanSlate(c, Options{})
+	Tune(c, nil, Options{})
 	if got := c.Evaluations(); got > int64(n+2) {
 		t.Fatalf("round used %d evaluations, budget %d", got, n+2)
 	}

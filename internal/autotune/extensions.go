@@ -40,57 +40,13 @@ type ExtOptions struct {
 }
 
 // TuneExtended runs the autotuner with the paper's suggested extensions.
-// With both extensions disabled it is equivalent to Tune.
+// With every extension disabled it is Tune.
 func TuneExtended(c *compile.Compiler, init *callgraph.Config, opts ExtOptions) Result {
-	rounds := opts.Rounds
-	if rounds <= 0 {
-		rounds = 1
-	}
-	g := c.Graph()
-	allSites := g.Sites()
-
-	base := callgraph.NewConfig()
-	if init != nil {
-		base = init.Clone()
-	}
-	sized := c.Sized(base)
-	baseSize := sized.Size()
-	res := Result{Config: base.Clone(), Size: baseSize, InitSize: baseSize}
-
-	active := allSites // sites to evaluate this round
-	for round := 1; round <= rounds; round++ {
-		next, toggled := extRound(c, g, sized, baseSize, active, opts)
-		// toggled can revisit a site (a single-edge toggle later overridden
-		// by a winning group), so rebase on the configuration diff, not the
-		// toggle log.
-		nextSized := c.Rebase(sized, sized.Config().DiffSites(next))
-		nextSize := nextSized.Size()
-		res.Rounds = append(res.Rounds, RoundTrace{
-			Round:      round,
-			Size:       nextSize,
-			Inlined:    next.InlineCount(),
-			NotInlined: len(allSites) - next.InlineCount(),
-			Toggles:    len(toggled),
-		})
-		if nextSize < res.Size {
-			res.Config, res.Size = next.Clone(), nextSize
-		}
-		res.Final, res.FinalSize = next, nextSize
-		if len(toggled) == 0 {
-			break
-		}
-		sized, baseSize = nextSized, nextSize
-		if opts.Incremental {
-			active = neighbourhood(g, toggled)
-		}
-	}
-	if res.Final == nil {
-		res.Final, res.FinalSize = res.Config, res.Size
-	}
+	res := newCompilerSession(c, nil, sizeCost, init, opts).run(opts.Rounds)
 	if opts.ExactComponents > 0 {
 		polishComponents(c, &res, opts)
+		res.Evaluations = c.Evaluations()
 	}
-	res.Evaluations = c.Evaluations()
 	return res
 }
 
@@ -116,88 +72,32 @@ func polishComponents(c *compile.Compiler, res *Result, opts ExtOptions) {
 	}
 }
 
-// extRound evaluates single-edge toggles over the active sites plus,
-// optionally, per-callee group configurations — all as deltas against the
-// round's base handle. It returns the next configuration and the toggled
-// sites.
-func extRound(c *compile.Compiler, g *callgraph.Graph, base *compile.Sized, baseSize int, active []int, opts ExtOptions) (*callgraph.Config, []int) {
-	toggleSets := make([][]int, 0, len(active)+8)
-	for _, s := range active {
-		toggleSets = append(toggleSets, []int{s})
-	}
-
-	// Group candidates: internal callees with >= 2 call sites not yet all
-	// inlined. The group configuration inlines all of them at once.
-	type group struct {
-		callee string
-		sites  []int
-	}
-	var groups []group
-	if opts.GroupCallees {
-		activeSet := make(map[int]bool, len(active))
-		for _, s := range active {
-			activeSet[s] = true
+// calleeGroups returns, for every internal callee with at least two
+// candidate call sites, those sites — the group toggle candidates — in
+// order of each callee's first site.
+func calleeGroups(c *compile.Compiler) [][]int {
+	var groups [][]int
+	index := make(map[string]int)
+	for _, e := range c.Graph().Edges {
+		callee := c.Module().Func(e.Callee)
+		if callee == nil || callee.Exported {
+			continue
 		}
-		byCallee := make(map[string][]int)
-		for _, e := range g.Edges {
-			callee := c.Module().Func(e.Callee)
-			if callee == nil || callee.Exported {
-				continue
-			}
-			byCallee[e.Callee] = append(byCallee[e.Callee], e.Site)
+		gi, ok := index[e.Callee]
+		if !ok {
+			gi = len(groups)
+			index[e.Callee] = gi
+			groups = append(groups, nil)
 		}
-		for callee, sites := range byCallee {
-			if len(sites) < 2 {
-				continue
-			}
-			var missing []int // group sites the base does not inline yet
-			touchesActive := false
-			for _, s := range sites {
-				if !base.Inline(s) {
-					missing = append(missing, s)
-				}
-				if activeSet[s] {
-					touchesActive = true
-				}
-			}
-			if len(missing) == 0 || !touchesActive {
-				continue
-			}
-			groups = append(groups, group{callee: callee, sites: sites})
-			toggleSets = append(toggleSets, missing)
+		groups[gi] = append(groups[gi], e.Site)
+	}
+	out := groups[:0]
+	for _, grp := range groups {
+		if len(grp) >= 2 {
+			out = append(out, grp)
 		}
 	}
-
-	sizes := c.SizeDeltaParallel(base, toggleSets, opts.Workers)
-
-	next := base.Config()
-	var toggled []int
-	for i, s := range active {
-		toInline := !base.Inline(s)
-		keep := false
-		if toInline {
-			keep = sizes[i] <= baseSize
-		} else {
-			keep = sizes[i] < baseSize
-		}
-		if keep {
-			next.Set(s, toInline)
-			toggled = append(toggled, s)
-		}
-	}
-	// Apply winning groups (strict improvement only; group toggles are
-	// additions, so later groups see earlier ones' edges already set).
-	for gi, grp := range groups {
-		if sizes[len(active)+gi] < baseSize {
-			for _, s := range grp.sites {
-				if !next.Inline(s) {
-					next.Set(s, true)
-					toggled = append(toggled, s)
-				}
-			}
-		}
-	}
-	return next, toggled
+	return out
 }
 
 // neighbourhood returns the sites adjacent (sharing a caller or callee

@@ -28,7 +28,7 @@ func TestGroupTogglesFindGroupDCE(t *testing.T) {
 	// pay off (the callee then dies). Plain clean-slate tuning cannot find
 	// it; group toggles must.
 	c := newCompiler(t)
-	plain := CleanSlate(c, Options{Rounds: 4})
+	plain := Tune(c, nil, Options{Rounds: 4})
 	cg := newCompiler(t)
 	grouped := TuneExtended(cg, nil, ExtOptions{Options: Options{Rounds: 4}, GroupCallees: true})
 	if grouped.Size >= plain.Size {
@@ -126,7 +126,7 @@ func TestGroupTogglesOnGeneratedHubs(t *testing.T) {
 	var plainTotal, extTotal int
 	for _, f := range workload.Generate(p).Files {
 		cPlain := compile.New(f.Module, codegen.TargetX86)
-		plain := CleanSlate(cPlain, Options{Rounds: 2})
+		plain := Tune(cPlain, nil, Options{Rounds: 2})
 		cExt := compile.New(f.Module, codegen.TargetX86)
 		ext := TuneExtended(cExt, nil, ExtOptions{Options: Options{Rounds: 2}, GroupCallees: true})
 		// Per file, group toggles can interact with single toggles within a

@@ -17,118 +17,78 @@ type Objective func(cfg *callgraph.Config) int64
 
 // TuneObjective runs the local autotuner against an arbitrary objective.
 // Results are memoized per canonical configuration, and each round's
-// toggles evaluate in parallel, exactly like the size tuner.
+// toggles evaluate in parallel, exactly like the size tuner. The result
+// reports costs as sizes; Evaluations counts distinct objective calls.
 func TuneObjective(g *callgraph.Graph, obj Objective, init *callgraph.Config, opts Options) Result {
-	rounds := opts.Rounds
-	if rounds <= 0 {
-		rounds = 1
+	m := &memoPricer{obj: obj, memo: make(map[string]int64)}
+	return newSession(g, m, sizeCost, init, ExtOptions{Options: opts}, nil).run(opts.Rounds)
+}
+
+// memoPricer prices configurations by calling an objective on each
+// distinct one.
+type memoPricer struct {
+	obj   Objective
+	base  *callgraph.Config
+	mu    sync.Mutex
+	memo  map[string]int64
+	evals atomic.Int64
+}
+
+func (m *memoPricer) eval(cfg *callgraph.Config) price {
+	key := cfg.Key()
+	m.mu.Lock()
+	v, ok := m.memo[key]
+	m.mu.Unlock()
+	if !ok {
+		m.evals.Add(1)
+		v = m.obj(cfg)
+		m.mu.Lock()
+		m.memo[key] = v
+		m.mu.Unlock()
 	}
-	workers := opts.Workers
+	return price{size: int(v)}
+}
+
+// toggled returns the base with every listed site's label flipped.
+func (m *memoPricer) toggled(toggles []int) *callgraph.Config {
+	cfg := m.base.Clone()
+	for _, s := range toggles {
+		cfg.Set(s, !m.base.Inline(s))
+	}
+	return cfg
+}
+
+func (m *memoPricer) start(cfg *callgraph.Config) price {
+	m.base = cfg.Clone()
+	return m.eval(m.base)
+}
+
+func (m *memoPricer) probe(toggles [][]int, workers int) []price {
+	out := make([]price, len(toggles))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	sites := g.Sites()
-
-	var mu sync.Mutex
-	memo := make(map[string]int64)
-	var evals atomic.Int64
-	eval := func(cfg *callgraph.Config) int64 {
-		key := cfg.Key()
-		mu.Lock()
-		if v, ok := memo[key]; ok {
-			mu.Unlock()
-			return v
-		}
-		mu.Unlock()
-		evals.Add(1)
-		v := obj(cfg)
-		mu.Lock()
-		memo[key] = v
-		mu.Unlock()
-		return v
+	if workers > len(toggles) {
+		workers = len(toggles)
 	}
-	evalMany := func(cfgs []*callgraph.Config) []int64 {
-		out := make([]int64, len(cfgs))
-		w := workers
-		if w > len(cfgs) {
-			w = len(cfgs)
-		}
-		if w <= 1 {
-			for i, cfg := range cfgs {
-				out[i] = eval(cfg)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(toggles); i = int(next.Add(1)) - 1 {
+				out[i] = m.eval(m.toggled(toggles[i]))
 			}
-			return out
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for k := 0; k < w; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(cfgs) {
-						return
-					}
-					out[i] = eval(cfgs[i])
-				}
-			}()
-		}
-		wg.Wait()
-		return out
+		}()
 	}
-
-	base := callgraph.NewConfig()
-	if init != nil {
-		base = init.Clone()
-	}
-	baseCost := eval(base)
-	res := Result{
-		Config:   base.Clone(),
-		Size:     int(baseCost),
-		InitSize: int(baseCost),
-	}
-	for round := 1; round <= rounds; round++ {
-		cfgs := make([]*callgraph.Config, len(sites))
-		for i, s := range sites {
-			cfgs[i] = base.Clone().Set(s, !base.Inline(s))
-		}
-		costs := evalMany(cfgs)
-		next := base.Clone()
-		toggles := 0
-		for i, s := range sites {
-			toInline := !base.Inline(s)
-			keep := false
-			if toInline {
-				keep = costs[i] <= baseCost
-			} else {
-				keep = costs[i] < baseCost
-			}
-			if keep {
-				next.Set(s, toInline)
-				toggles++
-			}
-		}
-		nextCost := eval(next)
-		res.Rounds = append(res.Rounds, RoundTrace{
-			Round:      round,
-			Size:       int(nextCost),
-			Inlined:    next.InlineCount(),
-			NotInlined: len(sites) - next.InlineCount(),
-			Toggles:    toggles,
-		})
-		if int(nextCost) < res.Size {
-			res.Config, res.Size = next.Clone(), int(nextCost)
-		}
-		res.Final, res.FinalSize = next, int(nextCost)
-		if toggles == 0 {
-			break
-		}
-		base, baseCost = next, nextCost
-	}
-	if res.Final == nil {
-		res.Final, res.FinalSize = res.Config, res.Size
-	}
-	res.Evaluations = evals.Load()
-	return res
+	wg.Wait()
+	return out
 }
+
+func (m *memoPricer) rebase(toggles []int) price {
+	m.base = m.toggled(toggles)
+	return m.eval(m.base)
+}
+
+func (m *memoPricer) evaluations() int64 { return m.evals.Load() }

@@ -16,101 +16,20 @@ import (
 // a weighted round costs the same shape of work as a size round: n dirty-
 // closure recompiles plus n event replays, never a re-interpretation.
 
-// costFn blends a configuration's two prices into the scalar a session
-// minimizes.
-type costFn func(size int, cycles int64) float64
-
 // TuneWeighted tunes the blended objective size + lambda·cycles from init
 // (nil means clean slate). lambda = 0 degenerates to the size objective;
 // growing lambda buys speed with bytes. Ties keep toggles to inline and
 // reject toggles away, exactly like the size tuner.
 func TuneWeighted(c *compile.Compiler, pricer *compile.CyclePricer, lambda float64, init *callgraph.Config, opts Options) Result {
-	return tuneBi(c, pricer, func(size int, cycles int64) float64 {
-		return float64(size) + lambda*float64(cycles)
-	}, init, opts)
+	cost := func(p price) float64 { return float64(p.size) + lambda*float64(p.cycles) }
+	return newCompilerSession(c, pricer, cost, init, ExtOptions{Options: opts}).run(opts.Rounds)
 }
 
 // TuneCycles tunes modelled cycles alone — the speed-optimal endpoint of
 // the frontier.
 func TuneCycles(c *compile.Compiler, pricer *compile.CyclePricer, init *callgraph.Config, opts Options) Result {
-	return tuneBi(c, pricer, func(size int, cycles int64) float64 {
-		return float64(cycles)
-	}, init, opts)
-}
-
-// tuneBi is the round loop shared by the weighted and cycles-only sessions.
-func tuneBi(c *compile.Compiler, pricer *compile.CyclePricer, weight costFn, init *callgraph.Config, opts Options) Result {
-	rounds := opts.Rounds
-	if rounds <= 0 {
-		rounds = 1
-	}
-	sites := c.Graph().Sites()
-
-	base := callgraph.NewConfig()
-	if init != nil {
-		base = init.Clone()
-	}
-	sized := c.Sized(base)
-	cycled := pricer.Priced(base)
-	baseCost := weight(sized.Size(), cycled.Cycles())
-
-	res := Result{
-		Config:     base.Clone(),
-		Size:       sized.Size(),
-		Cycles:     cycled.Cycles(),
-		InitSize:   sized.Size(),
-		InitCycles: cycled.Cycles(),
-	}
-	bestCost := baseCost
-	for round := 1; round <= rounds; round++ {
-		toggles := make([][]int, len(sites))
-		for i, s := range sites {
-			toggles[i] = []int{s}
-		}
-		sizes := c.SizeDeltaParallel(sized, toggles, opts.Workers)
-		cycles := pricer.CyclesDeltaParallel(cycled, toggles, opts.Workers)
-
-		var kept []int
-		for i, s := range sites {
-			cost := weight(sizes[i], cycles[i])
-			toInline := !sized.Inline(s)
-			keep := false
-			if toInline {
-				keep = cost <= baseCost
-			} else {
-				keep = cost < baseCost
-			}
-			if keep {
-				kept = append(kept, s)
-			}
-		}
-		nextSized := c.Rebase(sized, kept)
-		nextCycled := pricer.Rebase(cycled, kept)
-		next := nextSized.Config()
-		nextCost := weight(nextSized.Size(), nextCycled.Cycles())
-		res.Rounds = append(res.Rounds, RoundTrace{
-			Round:      round,
-			Size:       nextSized.Size(),
-			Cycles:     nextCycled.Cycles(),
-			Inlined:    next.InlineCount(),
-			NotInlined: len(sites) - next.InlineCount(),
-			Toggles:    len(kept),
-		})
-		if nextCost < bestCost {
-			res.Config, res.Size, res.Cycles = next.Clone(), nextSized.Size(), nextCycled.Cycles()
-			bestCost = nextCost
-		}
-		res.Final, res.FinalSize, res.FinalCycles = next, nextSized.Size(), nextCycled.Cycles()
-		if len(kept) == 0 {
-			break // fixpoint
-		}
-		sized, cycled, baseCost = nextSized, nextCycled, nextCost
-	}
-	if res.Final == nil {
-		res.Final, res.FinalSize, res.FinalCycles = res.Config, res.Size, res.Cycles
-	}
-	res.Evaluations = c.Evaluations()
-	return res
+	cost := func(p price) float64 { return float64(p.cycles) }
+	return newCompilerSession(c, pricer, cost, init, ExtOptions{Options: opts}).run(opts.Rounds)
 }
 
 // ParetoPoint is one point of a size/speed frontier.

@@ -196,6 +196,25 @@ func (c *Compiler) NewCyclePricer(p *interp.Profile, opts CycleOptions) (*CycleP
 	return cp, nil
 }
 
+// ProfileBaseline builds the no-inline baseline, interprets entry(args) on
+// it within fuel, and returns a pricer over that profile together with the
+// profile: the setup every cycle-aware tuning session starts from.
+func (c *Compiler) ProfileBaseline(entry string, args []int64, fuel int64, opts CycleOptions) (*CyclePricer, *interp.Profile, error) {
+	built, err := c.Build(callgraph.NewConfig())
+	if err != nil {
+		return nil, nil, fmt.Errorf("build no-inline baseline: %w", err)
+	}
+	_, prof, err := interp.Collect(built, entry, args, interp.Options{Fuel: fuel})
+	if err != nil {
+		return nil, nil, fmt.Errorf("profiling %s%v: %w", entry, args, err)
+	}
+	pricer, err := c.NewCyclePricer(prof, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pricer, prof, nil
+}
+
 // CacheBytes returns the modelled i-cache capacity.
 func (p *CyclePricer) CacheBytes() int { return p.cacheBytes }
 

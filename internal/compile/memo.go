@@ -1,7 +1,8 @@
 package compile
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"optinline/internal/callgraph"
@@ -129,8 +130,8 @@ func buildMemo(base *ir.Module, g *callgraph.Graph) *memoState {
 		rev[callee.idx] = append(rev[callee.idx], int32(caller.idx))
 	}
 	for _, fi := range ms.funcs {
-		sort.Ints(fi.sites)
-		sort.Ints(fi.inSites)
+		slices.Sort(fi.sites)
+		slices.Sort(fi.inSites)
 	}
 	ms.rev = rev
 	return ms
@@ -162,7 +163,7 @@ func buildAncestors(rev [][]int32) [][]int32 {
 				}
 			}
 		}
-		sort.Slice(anc, func(i, j int) bool { return anc[i] < anc[j] })
+		slices.Sort(anc)
 		out[v] = anc
 	}
 	return out
@@ -193,7 +194,7 @@ func (ms *memoState) dirty(toggles []int) []int32 {
 		}
 		add(int32(ms.siteCallee[s].idx))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -232,7 +233,7 @@ func (ms *memoState) closure(f *funcInfo, cfg *callgraph.Config) []*funcInfo {
 	// functions in module order, and with recursion trails the expansion
 	// fixpoint depends on that order. Keeping it makes the sub-module
 	// queue an exact projection of the whole-module one.
-	sort.Slice(members, func(i, j int) bool { return members[i].idx < members[j].idx })
+	slices.SortFunc(members, func(a, b *funcInfo) int { return cmp.Compare(a.idx, b.idx) })
 	return members
 }
 

@@ -541,13 +541,6 @@ func (l *Linker) Component(ci int) (*ir.Module, error) {
 	return l.materialize(name, func(pf *PlannedFunc) bool { return pf.Comp == ci })
 }
 
-// Residual materializes the sub-module of functions with no incident
-// candidate edge. Inlining decisions cannot affect them; their size under
-// the empty configuration completes a sharded total.
-func (l *Linker) Residual() (*ir.Module, error) {
-	return l.materialize(l.opts.moduleName()+"#residual", func(pf *PlannedFunc) bool { return pf.Comp < 0 })
-}
-
 // materialize streams the selected planned functions into a fresh module:
 // units are loaded one at a time (skipping units with no selected
 // function), each selected function is cloned, renamed, its call sites

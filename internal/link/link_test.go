@@ -423,7 +423,7 @@ func TestPlanMatchesMaterializedGraph(t *testing.T) {
 		}
 		total += codegen.ModuleSize(cm, target)
 	}
-	resid, err := l.Residual()
+	resid, err := l.materialize("residual", func(pf *PlannedFunc) bool { return pf.Comp < 0 })
 	if err != nil {
 		t.Fatal(err)
 	}

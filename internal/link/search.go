@@ -89,27 +89,27 @@ type SearchResult struct {
 
 // OptimalSearch finds the optimal inlining configuration of the linked
 // module by solving each call-graph component independently — the paper's
-// independence theorem applied at link scale. By default every component
-// is materialized as its own sub-module and searched on its own compiler
-// (own delta-engine state, own memo), components running on the worker
-// pool; with Compile.Check one merged checked compiler solves the same
-// components via OptimalCompletion. Both return identical configurations,
-// sizes, and per-component stats.
+// independence theorem applied at link scale. By default it runs
+// Session.Search on a private, empty component result cache: every
+// component is materialized as its own sub-module and searched on its own
+// compiler (own delta-engine state, own memo), components running on the
+// worker pool, and a component whose content repeats within the link is
+// replayed rather than solved twice. With Compile.Check one merged checked
+// compiler solves the same components via OptimalCompletion. Both return
+// identical configurations, sizes, and per-component stats.
 //
 // ok is false when a component's space exceeds MaxSpace (Components then
 // carries the per-component spaces for reporting).
 func (l *Linker) OptimalSearch(opts SearchOptions) (SearchResult, bool, error) {
+	if !opts.Compile.Check {
+		res, _, ok, err := l.coldSession().Search(opts)
+		return res, ok, err
+	}
 	res := SearchResult{Components: make([]ComponentStat, len(l.plan.Components))}
 	if capped := planSpaces(l.plan, opts.MaxSpace, &res); capped {
 		return res, false, nil
 	}
-	var err error
-	if opts.Compile.Check {
-		err = l.searchMerged(opts, &res)
-	} else {
-		err = l.searchSharded(opts, &res)
-	}
-	if err != nil {
+	if err := l.searchMerged(opts, &res); err != nil {
 		return res, false, err
 	}
 	return res, true, nil
@@ -117,8 +117,8 @@ func (l *Linker) OptimalSearch(opts SearchOptions) (SearchResult, bool, error) {
 
 // planSpaces fills the plan-derived part of a SearchResult — per-component
 // funcs/edges/space and the saturating space total — and reports whether any
-// component exceeds maxSpace. Both search modes and the incremental Session
-// share this prologue, so all paths abort identically without compiling.
+// component exceeds maxSpace. The checked merged search and Session.Search
+// share this prologue, so both abort identically without compiling.
 func planSpaces(p *Plan, maxSpace uint64, res *SearchResult) bool {
 	capped := false
 	for ci := range p.Components {
@@ -148,9 +148,9 @@ type compOut struct {
 	cc, fc    stats.CacheStats
 }
 
-// solveComponent materializes one component sub-module and searches it; the
-// unit of work both the sharded search and a Session's dirty-component path
-// run.
+// solveComponent materializes one component sub-module and searches it: the
+// unit of work a Session's search runs for every component it cannot
+// replay.
 func (l *Linker) solveComponent(ci int, opts SearchOptions) (compOut, error) {
 	mod, err := l.Component(ci)
 	if err != nil {
@@ -175,45 +175,6 @@ func (l *Linker) solveComponent(ci int, opts SearchOptions) (compOut, error) {
 		cc:        c.ConfigCacheStats(),
 		fc:        c.FuncCacheStats(),
 	}, nil
-}
-
-// searchSharded materializes and searches one sub-module per component.
-func (l *Linker) searchSharded(opts SearchOptions, res *SearchResult) error {
-	p := l.plan
-	outs := make([]compOut, len(p.Components))
-	run := func(ci int) error {
-		o, err := l.solveComponent(ci, opts)
-		if err != nil {
-			return err
-		}
-		outs[ci] = o
-		return nil
-	}
-	if err := eachComponent(len(p.Components), opts.workers(), run); err != nil {
-		return err
-	}
-
-	residSize, residEvals, err := l.residualSize(opts.ShardOptions)
-	if err != nil {
-		return err
-	}
-	cfg := callgraph.NewConfig()
-	res.NoInlineSize = residSize
-	res.Size = residSize
-	res.Evaluations = residEvals
-	for ci := range outs {
-		o := &outs[ci]
-		cfg.Merge(o.cfg)
-		res.NoInlineSize += o.emptySize
-		res.Size += o.size
-		res.Evaluations += o.evals
-		res.ConfigCache = res.ConfigCache.Add(o.cc)
-		res.FuncCache = res.FuncCache.Add(o.fc)
-		res.Components[ci].Inlined = o.cfg.InlineCount()
-		res.Components[ci].SizeDelta = o.size - o.emptySize
-	}
-	res.Config = cfg
-	return nil
 }
 
 // searchMerged is the reference path: one compiler over the fully linked
@@ -255,21 +216,6 @@ func (l *Linker) searchMerged(opts SearchOptions, res *SearchResult) error {
 	res.ConfigCache = c.ConfigCacheStats()
 	res.FuncCache = c.FuncCacheStats()
 	return c.CheckFailure()
-}
-
-// residualSize compiles the residual sub-module (functions with no incident
-// candidate edge) under the clean slate. Inlining cannot affect these
-// functions, so this one constant completes every sharded total.
-func (l *Linker) residualSize(opts ShardOptions) (size int, evals int64, err error) {
-	mod, err := l.Residual()
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(mod.Funcs) == 0 {
-		return 0, 0, nil
-	}
-	c := compile.NewWithOptions(mod, opts.Target, opts.Compile)
-	return c.Size(callgraph.NewConfig()), c.Evaluations(), nil
 }
 
 // eachComponent runs fn(ci) for every component index on up to workers

@@ -14,16 +14,18 @@ import (
 // Search/Tune queries by re-solving only components whose content changed
 // while replaying everything else from a content-keyed ComponentCache.
 //
-// This is the temporal half of the paper's §3 independence theorem. The
-// sharded search (search.go) exploits component independence spatially —
-// solve the pieces in parallel; the session exploits it over time — a
+// It is also the one sharded query path: a cold Linker.OptimalSearch or
+// Linker.Tune is a Session query on a private, empty cache. The session
+// exploits the paper's §3 independence theorem both spatially — components
+// are solved on their own sub-modules, in parallel — and over time — a
 // component whose members, linkage, and bound call structure are unchanged
-// since some earlier solve (in this session, another session, or another
-// link entirely) has the same optimum, so an edit-one-TU re-search pays
-// only for the edited unit's components. A checked query answers from a
-// cold New+OptimalSearch over the same units instead, and the two must stay
-// byte-identical; every replay shortcut here is backed by the key argument
-// in key.go and re-proved by the fuzz differential.
+// since some earlier solve (in this query, this session, another session,
+// or another link entirely) has the same optimum, so an edit-one-TU
+// re-search pays only for the edited unit's components. A checked query
+// answers from a cold New+OptimalSearch over the same units on the merged
+// reference path instead, and the two must stay byte-identical; every
+// replay shortcut here is backed by the key argument in key.go and
+// re-proved by the fuzz differential.
 type Session struct {
 	mu      sync.Mutex
 	l       *Linker
@@ -93,6 +95,12 @@ func objectiveName(o TuneObjective) string {
 		return "cycles"
 	}
 	return fmt.Sprintf("objective(%d)", int(o))
+}
+
+// coldSession returns a session over l whose result cache starts empty and
+// is dropped with it: the engine behind a cold Linker query.
+func (l *Linker) coldSession() *Session {
+	return &Session{l: l, results: NewComponentCache()}
 }
 
 // NewSession links the units once and returns a session ready for edits.
@@ -243,12 +251,12 @@ func sameStringSet(a, b []string) bool {
 
 // Search answers an optimal search over the current unit set, re-solving
 // only components absent from the result cache. Results — sizes, per-site
-// configuration, per-component stats, the capped abort — are byte-identical
-// to a cold Linker.OptimalSearch over the same units; Evaluations and the
-// cache counters cover live solves only (replays evaluate
-// nothing). A checked query (Compile.Check) is answered by exactly that
-// cold search — a fresh link of the current units on the merged reference
-// path — and replays nothing.
+// configuration, per-component stats, the capped abort — do not depend on
+// what the cache holds, and are byte-identical to the merged reference
+// search; Evaluations and the cache counters cover live solves only
+// (replays evaluate nothing). A checked query (Compile.Check) is answered
+// by a fresh link of the current units on the merged reference path, and
+// replays nothing.
 func (s *Session) Search(opts SearchOptions) (SearchResult, RelinkInfo, bool, error) {
 	var info RelinkInfo
 	s.mu.Lock()
@@ -326,7 +334,7 @@ func (s *Session) Search(opts SearchOptions) (SearchResult, RelinkInfo, bool, er
 // (edge-free) functions, one cache entry per unit. Residual functions
 // compile in isolation — no incident candidate edges means no inlining in
 // and every outgoing call unbound in their sub-module — so the per-unit sum
-// equals the cold path's single whole-residual compile.
+// equals the size of one whole-residual compile.
 func (s *Session) residualTotal(opts ShardOptions, info *RelinkInfo, evals *int64) (int, error) {
 	l := s.l
 	p := l.plan
@@ -369,10 +377,10 @@ func (s *Session) residualTotal(opts ShardOptions, info *RelinkInfo, evals *int6
 
 // Tune answers a lockstep sharded tuning query over the current unit set,
 // replaying per-component round traces from the cache where content
-// matches. Results are byte-identical to a cold Linker.Tune with the same
-// options, which is how a checked query is answered. Cycle objectives
-// return a *CycleObjectiveError in both modes (they are not
-// component-separable).
+// matches. Results do not depend on what the cache holds, and are
+// byte-identical to a whole-module autotune.Tune on the merged module,
+// which is how a checked query is answered. Cycle objectives return a
+// *CycleObjectiveError in both modes (they are not component-separable).
 func (s *Session) Tune(opts TuneOptions) (TuneResult, RelinkInfo, error) {
 	var info RelinkInfo
 	if opts.Objective != ObjectiveSize {
@@ -391,14 +399,7 @@ func (s *Session) Tune(opts TuneOptions) (TuneResult, RelinkInfo, error) {
 		return res, info, err
 	}
 	p := l.plan
-	res := TuneResult{Components: make([]ComponentStat, len(p.Components))}
-	for ci := range p.Components {
-		res.Components[ci] = ComponentStat{
-			Index: ci,
-			Funcs: len(p.Components[ci]),
-			Edges: len(p.ComponentEdges(ci)),
-		}
-	}
+	res := TuneResult{Components: planComponents(p)}
 	rounds := opts.Rounds
 	if rounds <= 0 {
 		rounds = 1
@@ -545,15 +546,7 @@ func (s *Session) Tune(opts TuneOptions) (TuneResult, RelinkInfo, error) {
 	}
 	out.Evaluations = res.Evaluations
 	res.Result = out
-	for ci := range res.Components {
-		inl := 0
-		for _, e := range shards[ci].edges {
-			if res.Result.Config.Inline(e.Site) {
-				inl++
-			}
-		}
-		res.Components[ci].Inlined = inl
-	}
+	countInlined(p, out.Config, res.Components)
 	return res, info, nil
 }
 

@@ -70,41 +70,55 @@ type TuneResult struct {
 // independent round per component — each probe toggles one site against the
 // shared base, and a toggle's size effect is confined to its component).
 // Converged components replay their fixpoint for free while the rest keep
-// stepping. With Compile.Check the same session runs as one whole-module
+// stepping. The size objective runs as Session.Tune on a private, empty
+// component result cache, so a cold query shares nothing with other
+// queries. With Compile.Check the same session runs as one whole-module
 // autotune.Tune on a merged checked compiler; traces, configurations, and
-// sizes are identical either way.
+// sizes are identical either way. Cycle objectives always run on the merged
+// module (tuneCyclesMerged).
 func (l *Linker) Tune(opts TuneOptions) (TuneResult, error) {
-	p := l.plan
-	res := TuneResult{Components: make([]ComponentStat, len(p.Components))}
+	if opts.Objective == ObjectiveSize && !opts.Compile.Check {
+		res, _, err := l.coldSession().Tune(opts)
+		return res, err
+	}
+	res := TuneResult{Components: planComponents(l.plan)}
+	var err error
+	if opts.Objective != ObjectiveSize {
+		err = l.tuneCyclesMerged(opts, &res)
+	} else {
+		err = l.tuneMerged(opts, &res)
+	}
+	if err != nil {
+		return res, err
+	}
+	countInlined(l.plan, res.Result.Config, res.Components)
+	return res, nil
+}
+
+// planComponents returns the plan-derived part of every component's stats.
+func planComponents(p *Plan) []ComponentStat {
+	out := make([]ComponentStat, len(p.Components))
 	for ci := range p.Components {
-		res.Components[ci] = ComponentStat{
+		out[ci] = ComponentStat{
 			Index: ci,
 			Funcs: len(p.Components[ci]),
 			Edges: len(p.ComponentEdges(ci)),
 		}
 	}
-	var err error
-	switch {
-	case opts.Objective != ObjectiveSize:
-		err = l.tuneCyclesMerged(opts, &res)
-	case opts.Compile.Check:
-		err = l.tuneMerged(opts, &res)
-	default:
-		err = l.tuneSharded(opts, &res)
-	}
-	if err != nil {
-		return res, err
-	}
-	for ci := range res.Components {
+	return out
+}
+
+// countInlined sets every component's Inlined to its share of cfg.
+func countInlined(p *Plan, cfg *callgraph.Config, comps []ComponentStat) {
+	for ci := range comps {
 		n := 0
 		for _, e := range p.ComponentEdges(ci) {
-			if res.Result.Config.Inline(e.Site) {
+			if cfg.Inline(e.Site) {
 				n++
 			}
 		}
-		res.Components[ci].Inlined = n
+		comps[ci].Inlined = n
 	}
-	return res, nil
 }
 
 func initConfig(kind TuneInit, c *compile.Compiler) *callgraph.Config {
@@ -112,100 +126,6 @@ func initConfig(kind TuneInit, c *compile.Compiler) *callgraph.Config {
 		return heuristic.OsConfig(c.Module(), c.Graph())
 	}
 	return callgraph.NewConfig()
-}
-
-// tuneSharded runs one autotune.Session per component in lockstep rounds.
-func (l *Linker) tuneSharded(opts TuneOptions, res *TuneResult) error {
-	p := l.plan
-	rounds := opts.Rounds
-	if rounds <= 0 {
-		rounds = 1
-	}
-	type shard struct {
-		c    *compile.Compiler
-		sess *autotune.Session
-	}
-	shards := make([]shard, len(p.Components))
-	build := func(ci int) error {
-		mod, err := l.Component(ci)
-		if err != nil {
-			return err
-		}
-		c := compile.NewWithOptions(mod, opts.Target, opts.Compile)
-		shards[ci] = shard{c: c, sess: autotune.NewSession(c, initConfig(opts.Init, c), opts.Workers)}
-		return nil
-	}
-	if err := eachComponent(len(p.Components), opts.workers(), build); err != nil {
-		return err
-	}
-	residSize, residEvals, err := l.residualSize(opts.ShardOptions)
-	if err != nil {
-		return err
-	}
-
-	totalSites := len(p.Edges)
-	mergedConfig := func() *callgraph.Config {
-		cfg := callgraph.NewConfig()
-		for _, s := range shards {
-			cfg.Merge(s.sess.Config())
-		}
-		return cfg
-	}
-	baseSize := residSize
-	for _, s := range shards {
-		baseSize += s.sess.Size()
-	}
-	out := autotune.Result{
-		Config:   mergedConfig(),
-		Size:     baseSize,
-		InitSize: baseSize,
-	}
-	for round := 1; round <= rounds; round++ {
-		// Step every component; converged sessions replay their fixpoint
-		// without compiling (see autotune.Session.Step), so this stays a
-		// faithful — and cheap — image of the whole-module round.
-		size, inlined, toggles := residSize, 0, 0
-		traces := make([]autotune.RoundTrace, len(shards))
-		step := func(ci int) error {
-			traces[ci] = shards[ci].sess.Step()
-			return nil
-		}
-		if err := eachComponent(len(shards), opts.workers(), step); err != nil {
-			return err
-		}
-		for _, tr := range traces {
-			size += tr.Size
-			inlined += tr.Inlined
-			toggles += tr.Toggles
-		}
-		out.Rounds = append(out.Rounds, autotune.RoundTrace{
-			Round:      round,
-			Size:       size,
-			Inlined:    inlined,
-			NotInlined: totalSites - inlined,
-			Toggles:    toggles,
-		})
-		next := mergedConfig()
-		if size < out.Size {
-			out.Config, out.Size = next.Clone(), size
-		}
-		out.Final, out.FinalSize = next, size
-		if toggles == 0 {
-			break
-		}
-	}
-	if out.Final == nil {
-		out.Final, out.FinalSize = out.Config, out.Size
-	}
-	res.Evaluations = residEvals
-	for _, s := range shards {
-		res.Evaluations += s.c.Evaluations()
-		res.ConfigCache = res.ConfigCache.Add(s.c.ConfigCacheStats())
-		res.FuncCache = res.FuncCache.Add(s.c.FuncCacheStats())
-	}
-	out.Evaluations = res.Evaluations
-	res.Result = out
-	return nil
 }
 
 // tuneMerged is the reference path: a plain whole-module tuning session on

@@ -1,12 +1,8 @@
 package link
 
 import (
-	"fmt"
-
 	"optinline/internal/autotune"
-	"optinline/internal/callgraph"
 	"optinline/internal/compile"
-	"optinline/internal/interp"
 )
 
 // TuneObjective selects what a linked tuning session minimizes.
@@ -44,15 +40,7 @@ func (l *Linker) tuneCyclesMerged(opts TuneOptions, res *TuneResult) error {
 	}
 	// Profile the no-inline baseline: the pricer reprices every other
 	// configuration from this one interpretation.
-	built, err := c.Build(callgraph.NewConfig())
-	if err != nil {
-		return err
-	}
-	_, prof, err := interp.Collect(built, entry, opts.Args, interp.Options{Fuel: opts.Fuel})
-	if err != nil {
-		return fmt.Errorf("profiling %s: %w", entry, err)
-	}
-	pricer, err := c.NewCyclePricer(prof, compile.CycleOptions{CacheBytes: opts.CacheBytes})
+	pricer, _, err := c.ProfileBaseline(entry, opts.Args, opts.Fuel, compile.CycleOptions{CacheBytes: opts.CacheBytes})
 	if err != nil {
 		return err
 	}

@@ -7,24 +7,14 @@ import (
 	"testing"
 
 	"optinline/internal/autotune"
-	"optinline/internal/callgraph"
 	"optinline/internal/compile"
-	"optinline/internal/interp"
 )
 
 // libPricer mirrors the server's pricer construction on a standalone
 // compiler: profile the no-inline baseline at the request defaults.
 func libPricer(t *testing.T, comp *compile.Compiler) *compile.CyclePricer {
 	t.Helper()
-	built, err := comp.Build(callgraph.NewConfig())
-	if err != nil {
-		t.Fatalf("build baseline: %v", err)
-	}
-	_, prof, err := interp.Collect(built, "entry", []int64{7}, interp.Options{Fuel: 20_000_000})
-	if err != nil {
-		t.Fatalf("profile: %v", err)
-	}
-	p, err := comp.NewCyclePricer(prof, compile.CycleOptions{})
+	p, _, err := comp.ProfileBaseline("entry", []int64{7}, 20_000_000, compile.CycleOptions{})
 	if err != nil {
 		t.Fatalf("pricer: %v", err)
 	}

@@ -329,31 +329,9 @@ func (s *Server) handleLinkTune(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, wr.ep, http.StatusNotFound, "no link session %q", id)
 		return
 	}
-	initMode := req.Init
-	if initMode == "" {
-		initMode = "os"
-	}
-	var init link.TuneInit
-	switch initMode {
-	case "clean":
-		init = link.InitClean
-	case "os":
-		init = link.InitOs
-	default:
-		s.fail(w, wr.ep, http.StatusBadRequest, "unknown init mode %q (want clean|os)", initMode)
-		return
-	}
-	var objective link.TuneObjective
-	switch req.Objective {
-	case "", "size":
-		objective = link.ObjectiveSize
-	case "weighted":
-		objective = link.ObjectiveWeighted
-	case "cycles":
-		objective = link.ObjectiveCycles
-	default:
-		s.fail(w, wr.ep, http.StatusBadRequest,
-			"unknown objective %q (want size, weighted, or cycles)", req.Objective)
+	mode, err := parseTuneMode(req.Init, req.Objective)
+	if err != nil {
+		s.fail(w, wr.ep, http.StatusBadRequest, "%v", err)
 		return
 	}
 	rounds := req.Rounds
@@ -367,8 +345,8 @@ func (s *Server) handleLinkTune(w http.ResponseWriter, r *http.Request) {
 			Workers: wr.jobs,
 		},
 		Rounds:    rounds,
-		Init:      init,
-		Objective: objective,
+		Init:      mode.init,
+		Objective: mode.objective,
 	})
 	if err != nil {
 		var cyc *link.CycleObjectiveError
@@ -382,7 +360,7 @@ func (s *Server) handleLinkTune(w http.ResponseWriter, r *http.Request) {
 	resp := LinkTuneResponse{
 		ID:          id,
 		Target:      ls.target.String(),
-		Init:        initMode,
+		Init:        mode.initName,
 		InitSize:    tr.Result.InitSize,
 		BestSize:    tr.Result.Size,
 		FinalSize:   tr.Result.FinalSize,

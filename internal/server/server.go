@@ -34,7 +34,6 @@ import (
 	"optinline/internal/compile"
 	"optinline/internal/diag"
 	"optinline/internal/heuristic"
-	"optinline/internal/interp"
 	"optinline/internal/link"
 	"optinline/internal/search"
 	"optinline/internal/source"
@@ -560,7 +559,7 @@ func (s *Server) cyclePricer(comp *compile.Compiler, compKey string, cp cyclePro
 	s.cyclePricers[key] = e
 	s.cycleMu.Unlock()
 
-	e.pricer, e.err = buildCyclePricer(comp, cp)
+	e.pricer, _, e.err = comp.ProfileBaseline(cp.entry, cp.args, cp.fuel, compile.CycleOptions{CacheBytes: cp.cacheBytes})
 
 	s.cycleMu.Lock()
 	if e.err != nil {
@@ -573,18 +572,6 @@ func (s *Server) cyclePricer(comp *compile.Compiler, compKey string, cp cyclePro
 	s.cycleMu.Unlock()
 	close(e.done)
 	return e.pricer, e.err
-}
-
-func buildCyclePricer(comp *compile.Compiler, cp cycleProfile) (*compile.CyclePricer, error) {
-	built, err := comp.Build(callgraph.NewConfig())
-	if err != nil {
-		return nil, fmt.Errorf("build no-inline baseline: %w", err)
-	}
-	_, prof, err := interp.Collect(built, cp.entry, cp.args, interp.Options{Fuel: cp.fuel})
-	if err != nil {
-		return nil, fmt.Errorf("profile %s%v: %w", cp.entry, cp.args, err)
-	}
-	return comp.NewCyclePricer(prof, compile.CycleOptions{CacheBytes: cp.cacheBytes})
 }
 
 // evictPricersLocked retires the oldest pricers beyond the pool bound
@@ -648,7 +635,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		cfg = heuristic.OsConfig(comp.Module(), g)
 	case "tune":
 		best, _, _ := autotune.Combined(comp, heuristic.OsConfig(comp.Module(), g),
-			autotune.Options{Rounds: rounds, Workers: wr.jobs})
+			autotune.ExtOptions{Options: autotune.Options{Rounds: rounds, Workers: wr.jobs}})
 		cfg = best.Config
 	case "optimal":
 		maxSpace := req.MaxSpace
@@ -757,35 +744,24 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, wr.ep, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	g := comp.Graph()
-	initMode := req.Init
-	if initMode == "" {
-		initMode = "os"
+	mode, err := parseTuneMode(req.Init, req.Objective)
+	if err != nil {
+		s.fail(w, wr.ep, http.StatusBadRequest, "%v", err)
+		return
 	}
 	var init *callgraph.Config
-	switch initMode {
-	case "clean":
-		init = nil
-	case "os":
-		init = heuristic.OsConfig(comp.Module(), g)
-	default:
-		s.fail(w, wr.ep, http.StatusBadRequest, "unknown init mode %q (want clean|os)", initMode)
-		return
+	if mode.init == link.InitOs {
+		init = heuristic.OsConfig(comp.Module(), comp.Graph())
 	}
 	rounds := req.Rounds
 	if rounds <= 0 {
 		rounds = 4
 	}
-	objective := req.Objective
-	if objective == "" {
-		objective = "size"
-	}
 	opts := autotune.Options{Rounds: rounds, Workers: wr.jobs}
 	var res autotune.Result
-	switch objective {
-	case "size":
+	if mode.objective == link.ObjectiveSize {
 		res = autotune.Tune(comp, init, opts)
-	case "weighted", "cycles":
+	} else {
 		if req.Lambda < 0 {
 			s.fail(w, wr.ep, http.StatusBadRequest, "lambda must be >= 0")
 			return
@@ -810,33 +786,29 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, wr.ep, http.StatusUnprocessableEntity, "%v", err)
 			return
 		}
-		if objective == "cycles" {
+		if mode.objective == link.ObjectiveCycles {
 			res = autotune.TuneCycles(comp, pricer, init, opts)
 		} else {
 			res = autotune.TuneWeighted(comp, pricer, req.Lambda, init, opts)
 		}
-	default:
-		s.fail(w, wr.ep, http.StatusBadRequest,
-			"unknown objective %q (want size, weighted, or cycles)", objective)
-		return
 	}
 	out := TuneResponse{
 		Name:        req.Name,
 		Target:      target.String(),
-		Init:        initMode,
+		Init:        mode.initName,
 		InitSize:    res.InitSize,
 		BestSize:    res.Size,
 		InlineSites: res.Config.InlineSites(),
 		ConfigKey:   res.Config.Key(),
 	}
-	if objective != "size" {
+	if mode.objective != link.ObjectiveSize {
 		// Size sessions keep the pre-objective response shape byte-for-byte;
 		// cycle-aware sessions add their fields. The values are worker- and
 		// delta-independent, so the body stays a pure function of the request.
-		out.Objective = objective
+		out.Objective = mode.objName
 		out.InitCycles = res.InitCycles
 		out.BestCycles = res.Cycles
-		if objective == "weighted" {
+		if mode.objective == link.ObjectiveWeighted {
 			out.Lambda = req.Lambda
 		}
 	}
@@ -847,6 +819,41 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// tuneMode is a tune request's starting point and objective, with the
+// names responses echo back.
+type tuneMode struct {
+	init      link.TuneInit
+	initName  string
+	objective link.TuneObjective
+	objName   string
+}
+
+// parseTuneMode parses the init and objective names of /tune and
+// /link/{id}/tune requests; "" selects os and size. Its error is the
+// request's 400 body.
+func parseTuneMode(init, objective string) (tuneMode, error) {
+	m := tuneMode{initName: init, objName: objective}
+	switch init {
+	case "", "os":
+		m.init, m.initName = link.InitOs, "os"
+	case "clean":
+		m.init = link.InitClean
+	default:
+		return m, fmt.Errorf("unknown init mode %q (want clean|os)", init)
+	}
+	switch objective {
+	case "", "size":
+		m.objective, m.objName = link.ObjectiveSize, "size"
+	case "weighted":
+		m.objective = link.ObjectiveWeighted
+	case "cycles":
+		m.objective = link.ObjectiveCycles
+	default:
+		return m, fmt.Errorf("unknown objective %q (want size, weighted, or cycles)", objective)
+	}
+	return m, nil
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {

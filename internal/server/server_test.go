@@ -107,7 +107,7 @@ func TestCompileEndpointModes(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: example exceeds search space", f.name)
 		}
-		tuneBest, _, _ := autotune.Combined(comp, osCfg, autotune.Options{Rounds: 4, Workers: 1})
+		tuneBest, _, _ := autotune.Combined(comp, osCfg, autotune.ExtOptions{Options: autotune.Options{Rounds: 4, Workers: 1}})
 		want := map[string]int{
 			"none":    comp.Size(callgraph.NewConfig()),
 			"os":      comp.Size(osCfg),

@@ -213,31 +213,19 @@ type TuneResult struct {
 
 // Autotune runs the paper's local autotuner (Algorithm 3 and variants).
 func (p *Program) Autotune(opt TuneOptions) TuneResult {
-	opts := autotune.Options{Rounds: opt.Rounds, Workers: opt.Workers}
-	tune := func(init *callgraph.Config) autotune.Result {
-		if opt.GroupCallees || opt.Incremental {
-			return autotune.TuneExtended(p.comp, init, autotune.ExtOptions{
-				Options:      opts,
-				GroupCallees: opt.GroupCallees,
-				Incremental:  opt.Incremental,
-			})
-		}
-		return autotune.Tune(p.comp, init, opts)
+	opts := autotune.ExtOptions{
+		Options:      autotune.Options{Rounds: opt.Rounds, Workers: opt.Workers},
+		GroupCallees: opt.GroupCallees,
+		Incremental:  opt.Incremental,
 	}
 	var res autotune.Result
 	switch opt.Init {
 	case InitClean:
-		res = tune(nil)
+		res = autotune.TuneExtended(p.comp, nil, opts)
 	case InitHeuristic:
-		res = tune(p.Heuristic().cfg)
+		res = autotune.TuneExtended(p.comp, p.Heuristic().cfg, opts)
 	default:
-		clean := tune(nil)
-		inited := tune(p.Heuristic().cfg)
-		if clean.Size <= inited.Size {
-			res = clean
-		} else {
-			res = inited
-		}
+		res, _, _ = autotune.Combined(p.comp, p.Heuristic().cfg, opts)
 	}
 	out := TuneResult{
 		Decisions:    Decisions{p: p, cfg: res.Config},
