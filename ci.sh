@@ -225,6 +225,30 @@ if ! diff <("${ref_bin}/inlinebench" -exp "${bench_ids}" -scale 0.05 2>/dev/null
   exit 1
 fi
 
+echo "== full experiment run =="
+# The golden above prices a few hundred configurations; the full run
+# (~10 s at -jobs 2) prices 167,593. Its stdout must equal
+# experiments_full_output.txt, and the work it reports on stderr must
+# equal experiments_full_stderr.txt: the config-cache and cycle-pricer
+# lines, the delta engine's evaluations, and the misses of the function
+# and content caches. Timing lines and the hit counts of those two caches
+# are left out: they measure how an answer was reached, not which
+# configurations and closures were compiled.
+full_err="${ref_bin}/full.err"
+if ! diff <("${ref_bin}/inlinebench" -exp all -jobs 2 2>"${full_err}") experiments_full_output.txt; then
+  echo "inlinebench -exp all -jobs 2 stdout differs from experiments_full_output.txt"
+  exit 1
+fi
+full_work() {
+  sed -n -e '/^config cache: /p' -e '/^cycle pricer: /p' \
+    -e 's/^delta engine: \([0-9]*\) delta evals.*/delta engine: \1 delta evals/p' \
+    -e 's/^\(function cache\|fn content cache\): .* \/ \([0-9]*\) misses.*/\1: \2 misses/p' "$1"
+}
+if ! diff <(full_work "${full_err}") <(full_work experiments_full_stderr.txt); then
+  echo "inlinebench -exp all -jobs 2 counters differ from experiments_full_stderr.txt"
+  exit 1
+fi
+
 echo "== tuner CLI goldens =="
 # No experiment runs the group-toggle, incremental or exact-component
 # tuner, the single-file cycle objectives or `mincc -inline tune`; these

@@ -213,7 +213,7 @@ func TestConcurrentSizeIsSafe(t *testing.T) {
 
 	c, p := newPricedCompiler(t)
 	clean := callgraph.NewConfig()
-	base := c.DeltaBase(clean) // priced outside the counted table
+	base := c.Derive(nil, nil) // priced outside the counted table
 	cbase := p.Priced(clean)   // one cycle repricing, before the race
 	toggles := []int{1, 3}
 	cfg := callgraph.NewConfigOf(toggles)

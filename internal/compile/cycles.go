@@ -562,7 +562,9 @@ func (p *CyclePricer) measureCycleDelta(base *Cycled, cfg *callgraph.Config, tog
 // engine — O(profiled events), independent of module size.
 func (p *CyclePricer) applyCycleDelta(base *Cycled, cfg *callgraph.Config, toggles []int, into *Cycled) int64 {
 	ms := p.c.memo
-	dirty := ms.dirty(toggles)
+	sc := dirtyPool.Get().(*dirtyScratch)
+	defer dirtyPool.Put(sc)
+	dirty := ms.dirty(sc, toggles)
 	// The replay needs the full size vector with dirty slots updated; base
 	// handles are immutable, so update into's copy or a scratch copy.
 	sizes := base.sizes
@@ -598,7 +600,7 @@ func (p *CyclePricer) applyCycleDelta(base *Cycled, cfg *callgraph.Config, toggl
 
 // DirtySorted exposes the dirty-set computation for tests.
 func (p *CyclePricer) DirtySorted(toggles []int) []int {
-	d := p.c.memo.dirty(toggles)
+	d := p.c.memo.dirty(new(dirtyScratch), toggles)
 	out := make([]int, len(d))
 	for i, v := range d {
 		out[i] = int(v)

@@ -2,6 +2,7 @@ package compile
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -40,7 +41,8 @@ import (
 // Sized is a priced configuration handle: the configuration, its total
 // size, and (when the delta engine is active) the per-function size
 // contributions the total decomposes into. Handles are immutable and safe
-// for concurrent use; SizeDelta and Rebase derive toggled prices from them.
+// for concurrent use; SizeDelta, Rebase and Derive price toggled variants
+// from them.
 type Sized struct {
 	cfg     *callgraph.Config
 	total   int
@@ -87,16 +89,56 @@ func (c *Compiler) Sized(cfg *callgraph.Config) *Sized {
 	return h
 }
 
-// DeltaBase builds a handle for cfg without consulting or charging the
-// whole-config cache, for bases that are not themselves evaluations of the
-// client algorithm (the search prices its root this way: the clean slate
-// is only evaluated when a leaf requests it, exactly as on the full path).
-// Returns nil in checked mode.
-func (c *Compiler) DeltaBase(cfg *callgraph.Config) *Sized {
+// Derive returns the handle of base's configuration with the given sites'
+// labels flipped (with a nil base: of the clean slate with them flipped),
+// without consulting or charging the whole-config cache or the evaluation
+// counters. It is Rebase for clients that charge their own evaluations,
+// through SizeVia: the search derives each inlining-tree node's handle from
+// its parent's this way, and prices its root with a nil base. From a base
+// it reprices only the functions the toggles dirty; from nil, or from a
+// base that failed to compile, it prices every function. Returns nil in
+// checked mode.
+func (c *Compiler) Derive(base *Sized, toggles []int) *Sized {
 	if c.check {
 		return nil
 	}
-	return c.contribHandle(cfg)
+	if base == nil {
+		return c.contribHandle(callgraph.NewConfigOf(toggles))
+	}
+	cfg := c.toggled(base, toggles)
+	if base.full {
+		return c.contribHandle(cfg)
+	}
+	contrib := slices.Clone(base.contrib)
+	if total := c.applyDelta(base, cfg, toggles, contrib); total != InfSize {
+		return &Sized{cfg: cfg, total: total, contrib: contrib}
+	}
+	return &Sized{cfg: cfg, total: InfSize, full: true}
+}
+
+// SizeVia is Size for a configuration the caller can derive a handle for:
+// a cached configuration costs what it costs Size, and a miss is charged
+// like SizeDelta's — one evaluation, one delta evaluation — and priced as
+// the total of pull's handle, which must be cfg's. Clients that derive
+// their handles lazily therefore build them only for configurations the
+// cache does not already hold. In checked mode pull is never called.
+func (c *Compiler) SizeVia(cfg *callgraph.Config, pull func() *Sized) int {
+	if c.check {
+		return c.Size(cfg)
+	}
+	size, hit := c.sizes.get(cfg, func() int {
+		c.evals.Add(1)
+		c.deltaEvals.Add(1)
+		total := pull().total
+		if total == InfSize {
+			c.errors.Add(1)
+		}
+		return total
+	})
+	if hit {
+		c.hits.Add(1)
+	}
+	return size
 }
 
 // SizeDelta prices the configuration that differs from base by the given
@@ -193,7 +235,9 @@ func (c *Compiler) measureDelta(base *Sized, cfg *callgraph.Config, toggles []in
 // dirty entries are updated in place.
 func (c *Compiler) applyDelta(base *Sized, cfg *callgraph.Config, toggles []int, contrib []int) int {
 	ms := c.memo
-	dirty := ms.dirty(toggles)
+	sc := dirtyPool.Get().(*dirtyScratch)
+	defer dirtyPool.Put(sc)
+	dirty := ms.dirty(sc, toggles)
 	c.deltaDirty.Add(int64(len(dirty)))
 	total := base.total
 	for _, i := range dirty {

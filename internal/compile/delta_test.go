@@ -153,8 +153,8 @@ func TestDeltaDisabledFallsBack(t *testing.T) {
 	ref := New(f.Module, codegen.TargetX86)
 	s := ref.Graph().Sites()[0]
 	probe := callgraph.NewConfig().Set(s, true)
-	if c.DeltaBase(callgraph.NewConfig()) != nil {
-		t.Fatal("DeltaBase returned a handle")
+	if c.Derive(nil, nil) != nil {
+		t.Fatal("Derive returned a handle")
 	}
 	base := c.Sized(callgraph.NewConfig())
 	if got, want := c.SizeDelta(base, []int{s}), ref.Size(probe); got != want {

@@ -173,29 +173,60 @@ func buildAncestors(rev [][]int32) [][]int32 {
 // whose contribution to the total size can change when the given sites
 // flip: the toggled sites' owners' ancestors — whose closures may gain or
 // lose the site — plus the callees, whose DFE survival is decided by the
-// labels of exactly these incoming edges.
-func (ms *memoState) dirty(toggles []int) []int32 {
+// labels of exactly these incoming edges. It runs once per delta-priced
+// configuration and derived handle, so it works in sc and allocates
+// nothing once sc has grown to the module; the result lives in sc until
+// its next use.
+func (ms *memoState) dirty(sc *dirtyScratch, toggles []int) []int32 {
 	ms.ensureAncestors()
-	seen := make([]bool, len(ms.funcs))
-	var out []int32
-	add := func(i int32) {
-		if !seen[i] {
-			seen[i] = true
-			out = append(out, i)
-		}
-	}
+	sc.next(len(ms.funcs))
+	out := sc.out[:0]
 	for _, s := range toggles {
 		caller, ok := ms.siteCaller[s]
 		if !ok {
 			continue // not a candidate site: flipping it is a no-op
 		}
 		for _, a := range ms.ancestors[caller.idx] {
-			add(a)
+			out = sc.add(out, a)
 		}
-		add(int32(ms.siteCallee[s].idx))
+		out = sc.add(out, int32(ms.siteCallee[s].idx))
 	}
 	slices.Sort(out)
+	sc.out = out
 	return out
+}
+
+// dirtyScratch is dirty's working set: a mark per function, stamped with
+// the call's generation so that a new call needs no clearing, and the
+// result buffer.
+type dirtyScratch struct {
+	mark []uint32
+	gen  uint32
+	out  []int32
+}
+
+// dirtyPool serves the delta engines' dirty scratch.
+var dirtyPool = sync.Pool{New: func() any { return new(dirtyScratch) }}
+
+// next starts a call over n functions.
+func (sc *dirtyScratch) next(n int) {
+	if len(sc.mark) < n {
+		sc.mark = make([]uint32, n)
+		sc.gen = 0
+	}
+	if sc.gen++; sc.gen == 0 { // wrapped: stale stamps could match
+		clear(sc.mark)
+		sc.gen = 1
+	}
+}
+
+// add appends i to out unless this call has already added it.
+func (sc *dirtyScratch) add(out []int32, i int32) []int32 {
+	if sc.mark[i] == sc.gen {
+		return out
+	}
+	sc.mark[i] = sc.gen
+	return append(out, i)
 }
 
 // alive is the label-based DFE predicate of one function, decided locally

@@ -168,6 +168,14 @@ func (t *DomTree) Compute(f *Function, nblocks int) {
 	immediateDominators(t.Idom, func(i int) []int32 { return t.preds[t.predOff[i]:t.predOff[i+1]] })
 }
 
+// Clear drops every block pointer t holds, keeping its buffers, so a
+// DomTree kept for reuse does not pin the last function it ran on.
+func (t *DomTree) Clear() {
+	clear(t.RPO[:cap(t.RPO)])
+	clear(t.stack[:cap(t.stack)])
+	t.RPO, t.Idom = t.RPO[:0], t.Idom[:0]
+}
+
 // ReversePostorder returns the reachable blocks in reverse postorder,
 // starting with the entry block.
 func (f *Function) ReversePostorder() []*Block {

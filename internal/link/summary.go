@@ -39,22 +39,72 @@ type tuSummary struct {
 // so concurrent duplicate computation is benign; the cache trades the
 // single-flight machinery of the compile caches for simplicity because a
 // summary costs one walk of the IR, not a compilation.
+//
+// A daemon serving edits links a new unit version with every patch, so the
+// cache keeps at most maxSummaries module summaries and maxShapes function
+// shapes, dropping those unused the longest. Eviction costs at most a
+// recompute: linkers and sessions keep pointers to the summaries they use.
 type SummaryCache struct {
 	mu   sync.Mutex
-	mods map[uint64]*tuSummary
-	fns  map[uint64]fnShape // Function.Fingerprint -> shared shape
+	mods generations[uint64, *tuSummary]
+	fns  generations[uint64, fnShape] // Function.Fingerprint -> shared shape
 
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
+// The cache bounds. linked-x30, the largest linked profile, has 60 units
+// and 10,243 distinct function shapes; the half of each bound that always
+// stays resident holds them all.
+const (
+	maxSummaries = 256
+	maxShapes    = 1 << 15
+)
+
 // NewSummaryCache returns an empty cache.
 func NewSummaryCache() *SummaryCache {
 	return &SummaryCache{
-		mods: make(map[uint64]*tuSummary),
-		fns:  make(map[uint64]fnShape),
+		mods: newGenerations[uint64, *tuSummary](maxSummaries),
+		fns:  newGenerations[uint64, fnShape](maxShapes),
 	}
 }
+
+// generations is a map bounded to limit entries in two generations of at
+// most limit/2 each. Entries enter the current generation, and a lookup
+// moves an entry it finds in the previous one there; when the current
+// generation is full it becomes the previous one and the previous one is
+// dropped. So every entry used within the last limit/2 insertions stays,
+// and a dropped entry went a whole generation unused. Not safe for
+// concurrent use.
+type generations[K comparable, V any] struct {
+	half      int
+	cur, prev map[K]V
+}
+
+func newGenerations[K comparable, V any](limit int) generations[K, V] {
+	return generations[K, V]{half: max(1, limit/2), cur: make(map[K]V)}
+}
+
+func (g *generations[K, V]) get(k K) (V, bool) {
+	if v, ok := g.cur[k]; ok {
+		return v, true
+	}
+	v, ok := g.prev[k]
+	if ok {
+		delete(g.prev, k)
+		g.put(k, v)
+	}
+	return v, ok
+}
+
+func (g *generations[K, V]) put(k K, v V) {
+	if _, ok := g.cur[k]; !ok && len(g.cur) >= g.half {
+		g.prev, g.cur = g.cur, make(map[K]V)
+	}
+	g.cur[k] = v
+}
+
+func (g *generations[K, V]) len() int { return len(g.cur) + len(g.prev) }
 
 // defaultSummaries is the package-wide cache used when Options.Summaries is
 // nil, so repeated links of the same TUs (checked cold-link queries,
@@ -69,7 +119,7 @@ func (c *SummaryCache) Misses() int64 { return c.misses.Load() }
 func (c *SummaryCache) summarize(m *ir.Module) *tuSummary {
 	key := m.Fingerprint()
 	c.mu.Lock()
-	if s, ok := c.mods[key]; ok {
+	if s, ok := c.mods.get(key); ok {
 		c.mu.Unlock()
 		c.hits.Add(1)
 		return s
@@ -78,7 +128,7 @@ func (c *SummaryCache) summarize(m *ir.Module) *tuSummary {
 	c.misses.Add(1)
 	s := c.build(m, key)
 	c.mu.Lock()
-	c.mods[key] = s
+	c.mods.put(key, s)
 	c.mu.Unlock()
 	return s
 }
@@ -111,12 +161,12 @@ func (c *SummaryCache) build(m *ir.Module, key uint64) *tuSummary {
 	for _, f := range m.Funcs {
 		ffp := f.Fingerprint()
 		c.mu.Lock()
-		shape, cached := c.fns[ffp]
+		shape, cached := c.fns.get(ffp)
 		c.mu.Unlock()
 		if !cached {
 			shape.calls, shape.globals = walkFunc(f)
 			c.mu.Lock()
-			c.fns[ffp] = shape
+			c.fns.put(ffp, shape)
 			c.mu.Unlock()
 		}
 		name := strings.Clone(f.Name)

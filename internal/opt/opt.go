@@ -14,6 +14,7 @@ package opt
 
 import (
 	"fmt"
+	"sync"
 
 	"optinline/internal/ir"
 )
@@ -91,8 +92,17 @@ func Function(f *ir.Function) Stats {
 // and is returned as a *PassError. A nil check makes this identical to
 // Function.
 func FunctionChecked(f *ir.Function, check CheckFunc) (Stats, error) {
+	s := statePool.Get().(*state)
+	st, err := s.run(f, check)
+	s.release()
+	statePool.Put(s)
+	return st, err
+}
+
+// run optimizes f on s's buffers.
+func (s *state) run(f *ir.Function, check CheckFunc) (Stats, error) {
 	var st Stats
-	s := newState(f, &st)
+	s.reset(f, &st)
 	for st.Iterations = 1; st.Iterations <= MaxIterations; st.Iterations++ {
 		changed := false
 		for _, p := range pipeline {
@@ -172,6 +182,11 @@ func RemoveDeadFunctions(m *ir.Module, removable func(name string) bool) int {
 // and flush rewrites every use in one walk when the pass ends. Each pass
 // therefore leaves f exactly as if it had rewritten uses immediately, and
 // checked mode's per-pass hook sees the finished pass.
+//
+// Every closure compile of the search optimizes one function, so states
+// are pooled: reset sizes a state to its function, reusing the buffers of
+// earlier runs, and release clears every pointer they hold, so a pooled
+// state keeps no IR alive and the next run starts from zeroed tables.
 type state struct {
 	f  *ir.Function
 	st *Stats
@@ -193,17 +208,46 @@ type state struct {
 	cse cseScratch
 }
 
-func newState(f *ir.Function, st *Stats) *state {
+var statePool = sync.Pool{New: func() any { return new(state) }}
+
+// reset prepares s to optimize f. Entries past a slice's length are zero
+// (release cleared them, or they were never used), so resizing yields the
+// tables a fresh state would have.
+func (s *state) reset(f *ir.Function, st *Stats) {
 	nb, nv := f.Number()
-	return &state{
-		f: f, st: st, nblocks: nb,
-		subst:      make([]*ir.Value, nv),
-		blockCount: make([]int32, nb),
-		blockEdge:  make([]inEdge, nb),
-		blockPred:  make([]*ir.Block, nb),
-		reach:      make([]bool, nb),
-		uses:       make([]int32, nv),
+	s.f, s.st, s.nblocks = f, st, nb
+	s.subst = resize(s.subst, nv)
+	s.blockCount = resize(s.blockCount, nb)
+	s.blockEdge = resize(s.blockEdge, nb)
+	s.blockPred = resize(s.blockPred, nb)
+	s.reach = resize(s.reach, nb)
+	s.uses = resize(s.uses, nv)
+}
+
+// release zeroes every pointer s holds and every table entry the run
+// used. The per-number tables were used up to their length; the stacks
+// only ever grow, so their capacity bounds what any run wrote; the CSE
+// table is empty after each walk.
+func (s *state) release() {
+	s.f, s.st = nil, nil
+	clear(s.subst)
+	clear(s.blockCount)
+	clear(s.blockEdge)
+	clear(s.blockPred)
+	clear(s.reach)
+	clear(s.uses)
+	clear(s.blockStack[:cap(s.blockStack)])
+	clear(s.dead[:cap(s.dead)])
+	s.cse.dom.Clear()
+}
+
+// resize returns buf with length n, reusing its array when it is big
+// enough.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
+	return buf[:n]
 }
 
 // resolve returns the value v stands for under the pass's pending

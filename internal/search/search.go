@@ -295,8 +295,7 @@ func ComponentSubgraphs(g *callgraph.Graph) []*graph.Multigraph {
 
 type evaluator struct {
 	c      *compile.Compiler
-	base   *compile.Sized // clean-slate handle; nil disables delta pricing
-	tokens chan struct{}  // nil means sequential
+	tokens chan struct{} // nil means sequential
 }
 
 func newEvaluator(c *compile.Compiler, opts Options) *evaluator {
@@ -304,62 +303,92 @@ func newEvaluator(c *compile.Compiler, opts Options) *evaluator {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Every leaf and combine evaluation is a perturbation of the clean
-	// slate confined to one component, so price them as deltas against a
-	// clean-slate handle: only the functions reachable into the labeled
-	// component recompile, never the whole module. DeltaBase is nil in
-	// checked mode; sizeOf then takes the classic whole-configuration
-	// path. Both paths are byte-identical, including evaluation counters —
-	// the handle itself is built outside the config cache, so the clean
-	// slate is still "evaluated" at the first leaf that requests it,
-	// exactly as before.
-	ev := &evaluator{c: c, base: c.DeltaBase(callgraph.NewConfig())}
+	ev := &evaluator{c: c}
 	if workers > 1 {
 		ev.tokens = make(chan struct{}, workers)
 	}
 	return ev
 }
 
-// sizeOf prices a fully-merged (partial) configuration: incrementally
-// against the clean-slate handle when the delta engine is on, otherwise
-// through the classic whole-configuration path.
-func (ev *evaluator) sizeOf(cfg *callgraph.Config) int {
-	if ev.base != nil {
-		return ev.c.SizeDelta(ev.base, cfg.InlineSites())
-	}
-	return ev.c.Size(cfg)
+// labels is one inlining-tree node's decided labels together with their
+// size handle, derived on first use from the handle of the nearest
+// ancestor with fewer labels. Each node differs from its parent by one
+// label — the remove branch keeps its parent's labels (and shares its
+// labels value), the contract branch adds its partition edge, a
+// components node's combine adds what its components chose — so a derived
+// handle reprices only the closures those labels dirty.
+//
+// Derivation is lazy: a leaf or combine whose configuration the
+// whole-config cache already holds never builds a handle, so a repeated
+// search touches neither the content cache nor the delta engine. It runs
+// under a sync.Once, which parallelEach's concurrent subtrees may both
+// wait on; a derivation waits only on content-cache slots, never on
+// another tree node, so no waiter cycle can form.
+type labels struct {
+	cfg    *callgraph.Config // not mutated once the node exists
+	parent *labels           // nil at the clean-slate root
+
+	once   sync.Once
+	handle *compile.Sized
+}
+
+// sized returns the node's handle, deriving its ancestors' first. A
+// derivation from a handle that failed to compile prices its
+// configuration from scratch.
+func (l *labels) sized(c *compile.Compiler) *compile.Sized {
+	l.once.Do(func() {
+		if l.parent == nil {
+			l.handle = c.Derive(nil, l.cfg.InlineSites())
+			return
+		}
+		l.handle = c.Derive(l.parent.sized(c), l.cfg.DiffSites(l.parent.cfg))
+	})
+	return l.handle
+}
+
+// sizeOf prices a leaf's or combine's configuration, which l holds: one
+// whole-config cache request, which derives l's handle chain only on a
+// miss. In checked mode it is the whole-configuration path.
+func (ev *evaluator) sizeOf(l *labels) int {
+	return ev.c.SizeVia(l.cfg, func() *compile.Sized { return l.sized(ev.c) })
 }
 
 // run evaluates the inlining tree rooted at mg on pooled kernel scratch.
+// The handle chain starts at the clean slate; labels decided outside mg
+// are one step from it, so a completion compiles the closures that
+// pricing each leaf from the clean slate would.
 func (ev *evaluator) run(mg *graph.Multigraph, decided *callgraph.Config) (*callgraph.Config, int) {
 	s := scratchPool.Get().(*graph.Scratch)
 	defer scratchPool.Put(s)
-	return ev.eval(s, mg, decided)
+	at := &labels{cfg: callgraph.NewConfig()}
+	if decided.InlineCount() > 0 {
+		at = &labels{cfg: decided, parent: at}
+	}
+	return ev.eval(s, mg, at)
 }
 
 // eval is Algorithm 1 fused with Algorithm 2: it lazily builds and
 // evaluates the inlining tree rooted at the given graph state.
-// decided holds the labels assigned on the path from the root; s is the
+// at holds the labels assigned on the path from the root; s is the
 // calling goroutine's kernel scratch.
-func (ev *evaluator) eval(s *graph.Scratch, mg *graph.Multigraph, decided *callgraph.Config) (*callgraph.Config, int) {
+func (ev *evaluator) eval(s *graph.Scratch, mg *graph.Multigraph, at *labels) (*callgraph.Config, int) {
 	if len(mg.Edges) == 0 {
 		// InliningTreeLeaf: a fully labeled (partial w.r.t. siblings)
 		// configuration; evaluate it.
-		cfg := decided.Clone()
-		return cfg, ev.sizeOf(cfg)
+		return at.cfg.Clone(), ev.sizeOf(at)
 	}
 	if subs := edgeComponents(s, mg); subs != nil {
 		// InliningTreeComponentsNode: independent components explored
 		// independently, then combined with one extra evaluation.
-		combined := decided.Clone()
 		results := make([]*callgraph.Config, len(subs))
 		ev.parallelEach(s, len(subs), func(s *graph.Scratch, i int) {
-			results[i], _ = ev.eval(s, &subs[i], decided)
+			results[i], _ = ev.eval(s, &subs[i], at)
 		})
+		combined := at.cfg.Clone()
 		for _, sub := range results {
 			combined.Merge(sub)
 		}
-		return combined, ev.sizeOf(combined)
+		return combined, ev.sizeOf(&labels{cfg: combined, parent: at})
 	}
 	// InliningTreeBinaryNode: label the partition edge both ways.
 	e := selectPartitionEdge(s, mg)
@@ -367,9 +396,10 @@ func (ev *evaluator) eval(s *graph.Scratch, mg *graph.Multigraph, decided *callg
 	var size1, size2 int
 	ev.parallelEach(s, 2, func(s *graph.Scratch, i int) {
 		if i == 0 {
-			cfg1, size1 = ev.eval(s, mg.RemoveEdge(e.ID), decided)
+			cfg1, size1 = ev.eval(s, mg.RemoveEdge(e.ID), at)
 		} else {
-			cfg2, size2 = ev.eval(s, mg.ContractEdge(e.ID), decided.Clone().Set(e.ID, true))
+			inl := &labels{cfg: at.cfg.Clone().Set(e.ID, true), parent: at}
+			cfg2, size2 = ev.eval(s, mg.ContractEdge(e.ID), inl)
 		}
 	})
 	if size1 <= size2 {
