@@ -274,4 +274,23 @@ tune_golden link inlinetune -link -link-dup rename examples/minc/*.minc \
   examples/minc/linked/app.minc examples/minc/linked/mathlib.minc
 tune_golden mincc-tune-matrixsum mincc -inline tune -S testdata/matrixsum.minc
 
+echo "== inlined IR goldens =="
+# Whole-module builds name every block the inliner splices in (callee
+# copies, continuations, numbered on collision); closure compiles leave
+# them unnamed. These goldens pin the printed IR and listing of -Os and
+# optimal builds, block names included. cactubssn_file002.ir is a
+# generated SPEC-like unit whose -Os labels inline fn006 three times into
+# fn005, so numbered names (fn006.head2, fn006.head3) appear.
+for f in examples/minc/*.minc testdata/matrixsum.minc testdata/inline/cactubssn_file002.ir; do
+  b="$(basename "$f")"
+  b="${b%.*}"
+  for mode in os optimal; do
+    golden="testdata/inline/${b}.${mode}.golden"
+    if ! diff <("${ref_bin}/mincc" -inline "${mode}" -emit-ir -S "$f" 2>/dev/null) "${golden}"; then
+      echo "mincc -inline ${mode} -emit-ir -S $f stdout differs from ${golden}"
+      exit 1
+    fi
+  done
+done
+
 echo "CI OK"

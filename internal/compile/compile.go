@@ -115,14 +115,16 @@ func (e *CheckError) Unwrap() error { return e.Err }
 // much as speed here: the table holds one entry per configuration a search
 // or tuner ever priced, hundreds of thousands on big runs. So a finished
 // entry is just its value under a compact pointer-free key, and only an
-// in-flight computation carries a channel for its waiters.
+// in-flight computation has a flight record. The record makes its channel
+// only when a waiter arrives: most computations have none.
 type configTable[V any] struct {
 	mu       sync.Mutex
 	done     map[string]V
 	inflight map[string]*flight[V]
 }
 
-// flight is one in-flight computation; ready closes once val is set.
+// flight is one in-flight computation. ready, made under the table's lock
+// by the first waiter, closes once val is set.
 type flight[V any] struct {
 	ready chan struct{}
 	val   V
@@ -145,12 +147,15 @@ func (t *configTable[V]) get(cfg *callgraph.Config, compute func() V) (V, bool) 
 		return v, true
 	}
 	if f, ok := t.inflight[string(key)]; ok {
+		if f.ready == nil {
+			f.ready = make(chan struct{})
+		}
 		t.mu.Unlock()
 		<-f.ready
 		return f.val, true
 	}
 	k := string(key)
-	f := &flight[V]{ready: make(chan struct{})}
+	f := &flight[V]{}
 	t.inflight[k] = f
 	t.mu.Unlock()
 
@@ -158,8 +163,11 @@ func (t *configTable[V]) get(cfg *callgraph.Config, compute func() V) (V, bool) 
 	t.mu.Lock()
 	t.done[k] = f.val
 	delete(t.inflight, k)
+	ready := f.ready
 	t.mu.Unlock()
-	close(f.ready)
+	if ready != nil {
+		close(ready)
+	}
 	return f.val, false
 }
 

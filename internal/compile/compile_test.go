@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -265,6 +266,67 @@ func TestConfigTableHitDoesNotAllocate(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(100, func() { p.Cycles(cfg) }); a != 0 {
 		t.Errorf("Cycles hit allocates %.1f times", a)
+	}
+}
+
+// TestConfigTableWaitersShareOneFlight: callers that arrive while one
+// configuration is being computed wait on that one computation, which
+// makes the slot's channel only when the first of them arrives; every
+// caller gets its value, only the computing one reports a miss, and the
+// finished entry keeps no flight. Run it under -race.
+func TestConfigTableWaitersShareOneFlight(t *testing.T) {
+	tab := newConfigTable[int]()
+	cfg := callgraph.NewConfig().Set(3, true).Set(70, true)
+	key := string(cfg.AppendCacheKey(nil))
+	slot := func() *flight[int] {
+		tab.mu.Lock()
+		defer tab.mu.Unlock()
+		return tab.inflight[key]
+	}
+	waiting := func() bool {
+		tab.mu.Lock()
+		defer tab.mu.Unlock()
+		f := tab.inflight[key]
+		return f != nil && f.ready != nil
+	}
+	const waiters = 8
+	vals, hits := make([]int, waiters+1), make([]bool, waiters+1)
+	computes := 0
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		vals[0], hits[0] = tab.get(cfg, func() int { computes++; <-release; return 42 })
+	}()
+	for slot() == nil {
+		runtime.Gosched()
+	}
+	if slot().ready != nil {
+		t.Fatal("a flight without waiters made its channel")
+	}
+	for i := 1; i <= waiters; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			vals[i], hits[i] = tab.get(cfg, func() int { computes++; return -1 })
+		}(i)
+	}
+	for !waiting() {
+		runtime.Gosched()
+	}
+	close(release) // later waiters find the slot in flight or finished
+	wg.Wait()
+	if computes != 1 || hits[0] {
+		t.Fatalf("%d computations, first caller hit %v", computes, hits[0])
+	}
+	for i := 1; i <= waiters; i++ {
+		if vals[i] != 42 || !hits[i] {
+			t.Fatalf("waiter %d got %d (hit %v), want 42 from the flight", i, vals[i], hits[i])
+		}
+	}
+	if slot() != nil || tab.done[key] != 42 {
+		t.Fatalf("finished entry: in flight %v, value %d", slot() != nil, tab.done[key])
 	}
 }
 

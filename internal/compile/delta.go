@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"cmp"
 	"runtime"
 	"slices"
 	"sync"
@@ -43,11 +44,70 @@ import (
 // contributions the total decomposes into. Handles are immutable and safe
 // for concurrent use; SizeDelta, Rebase and Derive price toggled variants
 // from them.
+//
+// A handle holds its contributions in full, or, when Derive made it, as an
+// overlay on its base: the entries its toggles dirtied, over the base's.
+// A derivation then costs its dirty set, not the module. Reads walk the
+// chain to the nearest full vector, and a derivation that would make the
+// chain longer than maxOverlayDepth stores a full vector instead.
 type Sized struct {
 	cfg     *callgraph.Config
 	total   int
-	contrib []int // per memoState.funcs index; 0 for DFE-dead functions
-	full    bool  // no contributions: delta requests fall back to Size
+	contrib []int    // per memoState.funcs index; 0 for DFE-dead functions
+	base    *Sized   // an overlay's base; nil when contrib is full
+	overlay []fnSize // the contributions that differ from base's, by index
+	depth   int32    // overlays from here to the nearest full vector
+	full    bool     // no contributions: delta requests fall back to Size
+}
+
+// fnSize is one overlay entry: function fn contributes size.
+type fnSize struct {
+	fn   int32
+	size int
+}
+
+// maxOverlayDepth bounds how many overlays a contribution read walks.
+const maxOverlayDepth = 8
+
+// contribOf returns function i's contribution.
+func (s *Sized) contribOf(i int32) int {
+	for h := s; ; h = h.base {
+		if h.base == nil {
+			return h.contrib[i]
+		}
+		if k, ok := slices.BinarySearchFunc(h.overlay, i, func(e fnSize, i int32) int { return cmp.Compare(e.fn, i) }); ok {
+			return h.overlay[k].size
+		}
+	}
+}
+
+// fullContrib returns a fresh copy of the handle's contributions in full.
+func (s *Sized) fullContrib() []int {
+	var chain [maxOverlayDepth]*Sized
+	n := 0
+	h := s
+	for ; h.base != nil; h = h.base {
+		chain[n] = h
+		n++
+	}
+	contrib := slices.Clone(h.contrib)
+	for n--; n >= 0; n-- {
+		for _, e := range chain[n].overlay {
+			contrib[e.fn] = e.size
+		}
+	}
+	return contrib
+}
+
+// record stores function i's contribution under the handle's
+// configuration: in place in a full vector, appended to an overlay (which
+// applyDelta fills in ascending order).
+func (s *Sized) record(i int32, size int) {
+	if s.base == nil {
+		s.contrib[i] = size
+		return
+	}
+	s.overlay = append(s.overlay, fnSize{i, size})
 }
 
 // Size returns the total size of the handle's configuration.
@@ -109,9 +169,12 @@ func (c *Compiler) Derive(base *Sized, toggles []int) *Sized {
 	if base.full {
 		return c.contribHandle(cfg)
 	}
-	contrib := slices.Clone(base.contrib)
-	if total := c.applyDelta(base, cfg, toggles, contrib); total != InfSize {
-		return &Sized{cfg: cfg, total: total, contrib: contrib}
+	h := &Sized{cfg: cfg, base: base, depth: base.depth + 1}
+	if h.depth > maxOverlayDepth {
+		h.contrib, h.base, h.depth = base.fullContrib(), nil, 0
+	}
+	if h.total = c.applyDelta(base, cfg, toggles, h); h.total != InfSize {
+		return h
 	}
 	return &Sized{cfg: cfg, total: InfSize, full: true}
 }
@@ -201,28 +264,28 @@ func (c *Compiler) Rebase(base *Sized, toggles []int) *Sized {
 	if base.full || c.check {
 		return &Sized{cfg: cfg, total: c.Size(cfg), full: true}
 	}
-	contrib := make([]int, len(base.contrib))
-	copy(contrib, base.contrib)
-	size, hit := c.sizes.get(cfg, func() int { return c.measureDelta(base, cfg, toggles, contrib) })
+	h := &Sized{cfg: cfg, contrib: base.fullContrib()}
+	size, hit := c.sizes.get(cfg, func() int { return c.measureDelta(base, cfg, toggles, h) })
 	if hit {
 		c.hits.Add(1)
 		if size != InfSize {
-			c.applyDelta(base, cfg, toggles, contrib)
+			c.applyDelta(base, cfg, toggles, h)
 		}
 	}
 	if size == InfSize {
 		return &Sized{cfg: cfg, total: InfSize, full: true}
 	}
-	return &Sized{cfg: cfg, total: size, contrib: contrib}
+	h.total = size
+	return h
 }
 
 // measureDelta is the miss path of SizeDelta/Rebase: it mirrors measure()'s
 // counter discipline (one evaluation; one error on a failed build) while
 // doing only the dirty work.
-func (c *Compiler) measureDelta(base *Sized, cfg *callgraph.Config, toggles []int, contrib []int) int {
+func (c *Compiler) measureDelta(base *Sized, cfg *callgraph.Config, toggles []int, into *Sized) int {
 	c.evals.Add(1)
 	c.deltaEvals.Add(1)
-	total := c.applyDelta(base, cfg, toggles, contrib)
+	total := c.applyDelta(base, cfg, toggles, into)
 	if total == InfSize {
 		c.errors.Add(1)
 	}
@@ -231,14 +294,18 @@ func (c *Compiler) measureDelta(base *Sized, cfg *callgraph.Config, toggles []in
 
 // applyDelta recomputes the dirty functions' contributions under cfg and
 // returns the adjusted total (InfSize if any dirty closure fails to
-// compile). When contrib is non-nil (a copy of base's contributions) the
-// dirty entries are updated in place.
-func (c *Compiler) applyDelta(base *Sized, cfg *callgraph.Config, toggles []int, contrib []int) int {
+// compile). When into is non-nil (cfg's handle: a copy of base's
+// contributions, or an empty overlay on base) it records the dirty
+// entries.
+func (c *Compiler) applyDelta(base *Sized, cfg *callgraph.Config, toggles []int, into *Sized) int {
 	ms := c.memo
 	sc := dirtyPool.Get().(*dirtyScratch)
 	defer dirtyPool.Put(sc)
 	dirty := ms.dirty(sc, toggles)
 	c.deltaDirty.Add(int64(len(dirty)))
+	if into != nil && into.base != nil {
+		into.overlay = make([]fnSize, 0, len(dirty))
+	}
 	total := base.total
 	for _, i := range dirty {
 		fi := ms.funcs[i]
@@ -249,10 +316,10 @@ func (c *Compiler) applyDelta(base *Sized, cfg *callgraph.Config, toggles []int,
 				return InfSize
 			}
 		}
-		if contrib != nil {
-			contrib[i] = size
+		if into != nil {
+			into.record(i, size)
 		}
-		total += size - base.contrib[i]
+		total += size - base.contribOf(i)
 	}
 	return total
 }

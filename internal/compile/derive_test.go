@@ -1,26 +1,32 @@
 package compile
 
 import (
+	"cmp"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
 	"optinline/internal/callgraph"
 	"optinline/internal/codegen"
+	"optinline/internal/ir"
+	"optinline/internal/workload"
 )
 
 // TestDeriveChainsMatchSize: a chain of handles, each derived from the one
 // before by a few toggles, must price every link as the whole-module size
 // of its configuration, without charging the config cache or the
 // evaluation counters; a link derived from a handle that failed to
-// compile prices from scratch.
+// compile prices from scratch. The chains run three times past the depth
+// at which a derived handle stores its contributions in full, and every
+// link's contributions must equal a from-scratch pricing's.
 func TestDeriveChainsMatchSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, f := range memoCorpus(t) {
 		c := New(f.Module, codegen.TargetX86)
 		sites := c.Graph().Sites()
 		h := c.Derive(nil, nil)
-		for step := 0; step < 8; step++ {
+		for step := 0; step < 3*maxOverlayDepth+2; step++ {
 			var toggles []int
 			for n := 1 + rng.Intn(3); n > 0; n-- {
 				toggles = append(toggles, sites[rng.Intn(len(sites))])
@@ -32,6 +38,15 @@ func TestDeriveChainsMatchSize(t *testing.T) {
 			h = c.Derive(h, toggles)
 			if got, want := h.Size(), wholeModuleSize(c, h.cfg); got != want {
 				t.Fatalf("%s step %d: derived %d, whole module %d", f.Name, step, got, want)
+			}
+			if h.full {
+				continue
+			}
+			if h.depth > maxOverlayDepth || (h.base == nil) != (h.depth == 0) {
+				t.Fatalf("%s step %d: overlay depth %d, base %v", f.Name, step, h.depth, h.base != nil)
+			}
+			if got, want := h.fullContrib(), c.contribHandle(h.cfg).contrib; !slices.Equal(got, want) {
+				t.Fatalf("%s step %d: contributions %v, from scratch %v", f.Name, step, got, want)
 			}
 		}
 		if got, want := c.Derive(nil, h.cfg.InlineSites()).Size(), h.Size(); got != want {
@@ -106,6 +121,57 @@ func TestDirtyIsAllocationFree(t *testing.T) {
 			if allocs := testing.AllocsPerRun(20, func() { ms.dirty(sc, toggles) }); allocs != 0 {
 				t.Fatalf("%s: dirty allocated %.1f times per call on a warm scratch", f.Name, allocs)
 			}
+		}
+	}
+}
+
+// TestDeriveAllocatesItsDirtySet: deriving a handle with one toggle on a
+// module of hundreds of functions stores only the toggle's dirty entries
+// over its base, and allocates a small fraction of one whole contribution
+// vector, at the first derivation from a full vector and further down a
+// chain. The byte bound is not checked under the race detector, whose
+// pools drop their items.
+func TestDeriveAllocatesItsDirtySet(t *testing.T) {
+	var m *ir.Module
+	for _, f := range workload.LLVMCodebase().Files {
+		if m == nil || len(f.Module.Funcs) > len(m.Funcs) {
+			m = f.Module
+		}
+	}
+	c := New(m, codegen.TargetX86)
+	n := len(c.memo.funcs)
+	if n < 200 {
+		t.Fatalf("largest unit has only %d functions", n)
+	}
+	// The sites with the smallest dirty sets, toggled one after another.
+	var sc dirtyScratch
+	sites := c.Graph().Sites()
+	slices.SortStableFunc(sites, func(a, b int) int {
+		return cmp.Compare(len(c.memo.dirty(&sc, []int{a})), len(c.memo.dirty(&sc, []int{b})))
+	})
+	h := c.Derive(nil, nil)
+	for _, s := range sites[:3] {
+		dirty := len(c.memo.dirty(&sc, []int{s}))
+		base := h
+		h = c.Derive(base, []int{s}) // compiles the dirty closures
+		if h.contrib != nil || len(h.overlay) != dirty {
+			t.Fatalf("site %d: derived handle holds %d contributions in full, %d in its overlay; %d are dirty",
+				s, len(h.contrib), len(h.overlay), dirty)
+		}
+		if raceEnabled {
+			continue
+		}
+		var before, after runtime.MemStats
+		const runs = 50
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			c.Derive(base, []int{s})
+		}
+		runtime.ReadMemStats(&after)
+		perDerive := (after.TotalAlloc - before.TotalAlloc) / runs
+		if vector := uint64(8 * n); perDerive > vector/4 {
+			t.Fatalf("site %d (%d dirty of %d functions): a derivation allocates %d bytes; a contribution vector is %d",
+				s, dirty, n, perDerive, vector)
 		}
 	}
 }

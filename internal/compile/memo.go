@@ -305,13 +305,29 @@ func (c *Compiler) funcSize(fi *funcInfo, cfg *callgraph.Config) int {
 // clears on every call; key derivation sits on the hit path of every memo
 // lookup, so it must not allocate.
 var canonPool = sync.Pool{
-	New: func() any { return make(map[int]int, 32) },
+	New: func() any { return make(map[int]int) },
 }
 
 // nameCanonPool recycles closureKey's name-canonicalization map, for the
 // same reason.
 var nameCanonPool = sync.Pool{
-	New: func() any { return make(map[string]int, 32) },
+	New: func() any { return make(map[string]int) },
+}
+
+// maxPooledCanon bounds the canonicalization maps the pools keep. Clearing
+// a Go map costs its capacity, which the largest closure it ever keyed
+// sets, and every later closure would pay that; so the maps start small,
+// and one that grew past the bound is dropped instead of cleared.
+const maxPooledCanon = 16
+
+// recycle clears m and returns it to p, unless it grew past maxPooledCanon
+// entries.
+func recycle[K comparable](p *sync.Pool, m map[K]int) {
+	if len(m) > maxPooledCanon {
+		return
+	}
+	clear(m)
+	p.Put(m)
 }
 
 // closureKey derives the content-addressed cache key of fi's compilation
@@ -398,10 +414,8 @@ func (c *Compiler) closureKey(fi *funcInfo, members []*funcInfo, cfg *callgraph.
 			}
 		}
 	}
-	clear(canon)
-	canonPool.Put(canon)
-	clear(names)
-	nameCanonPool.Put(names)
+	recycle(&canonPool, canon)
+	recycle(&nameCanonPool, names)
 	hi, lo := h.Sum128()
 	return FnKey{Hi: hi, Lo: lo}
 }
@@ -435,12 +449,14 @@ func releaseArena(a *ir.Arena) {
 // each member with an inline-labeled call of its own. Apply expands only
 // calls it finds labeled in a function's body, and copies a callee's body
 // before splicing it, so every other member is only read and the shared
-// base function serves as is. Every copy, of a member or of a callee, is
-// carved from a (fresh when a is nil), so the body lives until a's next
-// Release.
+// base function serves as is. Every copy, of a member or of a callee, what
+// the expansions and the optimizer's block merges add to it, and the
+// sub-module itself are carved from a (fresh when a is nil), so the body
+// lives until a's next Release. With an arena the blocks the inliner adds
+// are unnamed; nothing that measures the body reads a block name.
 func (c *Compiler) optimizeClosure(fi *funcInfo, members []*funcInfo, cfg *callgraph.Config, a *ir.Arena) *ir.Function {
-	sub := ir.NewModule(c.base.Name)
-	sub.Globals = append(sub.Globals, c.base.Globals...)
+	sub := a.NewModule(c.base.Name)
+	sub.Globals = slices.Clip(c.base.Globals) // read only; an append would copy
 	for _, m := range members {
 		f := c.base.Func(m.name)
 		if m == fi || m.inlinesAny(cfg) {

@@ -2,11 +2,14 @@ package compile
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"optinline/internal/callgraph"
 	"optinline/internal/codegen"
+	"optinline/internal/ir"
 	"optinline/internal/workload"
 )
 
@@ -113,6 +116,60 @@ func TestMemoFuncCacheHits(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Skip("no file with enough functions in corpus")
+	}
+}
+
+// TestClosureKeyAfterLargeClosure: a closure keyed right after one whose
+// canonicalization maps grew past maxPooledCanon gets the key it gets on
+// a fresh pool, and so does every other closure, small or large.
+func TestClosureKeyAfterLargeClosure(t *testing.T) {
+	var m *ir.Module
+	for _, f := range workload.LLVMCodebase().Files {
+		if m == nil || len(f.Module.Funcs) > len(m.Funcs) {
+			m = f.Module
+		}
+	}
+	c := New(m, codegen.TargetX86)
+	all := callgraph.NewConfigOf(c.Graph().Sites())
+	type closure struct {
+		fi      *funcInfo
+		members []*funcInfo
+	}
+	var small, large []closure
+	for _, fi := range c.memo.funcs {
+		members := c.memo.closure(fi, all)
+		sites, names := map[int]bool{}, map[string]bool{}
+		for _, m := range members {
+			for i, s := range m.callSites {
+				sites[s], names[m.calleeNames[i]] = true, true
+			}
+			names[m.name] = true
+		}
+		cl := closure{fi, members}
+		if min(len(sites), len(names)) > maxPooledCanon {
+			large = append(large, cl)
+		} else if len(members) > 1 {
+			small = append(small, cl)
+		}
+	}
+	if len(small) == 0 || len(large) == 0 {
+		t.Fatalf("%d small and %d large closures", len(small), len(large))
+	}
+	runtime.GC() // two collections empty the pools
+	runtime.GC()
+	fresh := make(map[*funcInfo]FnKey)
+	for _, cl := range append(slices.Clone(small), large...) {
+		fresh[cl.fi] = c.closureKey(cl.fi, cl.members, all)
+	}
+	for i, cl := range small {
+		lg := large[i%len(large)]
+		if got := c.closureKey(lg.fi, lg.members, all); got != fresh[lg.fi] {
+			t.Fatalf("large closure of %s: key %v, on a fresh pool %v", lg.fi.name, got, fresh[lg.fi])
+		}
+		if got := c.closureKey(cl.fi, cl.members, all); got != fresh[cl.fi] {
+			t.Fatalf("closure of %s after the large one of %s: key %v, on a fresh pool %v",
+				cl.fi.name, lg.fi.name, got, fresh[cl.fi])
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 
 	"optinline/internal/callgraph"
 	"optinline/internal/ir"
@@ -31,33 +32,42 @@ const DefaultMaxInstrs = 4_000_000
 // instruction of f and callee must be the called function. It returns the
 // blocks it inserted into f, in order: the callee's cloned blocks, then the
 // continuation. It returns an error if the call cannot be located in f.
+//
+// The call is consumed: its result value becomes the continuation's
+// parameter, renumbered and renamed as f.NewValue("") would number a fresh
+// value, so every use of the result now reads what the callee returned.
+// Its argument list moves to the branch into the callee's copy. A call
+// without a result gets a fresh parameter.
 func Call(f *ir.Function, call *ir.Instr, callee *ir.Function) ([]*ir.Block, error) {
-	return expand(f, call, callee, newNamePool(f), nil)
+	at, err := locate(f, call, callee)
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(expand(f, at, call, callee, newNamePool(f), nil)), nil
 }
 
-// expand is Call drawing block names from names, which must hold every
-// block name of f, and carving the callee's copy from arena.
-func expand(f *ir.Function, call *ir.Instr, callee *ir.Function, names *namePool, arena *ir.Arena) ([]*ir.Block, error) {
-	blockIdx, instrIdx := -1, -1
-	for bi, b := range f.Blocks {
-		for ii, in := range b.Instrs {
-			if in == call {
-				blockIdx, instrIdx = bi, ii
-				break
-			}
-		}
-		if blockIdx >= 0 {
-			break
-		}
-	}
-	if blockIdx < 0 {
-		return nil, fmt.Errorf("inline: call to %s not found in %s", call.Callee, f.Name)
+// locate returns the index of the block of f holding call, checking that
+// callee can take the call's arguments.
+func locate(f *ir.Function, call *ir.Instr, callee *ir.Function) (int, error) {
+	at := slices.IndexFunc(f.Blocks, func(b *ir.Block) bool { return slices.Contains(b.Instrs, call) })
+	if at < 0 {
+		return 0, fmt.Errorf("inline: call to %s not found in %s", call.Callee, f.Name)
 	}
 	if len(call.Args) != callee.NumParams() {
-		return nil, fmt.Errorf("inline: call to %s has %d args, want %d",
+		return 0, fmt.Errorf("inline: call to %s has %d args, want %d",
 			call.Callee, len(call.Args), callee.NumParams())
 	}
-	host := f.Blocks[blockIdx]
+	return at, nil
+}
+
+// expand is Call on the block at index at of f, which holds call. It draws
+// block names from names, which must hold every block name of f, or
+// leaves the blocks it inserts unnamed when names is nil. It carves
+// everything it adds to f from arena, and returns the inserted blocks as
+// a sub-slice of f.Blocks, valid until f next changes.
+func expand(f *ir.Function, at int, call *ir.Instr, callee *ir.Function, names *namePool, arena *ir.Arena) []*ir.Block {
+	host := f.Blocks[at]
+	split := slices.Index(host.Instrs, call)
 
 	body := callee.CloneIn(arena)
 	// Extend the trail of every cloned call: it was materialized by
@@ -74,46 +84,57 @@ func expand(f *ir.Function, call *ir.Instr, callee *ir.Function, names *namePool
 		}
 	}
 
-	// Continuation block: receives the return value as its parameter and
-	// takes over the instructions after the call (including the original
-	// terminator).
-	cont := &ir.Block{Name: names.unique(host.Name + ".cont")}
-	retParam := f.NewValue("")
+	// Continuation block: its parameter is the call's result, which now
+	// receives the return value, and it takes over the instructions after
+	// the call (including the original terminator).
+	cont := arena.NewBlock()
+	if names != nil {
+		cont.Name = names.unique(host.Name + ".cont")
+	}
+	retParam := call.Result
+	if retParam == nil {
+		retParam = f.NewValue("")
+	} else {
+		f.ReuseValue(retParam)
+	}
 	retParam.Parm = cont
-	cont.Params = []*ir.Value{retParam}
-	cont.Instrs = append(cont.Instrs, host.Instrs[instrIdx+1:]...)
+	cont.Params = arena.Operands(1)
+	cont.Params[0] = retParam
+	cont.Instrs = arena.AppendInstrs(nil, host.Instrs[split+1:]...)
 
 	// The host block now ends by branching into the cloned entry with the
-	// call arguments.
-	host.Instrs = host.Instrs[:instrIdx]
-	host.Instrs = append(host.Instrs, &ir.Instr{
-		Op:    ir.OpBr,
-		Succs: []ir.Succ{{Dest: body.Entry(), Args: append([]*ir.Value(nil), call.Args...)}},
-	})
+	// call arguments; the branch takes the call's slot.
+	br := arena.NewInstr()
+	br.Op = ir.OpBr
+	br.Succs = arena.Succs(1)
+	br.Succs[0] = ir.Succ{Dest: body.Entry(), Args: call.Args}
+	host.Instrs = append(host.Instrs[:split], br)
+	call.Args, call.Result = nil, nil
 
-	// Rewrite cloned returns into branches to the continuation.
+	// Rewrite cloned returns into branches to the continuation, passing
+	// the returned value in the return's own operand list.
 	for _, b := range body.Blocks {
 		t := b.Term()
 		if t != nil && t.Op == ir.OpRet {
-			rv := t.Args[0]
 			t.Op = ir.OpBr
+			t.Succs = arena.Succs(1)
+			t.Succs[0] = ir.Succ{Dest: cont, Args: t.Args}
 			t.Args = nil
-			t.Succs = []ir.Succ{{Dest: cont, Args: []*ir.Value{rv}}}
 		}
 	}
 
 	// Splice: cloned blocks (renamed for readability) then the continuation.
-	insert := make([]*ir.Block, 0, len(body.Blocks)+1)
 	for _, b := range body.Blocks {
-		b.Name = names.unique(callee.Name + "." + b.Name)
-		insert = append(insert, b)
+		if names != nil {
+			b.Name = names.unique(callee.Name + "." + b.Name)
+		} else {
+			b.Name = ""
+		}
 	}
-	insert = append(insert, cont)
-	f.Blocks = slices.Insert(f.Blocks, blockIdx+1, insert...)
-
-	// The call result is now the continuation parameter.
-	replaceUses(f, call.Result, retParam)
-	return insert, nil
+	f.Blocks = arena.OpenBlocks(f.Blocks, at+1, len(body.Blocks)+1)
+	inserted := f.Blocks[at+1 : at+2+len(body.Blocks)]
+	inserted[copy(inserted, body.Blocks)] = cont
+	return inserted
 }
 
 // Options configures Apply.
@@ -130,7 +151,10 @@ type Options struct {
 	Check func(step string) error
 
 	// Arena, when non-nil, is where every callee copy Apply splices in is
-	// carved from; the module is then only valid until its Release.
+	// carved from, together with the continuation blocks, branches and
+	// lists it adds; the module is then only valid until its Release. The
+	// blocks Apply inserts are then left unnamed, so the module is for
+	// measuring: it prints ambiguously and fails Verify.
 	Arena *ir.Arena
 }
 
@@ -155,19 +179,15 @@ func Apply(m *ir.Module, cfg *callgraph.Config, opts Options) error {
 	if maxInstrs == 0 {
 		maxInstrs = DefaultMaxInstrs
 	}
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
 
-	type work struct {
-		fn   *ir.Function
-		call *ir.Instr
-	}
-	var queue []work
-	seen := make(map[*ir.Instr]bool) // guards against re-queuing a call that
-	// moved into a freshly created continuation block
+	// Each instruction is offered to push once, when it first appears in a
+	// function: in the module scan below, or in a callee copy an expansion
+	// inserts. A continuation only takes over instructions its host
+	// already held, so it is never scanned, and no call is queued twice.
 	push := func(fn *ir.Function, in *ir.Instr) {
-		if in.Op != ir.OpCall || !cfg.Inline(in.Site) || seen[in] {
-			return
-		}
-		if m.Func(in.Callee) == nil {
+		if in.Op != ir.OpCall || !cfg.Inline(in.Site) || m.Func(in.Callee) == nil {
 			return
 		}
 		for _, s := range in.Trail {
@@ -175,8 +195,7 @@ func Apply(m *ir.Module, cfg *callgraph.Config, opts Options) error {
 				return // recursion bound: this site was already expanded
 			}
 		}
-		seen[in] = true
-		queue = append(queue, work{fn, in})
+		sc.queue = append(sc.queue, work{fn, in})
 	}
 	for _, f := range m.Funcs {
 		for _, b := range f.Blocks {
@@ -187,19 +206,13 @@ func Apply(m *ir.Module, cfg *callgraph.Config, opts Options) error {
 	}
 
 	total := m.NumInstrs()
-	// One block-name pool per expanded function for the whole Apply:
-	// expansions only add blocks, so a pool seeded with the function's
-	// names and fed every name it issues always holds exactly the
-	// function's current block names.
-	pools := make(map[*ir.Function]*namePool)
-	for len(queue) > 0 {
-		w := queue[0]
-		queue = queue[1:]
+	for i := 0; i < len(sc.queue); i++ {
+		w := sc.queue[i]
 		callee := m.Func(w.call.Callee)
 		if callee == nil {
 			continue
 		}
-		if pools[callee] != nil {
+		if _, ok := sc.into[callee]; ok {
 			// Expanding into callee left its numbers stale; renumbered, it
 			// is cloned by number instead of through maps. Apply owns
 			// every function it expands into, so it may write the numbers.
@@ -210,16 +223,21 @@ func Apply(m *ir.Module, cfg *callgraph.Config, opts Options) error {
 		}
 		// Locate and inline; the call may have moved blocks but its
 		// instruction identity is stable. Cloned calls sit in the blocks
-		// the expansion inserted.
-		names := pools[w.fn]
-		if names == nil {
-			names = newNamePool(w.fn)
-			pools[w.fn] = names
-		}
-		inserted, err := expand(w.fn, w.call, callee, names, opts.Arena)
+		// the expansion inserted. One block-name pool per function for the
+		// whole Apply: expansions only add blocks, so a pool seeded with
+		// the function's names and fed every name it issues always holds
+		// exactly the function's current block names. An Apply into an
+		// arena names nothing.
+		at, err := locate(w.fn, w.call, callee)
 		if err != nil {
 			return err
 		}
+		names, ok := sc.into[w.fn]
+		if !ok && opts.Arena == nil {
+			names = newNamePool(w.fn)
+		}
+		sc.into[w.fn] = names
+		inserted := expand(w.fn, at, w.call, callee, names, opts.Arena)
 		if opts.Check != nil {
 			step := fmt.Sprintf("site %d: %s <- %s", w.call.Site, w.fn.Name, callee.Name)
 			if err := opts.Check(step); err != nil {
@@ -227,7 +245,7 @@ func Apply(m *ir.Module, cfg *callgraph.Config, opts Options) error {
 			}
 		}
 		total += callee.NumInstrs()
-		for _, b := range inserted {
+		for _, b := range inserted[:len(inserted)-1] { // not the continuation
 			for _, in := range b.Instrs {
 				push(w.fn, in)
 			}
@@ -236,10 +254,48 @@ func Apply(m *ir.Module, cfg *callgraph.Config, opts Options) error {
 	return nil
 }
 
+// work is one queued expansion: call, an instruction of fn.
+type work struct {
+	fn   *ir.Function
+	call *ir.Instr
+}
+
+// scratch is Apply's bookkeeping, pooled so that the closure compiles,
+// which apply a few expansions each, allocate none of it.
+type scratch struct {
+	queue []work
+	into  map[*ir.Function]*namePool // functions expanded into, with their name pool when naming
+}
+
+// maxPooledInto bounds the scratch the pool keeps. Clearing a Go map
+// costs its capacity, which the largest Apply sets, so a scratch that
+// expanded into more functions, as a whole-module build may, is dropped
+// instead, and its queue with it.
+const maxPooledInto = 32
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{into: make(map[*ir.Function]*namePool)}
+}}
+
+func (sc *scratch) release() {
+	if len(sc.into) > maxPooledInto {
+		return
+	}
+	clear(sc.queue)
+	sc.queue = sc.queue[:0]
+	clear(sc.into)
+	scratchPool.Put(sc)
+}
+
 // namePool hands out block names that are unique against both the
-// function's existing blocks and every name the pool already issued.
+// function's existing blocks and every name the pool already issued. A
+// name already taken gets the first free numeric suffix from 2 up; the
+// pool remembers where each base name's search stopped, so k copies of one
+// callee block cost O(k) probes, not O(k²). The names are those of a
+// search from 2 every time, because the taken set only grows.
 type namePool struct {
 	taken map[string]bool
+	next  map[string]int // base name -> first suffix not known to be taken
 }
 
 func newNamePool(f *ir.Function) *namePool {
@@ -247,33 +303,19 @@ func newNamePool(f *ir.Function) *namePool {
 	for _, b := range f.Blocks {
 		taken[b.Name] = true
 	}
-	return &namePool{taken: taken}
+	return &namePool{taken: taken, next: make(map[string]int)}
 }
 
 func (np *namePool) unique(name string) string {
 	cand := name
-	for i := 2; np.taken[cand]; i++ {
+	if np.taken[cand] {
+		i := max(np.next[name], 2)
+		for np.taken[name+strconv.Itoa(i)] {
+			i++
+		}
 		cand = name + strconv.Itoa(i)
+		np.next[name] = i + 1
 	}
 	np.taken[cand] = true
 	return cand
-}
-
-func replaceUses(f *ir.Function, old, repl *ir.Value) {
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for i, a := range in.Args {
-				if a == old {
-					in.Args[i] = repl
-				}
-			}
-			for si := range in.Succs {
-				for i, a := range in.Succs[si].Args {
-					if a == old {
-						in.Succs[si].Args[i] = repl
-					}
-				}
-			}
-		}
-	}
 }

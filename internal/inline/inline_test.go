@@ -352,60 +352,11 @@ func randomModule(rng *rand.Rand, id int) *ir.Module {
 	return m
 }
 
-// refApply is Apply without its shortcuts: every expansion goes through
-// Call, which builds a fresh name pool from the caller's blocks, and the
-// new calls are found by diffing the caller's block set.
-// TestApplyMatchesPerCallReference holds Apply to its output.
-func refApply(m *ir.Module, cfg *callgraph.Config) error {
-	type work struct {
-		fn   *ir.Function
-		call *ir.Instr
-	}
-	var queue []work
-	seen := make(map[*ir.Instr]bool)
-	push := func(fn *ir.Function, in *ir.Instr) {
-		if in.Op != ir.OpCall || !cfg.Inline(in.Site) || seen[in] || m.Func(in.Callee) == nil {
-			return
-		}
-		for _, s := range in.Trail {
-			if s == in.Site {
-				return
-			}
-		}
-		seen[in] = true
-		queue = append(queue, work{fn, in})
-	}
-	for _, f := range m.Funcs {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				push(f, in)
-			}
-		}
-	}
-	for len(queue) > 0 {
-		w := queue[0]
-		queue = queue[1:]
-		before := make(map[*ir.Block]bool)
-		for _, b := range w.fn.Blocks {
-			before[b] = true
-		}
-		if _, err := Call(w.fn, w.call, m.Func(w.call.Callee)); err != nil {
-			return err
-		}
-		for _, b := range w.fn.Blocks {
-			if !before[b] {
-				for _, in := range b.Instrs {
-					push(w.fn, in)
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // TestApplyMatchesPerCallReference checks that Apply's persistent name
-// pools and inserted-block scan produce the same module text, block names
-// included, as fresh per-expansion pools and a block-set diff.
+// pools, suffix memory, inserted-block scan and reused call results
+// produce the same module text, block names and value numbers included,
+// as the reference: the previous expansion, with fresh per-expansion name
+// pools, a block-set diff and a walk that rewrites the call result's uses.
 func TestApplyMatchesPerCallReference(t *testing.T) {
 	var mods []*ir.Module
 	rng := rand.New(rand.NewSource(11))
@@ -470,5 +421,37 @@ func TestCallReportsInsertedBlocks(t *testing.T) {
 		if inserted[i] != fresh[i] {
 			t.Fatalf("block %d: reported %s, inserted %s", i, inserted[i].Name, fresh[i].Name)
 		}
+	}
+}
+
+// TestArenaExpansionAllocatesNothing: once an arena and Apply's pooled
+// scratch are warm, inlining every call of a closure-sized module into
+// arena copies, continuations, branches and lists included, allocates
+// nothing, and neither does the sub-module the copies live in.
+func TestArenaExpansionAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
+	base := parse(t).Clone() // clones are born numbered
+	cfg := callgraph.NewConfigOf([]int{1, 2, 3, 4, 5, 6, 7, 8})
+	var a ir.Arena
+	expand := func() {
+		a.Release()
+		sub := a.NewModule(base.Name)
+		for _, f := range base.Funcs {
+			sub.AddFunc(f.CloneIn(&a))
+		}
+		if err := Apply(sub, cfg, Options{Arena: &a}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		expand()
+	}
+	if n := testing.AllocsPerRun(20, expand); n != 0 {
+		t.Fatalf("an expansion into a warm arena allocates %.0f times", n)
+	}
+	if calls := a.NewModule("probe").Func("main"); calls != nil {
+		t.Fatal("a second module in one round shares the first's functions")
 	}
 }

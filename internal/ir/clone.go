@@ -21,7 +21,8 @@ func (f *Function) Clone() *Function { return f.CloneIn(nil) }
 
 // CloneIn is Clone carving the copy's slabs, and the index of a numbered
 // f's values, from a; a nil a allocates them fresh, as Clone does. The
-// copy lives until a's next Release.
+// copy lives until a's next Release, and grows its instruction lists in a
+// (see AppendInstrs).
 func (f *Function) CloneIn(a *Arena) *Function {
 	var nf *Function
 	if a == nil {
@@ -31,6 +32,7 @@ func (f *Function) CloneIn(a *Arena) *Function {
 	}
 	nf.Name, nf.Exported = f.Name, f.Exported
 	nf.nextValue, nf.nextBlock = f.nextValue, f.nextBlock
+	nf.arena = a
 	if len(f.Blocks) == 0 {
 		return nf
 	}

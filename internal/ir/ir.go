@@ -232,6 +232,8 @@ type Function struct {
 
 	nextValue int
 	nextBlock int
+
+	arena *Arena // where CloneIn carved f, for the lists f grows; nil: the heap
 }
 
 // Entry returns the function entry block.
@@ -255,6 +257,23 @@ func (f *Function) NewValue(name string) *Value {
 	v := &Value{ID: int32(f.nextValue), Name: name}
 	f.nextValue++
 	return v
+}
+
+// ReuseValue makes v a fresh value of f: it gets the ID and the empty
+// name NewValue("") would give, and loses its definition. The inliner
+// turns a call's result into the continuation block's parameter this way,
+// so that every use of the result reads the returned value without a walk
+// over f to rewrite the uses.
+func (f *Function) ReuseValue(v *Value) {
+	v.ID, v.Name, v.Def, v.Parm = int32(f.nextValue), "", nil, nil
+	f.nextValue++
+}
+
+// AppendInstrs is append(list, more...) for an instruction list of f: when
+// f was cloned into an Arena and list is full, the longer list is carved
+// from that Arena instead of allocated.
+func (f *Function) AppendInstrs(list []*Instr, more ...*Instr) []*Instr {
+	return f.arena.AppendInstrs(list, more...)
 }
 
 // NewBlock appends a fresh, empty block to the function. The requested name

@@ -310,7 +310,7 @@ func mergeBlocks(s *state) bool {
 		for i, prm := range b.Params {
 			s.substitute(prm, p.Term().Succs[0].Args[i])
 		}
-		p.Instrs = append(p.Instrs[:len(p.Instrs)-1], b.Instrs...) // drop the br
+		p.Instrs = f.AppendInstrs(p.Instrs[:len(p.Instrs)-1], b.Instrs...) // drop the br
 		for _, sc := range b.Term().Succs {
 			pred[sc.Dest.Num()] = p
 		}

@@ -256,7 +256,7 @@ func Optimal(c *compile.Compiler, opts Options) (Result, bool) {
 	}
 	cfg, size := newEvaluator(c, opts).run(g.Undirected(), callgraph.NewConfig())
 	return Result{
-		Config:      cfg,
+		Config:      cfg.Clone(),
 		Size:        size,
 		SpaceSize:   space,
 		Evaluations: c.Evaluations(),
@@ -271,7 +271,8 @@ func Optimal(c *compile.Compiler, opts Options) (Result, bool) {
 // independence theorem), so re-solving one component under a tuned context
 // yields the true component optimum given the rest.
 func OptimalCompletion(c *compile.Compiler, mg *graph.Multigraph, decided *callgraph.Config, opts Options) (*callgraph.Config, int) {
-	return newEvaluator(c, opts).run(mg, decided.Clone())
+	cfg, size := newEvaluator(c, opts).run(mg, decided)
+	return cfg.Clone(), size
 }
 
 // ComponentSubgraphs returns the edge-bearing connected components of the
@@ -356,7 +357,9 @@ func (ev *evaluator) sizeOf(l *labels) int {
 // run evaluates the inlining tree rooted at mg on pooled kernel scratch.
 // The handle chain starts at the clean slate; labels decided outside mg
 // are one step from it, so a completion compiles the closures that
-// pricing each leaf from the clean slate would.
+// pricing each leaf from the clean slate would. decided is only read. The
+// configuration it returns may be one of the tree's own, which its caller
+// clones before handing it out.
 func (ev *evaluator) run(mg *graph.Multigraph, decided *callgraph.Config) (*callgraph.Config, int) {
 	s := scratchPool.Get().(*graph.Scratch)
 	defer scratchPool.Put(s)
@@ -370,12 +373,15 @@ func (ev *evaluator) run(mg *graph.Multigraph, decided *callgraph.Config) (*call
 // eval is Algorithm 1 fused with Algorithm 2: it lazily builds and
 // evaluates the inlining tree rooted at the given graph state.
 // at holds the labels assigned on the path from the root; s is the
-// calling goroutine's kernel scratch.
+// calling goroutine's kernel scratch. The configuration it returns is a
+// tree node's own, shared and never mutated: a leaf returns its labels'
+// configuration, a binary node its better child's, and a components node
+// the combined configuration it built.
 func (ev *evaluator) eval(s *graph.Scratch, mg *graph.Multigraph, at *labels) (*callgraph.Config, int) {
 	if len(mg.Edges) == 0 {
 		// InliningTreeLeaf: a fully labeled (partial w.r.t. siblings)
 		// configuration; evaluate it.
-		return at.cfg.Clone(), ev.sizeOf(at)
+		return at.cfg, ev.sizeOf(at)
 	}
 	if subs := edgeComponents(s, mg); subs != nil {
 		// InliningTreeComponentsNode: independent components explored

@@ -366,6 +366,48 @@ func TestOptimalParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestReturnedConfigIsTheCallers: Optimal and OptimalCompletion hand out
+// a configuration of the caller's own, not one the search tree shares.
+// Mutating it leaves a repeated search, on the same compiler and its warm
+// caches, with the same answer, and leaves the decided labels a
+// completion started from as they were.
+func TestReturnedConfigIsTheCallers(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 10; trial++ {
+		m := randomModule(rng)
+		c := compile.New(m, codegen.TargetX86)
+		sites := c.Graph().Sites()
+		for _, workers := range []int{-1, 4} {
+			first, _ := Optimal(c, Options{Workers: workers})
+			want := first.Config.String()
+			for _, s := range sites {
+				first.Config.Set(s, !first.Config.Inline(s))
+			}
+			again, _ := Optimal(c, Options{Workers: workers})
+			if again.Config.String() != want || again.Size != first.Size {
+				t.Fatalf("trial %d: repeated search found %v (%d), first %s (%d)", trial, again.Config, again.Size, want, first.Size)
+			}
+		}
+		decided := callgraph.NewConfig()
+		for _, sub := range ComponentSubgraphs(c.Graph()) {
+			before := decided.String()
+			got, size := OptimalCompletion(c, sub, decided, Options{})
+			want := got.String()
+			for _, s := range sites {
+				got.Set(s, !got.Inline(s))
+			}
+			again, againSize := OptimalCompletion(c, sub, decided, Options{})
+			if again.String() != want || againSize != size {
+				t.Fatalf("trial %d: repeated completion found %v (%d), first %s (%d)", trial, again, againSize, want, size)
+			}
+			if decided.String() != before {
+				t.Fatalf("trial %d: completion changed its decided labels", trial)
+			}
+			decided.Merge(again)
+		}
+	}
+}
+
 func TestOptimalRespectsMaxSpace(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var c *compile.Compiler
