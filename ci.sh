@@ -53,11 +53,20 @@ go test -run '^$' -fuzz FuzzInterprocSummaries -fuzztime 30x ./internal/analysis
 echo "== delta-engine bench smoke =="
 # One iteration each: catches compile errors or assertion failures in the
 # delta-vs-full, config-identity, compile miss-path and in-process
-# search-corpus benchmarks without paying bench time.
+# search-corpus benchmarks without paying bench time. The search-corpus
+# pass must also stay under 1.5M allocations: its inlining-tree walk
+# allocates per search, not per tree node (about 0.46M at the time of
+# writing; 4.08M when every node allocated its own memory).
 go test -run '^$' -bench 'DeltaVsFull|ConfigKey|FnCacheColdVsWarm|CycleRepriceVsReinterp' -benchtime=1x . >/dev/null
 go test -run '^$' -bench 'ICacheNaive|ICacheIndexed' -benchtime=1x ./internal/interp >/dev/null
 go test -run '^$' -bench 'CompileMissPath' -benchtime=1x ./internal/compile >/dev/null
-go test -run '^$' -bench 'SearchCorpus' -benchtime=1x ./internal/search >/dev/null
+search_bench="$(go test -run '^$' -bench 'SearchCorpus' -benchtime=1x ./internal/search)"
+search_allocs="$(awk '/^BenchmarkSearchCorpus/ { for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1) }' <<<"${search_bench}")"
+if [[ -z "${search_allocs}" || "${search_allocs}" -gt 1500000 ]]; then
+  echo "${search_bench}"
+  echo "BenchmarkSearchCorpus allocated ${search_allocs:-an unknown number of} objects per pass; the bound is 1500000"
+  exit 1
+fi
 
 echo "== fn content cache persistence smoke =="
 # A warm -cache-dir rerun must reproduce the cold run's stdout byte for

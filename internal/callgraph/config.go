@@ -54,6 +54,17 @@ func (c *Config) Clone() *Config {
 	return nc
 }
 
+// CopyFrom sets c to other's labels, reusing c's memory, and returns c.
+func (c *Config) CopyFrom(other *Config) *Config {
+	if c == other {
+		return c
+	}
+	c.words = append(c.words[:0], other.words...)
+	c.count = other.count
+	c.key.Store(other.key.Load())
+	return c
+}
+
 // invalidate drops the cached canonical Key after a mutation.
 func (c *Config) invalidate() {
 	c.key.Store(nil)
@@ -67,9 +78,7 @@ func (c *Config) Set(site int, inline bool) *Config {
 	w, b := site/64, uint(site%64)
 	if inline {
 		if w >= len(c.words) {
-			grown := make([]uint64, w+1)
-			copy(grown, c.words)
-			c.words = grown
+			c.words = append(c.words, make([]uint64, w+1-len(c.words))...)
 		}
 		if c.words[w]&(1<<b) == 0 {
 			c.words[w] |= 1 << b
@@ -97,15 +106,20 @@ func (c *Config) Inline(site int) bool {
 
 // InlineSites returns the inline-labeled sites in ascending order.
 func (c *Config) InlineSites() []int {
-	out := make([]int, 0, c.count)
+	return c.AppendInlineSites(make([]int, 0, c.count))
+}
+
+// AppendInlineSites appends the inline-labeled sites to dst in ascending
+// order and returns the extended slice.
+func (c *Config) AppendInlineSites(dst []int) []int {
 	for w, word := range c.words {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
-			out = append(out, w*64+b)
+			dst = append(dst, w*64+b)
 			word &= word - 1
 		}
 	}
-	return out
+	return dst
 }
 
 // InlineCount returns the number of inline-labeled sites.
@@ -118,9 +132,7 @@ func (c *Config) Merge(other *Config) *Config {
 		return c
 	}
 	if len(other.words) > len(c.words) {
-		grown := make([]uint64, len(other.words))
-		copy(grown, c.words)
-		c.words = grown
+		c.words = append(c.words, make([]uint64, len(other.words)-len(c.words))...)
 	}
 	changed := false
 	for i, w := range other.words {
@@ -143,12 +155,12 @@ func (c *Config) Merge(other *Config) *Config {
 // DiffSites returns the sites labeled differently by c and other, in
 // ascending order — the toggle set that turns one configuration into the
 // other (compile.SizeDelta's currency).
-func (c *Config) DiffSites(other *Config) []int {
-	n := len(c.words)
-	if len(other.words) > n {
-		n = len(other.words)
-	}
-	var out []int
+func (c *Config) DiffSites(other *Config) []int { return c.AppendDiffSites(nil, other) }
+
+// AppendDiffSites appends DiffSites' sites to dst and returns the extended
+// slice.
+func (c *Config) AppendDiffSites(dst []int, other *Config) []int {
+	n := max(len(c.words), len(other.words))
 	for w := 0; w < n; w++ {
 		var a, b uint64
 		if w < len(c.words) {
@@ -158,10 +170,10 @@ func (c *Config) DiffSites(other *Config) []int {
 			b = other.words[w]
 		}
 		for x := a ^ b; x != 0; x &= x - 1 {
-			out = append(out, w*64+bits.TrailingZeros64(x))
+			dst = append(dst, w*64+bits.TrailingZeros64(x))
 		}
 	}
-	return out
+	return dst
 }
 
 // Key returns a canonical string identity: two configurations with the same

@@ -52,7 +52,7 @@ func arenaCases(t *testing.T) []*closureCase {
 		var cases []*closureCase
 		for _, cfg := range []*callgraph.Config{callgraph.NewConfig(), heuristic.OsConfig(c.Module(), g), all, random} {
 			for _, fi := range c.memo.funcs {
-				cc := &closureCase{p: p, fi: fi, members: c.memo.closure(fi, cfg), cfg: cfg}
+				cc := &closureCase{p: p, fi: fi, members: c.memo.closure(new(dirtyScratch), fi, cfg), cfg: cfg}
 				cc.size, cc.cost = cc.price(nil)
 				cases = append(cases, cc)
 			}

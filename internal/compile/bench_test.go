@@ -47,7 +47,7 @@ func BenchmarkCompileMissPath(b *testing.B) {
 		}
 		for _, cfg := range cfgs {
 			for _, fi := range c.memo.funcs {
-				members := c.memo.closure(fi, cfg)
+				members := c.memo.closure(new(dirtyScratch), fi, cfg)
 				key := c.closureKey(fi, members, cfg)
 				if !seen[key] {
 					seen[key] = true

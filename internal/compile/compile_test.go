@@ -214,8 +214,8 @@ func TestConcurrentSizeIsSafe(t *testing.T) {
 
 	c, p := newPricedCompiler(t)
 	clean := callgraph.NewConfig()
-	base := c.Derive(nil, nil) // priced outside the counted table
-	cbase := p.Priced(clean)   // one cycle repricing, before the race
+	base := c.Derive(new(Sized), nil, clean, nil) // priced outside the counted table
+	cbase := p.Priced(clean)                      // one cycle repricing, before the race
 	toggles := []int{1, 3}
 	cfg := callgraph.NewConfigOf(toggles)
 	const n = 8

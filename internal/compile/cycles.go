@@ -267,9 +267,9 @@ func (p *CyclePricer) bodyCost(fn *ir.Function) int64 {
 // closureCost returns fi's per-entry cost and size under cfg, compiling the
 // inline closure at most once per content key (single-flight; the key is
 // the same content-addressed closureKey the size memo uses, so equal keys
-// imply bit-identical final bodies).
-func (p *CyclePricer) closureCost(fi *funcInfo, cfg *callgraph.Config) (int64, int32, bool) {
-	members := p.c.memo.closure(fi, cfg)
+// imply bit-identical final bodies). The closure walk runs on sc.
+func (p *CyclePricer) closureCost(sc *dirtyScratch, fi *funcInfo, cfg *callgraph.Config) (int64, int32, bool) {
+	members := p.c.memo.closure(sc, fi, cfg)
 	key := p.c.closureKey(fi, members, cfg)
 	for {
 		p.costMu.Lock()
@@ -410,6 +410,8 @@ func (p *CyclePricer) contribCycled(cfg *callgraph.Config) *Cycled {
 		perEnt:  make([]int64, len(ms.funcs)),
 		sizes:   make([]int32, len(ms.funcs)),
 	}
+	sc := dirtyPool.Get().(*dirtyScratch)
+	defer sc.release()
 	var instr int64
 	for i, fi := range ms.funcs {
 		n := p.entriesUnder(fi, cfg)
@@ -417,7 +419,7 @@ func (p *CyclePricer) contribCycled(cfg *callgraph.Config) *Cycled {
 		if n == 0 {
 			continue
 		}
-		cost, size, ok := p.closureCost(fi, cfg)
+		cost, size, ok := p.closureCost(sc, fi, cfg)
 		if !ok {
 			return &Cycled{cfg: cfg.Clone(), total: InfCycles, full: true}
 		}
@@ -563,7 +565,7 @@ func (p *CyclePricer) measureCycleDelta(base *Cycled, cfg *callgraph.Config, tog
 func (p *CyclePricer) applyCycleDelta(base *Cycled, cfg *callgraph.Config, toggles []int, into *Cycled) int64 {
 	ms := p.c.memo
 	sc := dirtyPool.Get().(*dirtyScratch)
-	defer dirtyPool.Put(sc)
+	defer sc.release()
 	dirty := ms.dirty(sc, toggles)
 	// The replay needs the full size vector with dirty slots updated; base
 	// handles are immutable, so update into's copy or a scratch copy.
@@ -584,7 +586,7 @@ func (p *CyclePricer) applyCycleDelta(base *Cycled, cfg *callgraph.Config, toggl
 		var size int32
 		if n > 0 {
 			var ok bool
-			cost, size, ok = p.closureCost(fi, cfg)
+			cost, size, ok = p.closureCost(sc, fi, cfg)
 			if !ok {
 				return InfCycles
 			}

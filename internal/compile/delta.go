@@ -41,9 +41,9 @@ import (
 
 // Sized is a priced configuration handle: the configuration, its total
 // size, and (when the delta engine is active) the per-function size
-// contributions the total decomposes into. Handles are immutable and safe
-// for concurrent use; SizeDelta, Rebase and Derive price toggled variants
-// from them.
+// contributions the total decomposes into. SizeDelta, Rebase and Derive
+// price toggled variants from a handle. A handle that Sized or Rebase
+// returns is immutable and safe for concurrent use.
 //
 // A handle holds its contributions in full, or, when Derive made it, as an
 // overlay on its base: the entries its toggles dirtied, over the base's.
@@ -81,8 +81,9 @@ func (s *Sized) contribOf(i int32) int {
 	}
 }
 
-// fullContrib returns a fresh copy of the handle's contributions in full.
-func (s *Sized) fullContrib() []int {
+// appendContrib appends the handle's contributions in full to dst and
+// returns the extended slice.
+func (s *Sized) appendContrib(dst []int) []int {
 	var chain [maxOverlayDepth]*Sized
 	n := 0
 	h := s
@@ -90,13 +91,19 @@ func (s *Sized) fullContrib() []int {
 		chain[n] = h
 		n++
 	}
-	contrib := slices.Clone(h.contrib)
+	at := len(dst)
+	dst = append(dst, h.contrib...)
 	for n--; n >= 0; n-- {
 		for _, e := range chain[n].overlay {
-			contrib[e.fn] = e.size
+			dst[at+int(e.fn)] = e.size
 		}
 	}
-	return contrib
+	return dst
+}
+
+// reset readies s to be rewritten as cfg's handle, keeping its buffers.
+func (s *Sized) reset(cfg *callgraph.Config) {
+	*s = Sized{cfg: cfg, contrib: s.contrib[:0], overlay: s.overlay[:0]}
 }
 
 // record stores function i's contribution under the handle's
@@ -149,34 +156,38 @@ func (c *Compiler) Sized(cfg *callgraph.Config) *Sized {
 	return h
 }
 
-// Derive returns the handle of base's configuration with the given sites'
-// labels flipped (with a nil base: of the clean slate with them flipped),
-// without consulting or charging the whole-config cache or the evaluation
-// counters. It is Rebase for clients that charge their own evaluations,
-// through SizeVia: the search derives each inlining-tree node's handle from
-// its parent's this way, and prices its root with a nil base. From a base
-// it reprices only the functions the toggles dirty; from nil, or from a
-// base that failed to compile, it prices every function. Returns nil in
-// checked mode.
-func (c *Compiler) Derive(base *Sized, toggles []int) *Sized {
+// Derive makes h the handle of cfg, which differs from base's
+// configuration by exactly the toggled sites (with a nil base: cfg is
+// priced from the clean slate), and returns it, without consulting or
+// charging the whole-config cache or the evaluation counters. It is
+// Rebase for clients that charge their own evaluations, through SizeVia,
+// and that own their configurations: the search derives each
+// inlining-tree node's handle from its parent's this way, into memory the
+// search reuses. From a base it reprices only the functions the toggles
+// dirty; from nil, or from a base that failed to compile, it prices every
+// function.
+//
+// h keeps cfg, which must not change while h is in use, and its base,
+// which must outlive it. Derive reuses the buffers h holds from an earlier
+// derivation, so h must no longer be in use, nor be another handle's
+// base. Returns nil in checked mode.
+func (c *Compiler) Derive(h, base *Sized, cfg *callgraph.Config, toggles []int) *Sized {
 	if c.check {
 		return nil
 	}
-	if base == nil {
-		return c.contribHandle(callgraph.NewConfigOf(toggles))
+	h.reset(cfg)
+	if base == nil || base.full {
+		return c.price(h)
 	}
-	cfg := c.toggled(base, toggles)
-	if base.full {
-		return c.contribHandle(cfg)
-	}
-	h := &Sized{cfg: cfg, base: base, depth: base.depth + 1}
+	h.base, h.depth = base, base.depth+1
 	if h.depth > maxOverlayDepth {
-		h.contrib, h.base, h.depth = base.fullContrib(), nil, 0
+		h.contrib, h.base, h.depth = base.appendContrib(h.contrib), nil, 0
 	}
-	if h.total = c.applyDelta(base, cfg, toggles, h); h.total != InfSize {
-		return h
+	if h.total = c.applyDelta(base, cfg, toggles, h); h.total == InfSize {
+		h.reset(cfg)
+		h.total, h.full = InfSize, true
 	}
-	return &Sized{cfg: cfg, total: InfSize, full: true}
+	return h
 }
 
 // SizeVia is Size for a configuration the caller can derive a handle for:
@@ -264,7 +275,7 @@ func (c *Compiler) Rebase(base *Sized, toggles []int) *Sized {
 	if base.full || c.check {
 		return &Sized{cfg: cfg, total: c.Size(cfg), full: true}
 	}
-	h := &Sized{cfg: cfg, contrib: base.fullContrib()}
+	h := &Sized{cfg: cfg, contrib: base.appendContrib(nil)}
 	size, hit := c.sizes.get(cfg, func() int { return c.measureDelta(base, cfg, toggles, h) })
 	if hit {
 		c.hits.Add(1)
@@ -300,18 +311,18 @@ func (c *Compiler) measureDelta(base *Sized, cfg *callgraph.Config, toggles []in
 func (c *Compiler) applyDelta(base *Sized, cfg *callgraph.Config, toggles []int, into *Sized) int {
 	ms := c.memo
 	sc := dirtyPool.Get().(*dirtyScratch)
-	defer dirtyPool.Put(sc)
+	defer sc.release()
 	dirty := ms.dirty(sc, toggles)
 	c.deltaDirty.Add(int64(len(dirty)))
 	if into != nil && into.base != nil {
-		into.overlay = make([]fnSize, 0, len(dirty))
+		into.overlay = slices.Grow(into.overlay[:0], len(dirty))
 	}
 	total := base.total
 	for _, i := range dirty {
 		fi := ms.funcs[i]
 		size := 0
 		if ms.alive(fi, cfg) {
-			size = c.funcSize(fi, cfg)
+			size = c.funcSize(sc, fi, cfg)
 			if size == InfSize {
 				return InfSize
 			}
@@ -348,19 +359,28 @@ func (c *Compiler) handleFor(cfg *callgraph.Config, size int) *Sized {
 // contribHandle prices cfg function by function, recording contributions.
 // It touches only the per-function memo, never the whole-config cache.
 func (c *Compiler) contribHandle(cfg *callgraph.Config) *Sized {
+	return c.price(&Sized{cfg: cfg.Clone()})
+}
+
+// price fills h, reset for its configuration, with every function's
+// contribution and their total, or marks it failed.
+func (c *Compiler) price(h *Sized) *Sized {
 	ms := c.memo
-	contrib := make([]int, len(ms.funcs))
-	total := 0
+	sc := dirtyPool.Get().(*dirtyScratch)
+	defer sc.release()
+	h.contrib = append(h.contrib[:0], make([]int, len(ms.funcs))...)
 	for i, fi := range ms.funcs {
-		if !ms.alive(fi, cfg) {
+		if !ms.alive(fi, h.cfg) {
 			continue
 		}
-		s := c.funcSize(fi, cfg)
+		s := c.funcSize(sc, fi, h.cfg)
 		if s == InfSize {
-			return &Sized{cfg: cfg.Clone(), total: InfSize, full: true}
+			h.reset(h.cfg)
+			h.total, h.full = InfSize, true
+			return h
 		}
-		contrib[i] = s
-		total += s
+		h.contrib[i] = s
+		h.total += s
 	}
-	return &Sized{cfg: cfg.Clone(), total: total, contrib: contrib}
+	return h
 }

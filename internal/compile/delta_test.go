@@ -153,7 +153,7 @@ func TestDeltaDisabledFallsBack(t *testing.T) {
 	ref := New(f.Module, codegen.TargetX86)
 	s := ref.Graph().Sites()[0]
 	probe := callgraph.NewConfig().Set(s, true)
-	if c.Derive(nil, nil) != nil {
+	if c.Derive(new(Sized), nil, callgraph.NewConfig(), nil) != nil {
 		t.Fatal("Derive returned a handle")
 	}
 	base := c.Sized(callgraph.NewConfig())

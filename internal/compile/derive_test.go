@@ -25,7 +25,7 @@ func TestDeriveChainsMatchSize(t *testing.T) {
 	for _, f := range memoCorpus(t) {
 		c := New(f.Module, codegen.TargetX86)
 		sites := c.Graph().Sites()
-		h := c.Derive(nil, nil)
+		h := derived(c, nil, nil)
 		for step := 0; step < 3*maxOverlayDepth+2; step++ {
 			var toggles []int
 			for n := 1 + rng.Intn(3); n > 0; n-- {
@@ -35,7 +35,7 @@ func TestDeriveChainsMatchSize(t *testing.T) {
 				// A failed base carries no contributions.
 				h = &Sized{cfg: h.cfg, total: InfSize, full: true}
 			}
-			h = c.Derive(h, toggles)
+			h = derived(c, h, toggles)
 			if got, want := h.Size(), wholeModuleSize(c, h.cfg); got != want {
 				t.Fatalf("%s step %d: derived %d, whole module %d", f.Name, step, got, want)
 			}
@@ -45,11 +45,11 @@ func TestDeriveChainsMatchSize(t *testing.T) {
 			if h.depth > maxOverlayDepth || (h.base == nil) != (h.depth == 0) {
 				t.Fatalf("%s step %d: overlay depth %d, base %v", f.Name, step, h.depth, h.base != nil)
 			}
-			if got, want := h.fullContrib(), c.contribHandle(h.cfg).contrib; !slices.Equal(got, want) {
+			if got, want := h.appendContrib(nil), c.contribHandle(h.cfg).contrib; !slices.Equal(got, want) {
 				t.Fatalf("%s step %d: contributions %v, from scratch %v", f.Name, step, got, want)
 			}
 		}
-		if got, want := c.Derive(nil, h.cfg.InlineSites()).Size(), h.Size(); got != want {
+		if got, want := derived(c, nil, h.cfg.InlineSites()).Size(), h.Size(); got != want {
 			t.Fatalf("%s: priced from scratch %d, derived %d", f.Name, got, want)
 		}
 		if c.Evaluations() != 0 || c.CacheHits() != 0 || c.DeltaStats().Evals != 0 {
@@ -59,17 +59,31 @@ func TestDeriveChainsMatchSize(t *testing.T) {
 	}
 }
 
+// derived is the handle of base's configuration (of the clean slate when
+// base is nil) with the toggled sites flipped, derived into new memory.
+func derived(c *Compiler, base *Sized, toggles []int) *Sized {
+	cfg := callgraph.NewConfig()
+	if base != nil {
+		cfg = base.cfg
+	}
+	cfg = cfg.Clone()
+	for _, s := range toggles {
+		cfg.Set(s, !cfg.Inline(s))
+	}
+	return c.Derive(new(Sized), base, cfg, toggles)
+}
+
 // TestSizeViaChargesLikeSizeDelta: SizeVia must count a miss and a hit
 // exactly as SizeDelta does, and pull a handle only on a miss.
 func TestSizeViaChargesLikeSizeDelta(t *testing.T) {
 	f := memoCorpus(t)[0]
 	via, delta := New(f.Module, codegen.TargetX86), New(f.Module, codegen.TargetX86)
-	root := via.Derive(nil, nil)
-	base := delta.Derive(nil, nil)
+	root := derived(via, nil, nil)
+	base := derived(delta, nil, nil)
 	pulls := 0
 	for _, s := range append(via.Graph().Sites(), via.Graph().Sites()...) {
 		cfg := callgraph.NewConfigOf([]int{s})
-		got := via.SizeVia(cfg, func() *Sized { pulls++; return via.Derive(root, []int{s}) })
+		got := via.SizeVia(cfg, func() *Sized { pulls++; return derived(via, root, []int{s}) })
 		if want := delta.SizeDelta(base, []int{s}); got != want {
 			t.Fatalf("site %d: SizeVia %d, SizeDelta %d", s, got, want)
 		}
@@ -125,6 +139,51 @@ func TestDirtyIsAllocationFree(t *testing.T) {
 	}
 }
 
+// plainClosure is the closure walk before it ran on a scratch: a fresh
+// worklist and seen set per call.
+func plainClosure(ms *memoState, f *funcInfo, cfg *callgraph.Config) []*funcInfo {
+	members := []*funcInfo{f}
+	seen := map[*funcInfo]bool{f: true}
+	for i := 0; i < len(members); i++ {
+		for _, s := range members[i].sites {
+			if callee := ms.siteCallee[s]; cfg.Inline(s) && !seen[callee] {
+				seen[callee] = true
+				members = append(members, callee)
+			}
+		}
+	}
+	slices.SortFunc(members, func(a, b *funcInfo) int { return cmp.Compare(a.idx, b.idx) })
+	return members
+}
+
+// TestClosureWalkAllocatesNothing: on a warm scratch the closure walk
+// costs no allocation, and it lists the same functions in the same order
+// as a walk with a fresh worklist and seen set, across modules and label
+// sets sharing one scratch.
+func TestClosureWalkAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	sc := new(dirtyScratch)
+	for _, f := range memoCorpus(t) {
+		c := New(f.Module, codegen.TargetX86)
+		ms := c.memo
+		for trial := 0; trial < 4; trial++ {
+			cfg := callgraph.NewConfig()
+			for _, s := range c.Graph().Sites() {
+				cfg.Set(s, rng.Intn(4) != 0)
+			}
+			for _, fi := range ms.funcs {
+				want := plainClosure(ms, fi, cfg)
+				if got := ms.closure(sc, fi, cfg); !slices.Equal(got, want) {
+					t.Fatalf("%s %s: closure %d members, a fresh walk %d", f.Name, fi.name, len(got), len(want))
+				}
+				if allocs := testing.AllocsPerRun(5, func() { ms.closure(sc, fi, cfg) }); allocs != 0 {
+					t.Fatalf("%s %s: the closure walk allocated %.1f times on a warm scratch", f.Name, fi.name, allocs)
+				}
+			}
+		}
+	}
+}
+
 // TestDeriveAllocatesItsDirtySet: deriving a handle with one toggle on a
 // module of hundreds of functions stores only the toggle's dirty entries
 // over its base, and allocates a small fraction of one whole contribution
@@ -149,11 +208,11 @@ func TestDeriveAllocatesItsDirtySet(t *testing.T) {
 	slices.SortStableFunc(sites, func(a, b int) int {
 		return cmp.Compare(len(c.memo.dirty(&sc, []int{a})), len(c.memo.dirty(&sc, []int{b})))
 	})
-	h := c.Derive(nil, nil)
+	h := derived(c, nil, nil)
 	for _, s := range sites[:3] {
 		dirty := len(c.memo.dirty(&sc, []int{s}))
 		base := h
-		h = c.Derive(base, []int{s}) // compiles the dirty closures
+		h = derived(c, base, []int{s}) // compiles the dirty closures
 		if h.contrib != nil || len(h.overlay) != dirty {
 			t.Fatalf("site %d: derived handle holds %d contributions in full, %d in its overlay; %d are dirty",
 				s, len(h.contrib), len(h.overlay), dirty)
@@ -165,7 +224,7 @@ func TestDeriveAllocatesItsDirtySet(t *testing.T) {
 		const runs = 50
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			c.Derive(base, []int{s})
+			c.Derive(new(Sized), base, h.cfg, []int{s})
 		}
 		runtime.ReadMemStats(&after)
 		perDerive := (after.TotalAlloc - before.TotalAlloc) / runs

@@ -176,7 +176,7 @@ func buildAncestors(rev [][]int32) [][]int32 {
 // labels of exactly these incoming edges. It runs once per delta-priced
 // configuration and derived handle, so it works in sc and allocates
 // nothing once sc has grown to the module; the result lives in sc until
-// its next use.
+// its next dirty call.
 func (ms *memoState) dirty(sc *dirtyScratch, toggles []int) []int32 {
 	ms.ensureAncestors()
 	sc.next(len(ms.funcs))
@@ -187,28 +187,43 @@ func (ms *memoState) dirty(sc *dirtyScratch, toggles []int) []int32 {
 			continue // not a candidate site: flipping it is a no-op
 		}
 		for _, a := range ms.ancestors[caller.idx] {
-			out = sc.add(out, a)
+			if sc.fresh(a) {
+				out = append(out, a)
+			}
 		}
-		out = sc.add(out, int32(ms.siteCallee[s].idx))
+		if callee := int32(ms.siteCallee[s].idx); sc.fresh(callee) {
+			out = append(out, callee)
+		}
 	}
 	slices.Sort(out)
 	sc.out = out
 	return out
 }
 
-// dirtyScratch is dirty's working set: a mark per function, stamped with
-// the call's generation so that a new call needs no clearing, and the
-// result buffer.
+// dirtyScratch is the working set of the function-set walks, dirty and
+// closure: a mark per function, stamped with the walk's generation so that
+// a new walk needs no clearing, and the two result buffers. A delta
+// evaluation walks its dirty set and then the closure of each dirty
+// function on one scratch.
 type dirtyScratch struct {
-	mark []uint32
-	gen  uint32
-	out  []int32
+	mark    []uint32
+	gen     uint32
+	out     []int32     // dirty's result
+	members []*funcInfo // closure's result
 }
 
-// dirtyPool serves the delta engines' dirty scratch.
+// dirtyPool serves the delta engines' and closure walks' scratch.
 var dirtyPool = sync.Pool{New: func() any { return new(dirtyScratch) }}
 
-// next starts a call over n functions.
+// release returns sc to the pool, dropping its references to a module's
+// functions.
+func (sc *dirtyScratch) release() {
+	clear(sc.members)
+	sc.members = sc.members[:0]
+	dirtyPool.Put(sc)
+}
+
+// next starts a walk over n functions.
 func (sc *dirtyScratch) next(n int) {
 	if len(sc.mark) < n {
 		sc.mark = make([]uint32, n)
@@ -220,13 +235,14 @@ func (sc *dirtyScratch) next(n int) {
 	}
 }
 
-// add appends i to out unless this call has already added it.
-func (sc *dirtyScratch) add(out []int32, i int32) []int32 {
+// fresh marks function i and reports whether this walk had not marked it
+// yet.
+func (sc *dirtyScratch) fresh(i int32) bool {
 	if sc.mark[i] == sc.gen {
-		return out
+		return false
 	}
 	sc.mark[i] = sc.gen
-	return append(out, i)
+	return true
 }
 
 // alive is the label-based DFE predicate of one function, decided locally
@@ -245,17 +261,19 @@ func (ms *memoState) alive(fi *funcInfo, cfg *callgraph.Config) bool {
 	return false
 }
 
-// closure returns f's inline closure under cfg, in module order.
-func (ms *memoState) closure(f *funcInfo, cfg *callgraph.Config) []*funcInfo {
-	members := []*funcInfo{f}
-	seen := map[*funcInfo]bool{f: true}
+// closure returns f's inline closure under cfg, in module order. It walks
+// on sc and allocates nothing once sc has grown to the closure; the result
+// lives in sc until its next closure call.
+func (ms *memoState) closure(sc *dirtyScratch, f *funcInfo, cfg *callgraph.Config) []*funcInfo {
+	sc.next(len(ms.funcs))
+	sc.fresh(int32(f.idx))
+	members := append(sc.members[:0], f)
 	for i := 0; i < len(members); i++ {
 		for _, s := range members[i].sites {
 			if !cfg.Inline(s) {
 				continue
 			}
-			if callee := ms.siteCallee[s]; !seen[callee] {
-				seen[callee] = true
+			if callee := ms.siteCallee[s]; sc.fresh(int32(callee.idx)) {
 				members = append(members, callee)
 			}
 		}
@@ -265,6 +283,7 @@ func (ms *memoState) closure(f *funcInfo, cfg *callgraph.Config) []*funcInfo {
 	// fixpoint depends on that order. Keeping it makes the sub-module
 	// queue an exact projection of the whole-module one.
 	slices.SortFunc(members, func(a, b *funcInfo) int { return cmp.Compare(a.idx, b.idx) })
+	sc.members = members
 	return members
 }
 
@@ -272,12 +291,14 @@ func (ms *memoState) closure(f *funcInfo, cfg *callgraph.Config) []*funcInfo {
 // label-based DFE decides survival analytically, and each survivor's size
 // comes from the per-closure cache.
 func (c *Compiler) measureMemo(cfg *callgraph.Config) int {
+	sc := dirtyPool.Get().(*dirtyScratch)
+	defer sc.release()
 	total := 0
 	for _, fi := range c.memo.funcs {
 		if !c.memo.alive(fi, cfg) {
 			continue
 		}
-		s := c.funcSize(fi, cfg)
+		s := c.funcSize(sc, fi, cfg)
 		if s == InfSize {
 			c.errors.Add(1)
 			return InfSize
@@ -292,9 +313,10 @@ func (c *Compiler) measureMemo(cfg *callgraph.Config) int {
 // search workers requesting the same closure share one compilation). The
 // entry lives in the shared FnCache under a content-derived key, so it is
 // found by any compiler whose closure has the same structure — other
-// configurations, other corpus files, other runs.
-func (c *Compiler) funcSize(fi *funcInfo, cfg *callgraph.Config) int {
-	members := c.memo.closure(fi, cfg)
+// configurations, other corpus files, other runs. The closure walk runs on
+// sc.
+func (c *Compiler) funcSize(sc *dirtyScratch, fi *funcInfo, cfg *callgraph.Config) int {
+	members := c.memo.closure(sc, fi, cfg)
 	key := c.closureKey(fi, members, cfg)
 	return c.fncache.sizeOf(key, &c.funcHits, &c.funcMisses, func() int {
 		return c.compileClosure(fi, members, cfg)

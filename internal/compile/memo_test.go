@@ -137,7 +137,7 @@ func TestClosureKeyAfterLargeClosure(t *testing.T) {
 	}
 	var small, large []closure
 	for _, fi := range c.memo.funcs {
-		members := c.memo.closure(fi, all)
+		members := c.memo.closure(new(dirtyScratch), fi, all)
 		sites, names := map[int]bool{}, map[string]bool{}
 		for _, m := range members {
 			for i, s := range m.callSites {

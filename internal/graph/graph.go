@@ -22,13 +22,19 @@ type Multigraph struct {
 
 // RemoveEdge returns a copy of the graph without the identified edge.
 func (g *Multigraph) RemoveEdge(id int) *Multigraph {
-	ng := &Multigraph{N: g.N, Edges: make([]Edge, 0, len(g.Edges)-1)}
+	return &Multigraph{N: g.N, Edges: g.AppendRemoved(make([]Edge, 0, len(g.Edges)), id)}
+}
+
+// AppendRemoved appends the graph's edges but the identified one to dst, in
+// order, and returns the extended slice: RemoveEdge's edge list, in memory
+// the caller provides.
+func (g *Multigraph) AppendRemoved(dst []Edge, id int) []Edge {
 	for _, e := range g.Edges {
 		if e.ID != id {
-			ng.Edges = append(ng.Edges, e)
+			dst = append(dst, e)
 		}
 	}
-	return ng
+	return dst
 }
 
 // ContractEdge returns a copy of the graph with the identified edge
@@ -37,36 +43,34 @@ func (g *Multigraph) RemoveEdge(id int) *Multigraph {
 // unchanged; the absorbed endpoint keeps no incident edges. This models
 // inlining an edge in the search-space call-graph (Fig. 2(c)).
 func (g *Multigraph) ContractEdge(id int) *Multigraph {
-	var target Edge
-	found := false
+	return &Multigraph{N: g.N, Edges: g.AppendContracted(make([]Edge, 0, len(g.Edges)), id)}
+}
+
+// AppendContracted appends the graph's edges, with the identified edge
+// contracted, to dst and returns the extended slice: ContractEdge's edge
+// list, in memory the caller provides. Without such an edge it appends
+// every edge unchanged.
+func (g *Multigraph) AppendContracted(dst []Edge, id int) []Edge {
+	keep, drop := -1, -1
 	for _, e := range g.Edges {
 		if e.ID == id {
-			target, found = e, true
+			keep, drop = min(e.U, e.V), max(e.U, e.V)
 			break
 		}
 	}
-	if !found {
-		return &Multigraph{N: g.N, Edges: append([]Edge(nil), g.Edges...)}
-	}
-	keep, drop := target.U, target.V
-	if keep > drop {
-		keep, drop = drop, keep
-	}
-	ng := &Multigraph{N: g.N, Edges: make([]Edge, 0, len(g.Edges)-1)}
 	for _, e := range g.Edges {
 		if e.ID == id {
 			continue
 		}
-		u, v := e.U, e.V
-		if u == drop {
-			u = keep
+		if e.U == drop {
+			e.U = keep
 		}
-		if v == drop {
-			v = keep
+		if e.V == drop {
+			e.V = keep
 		}
-		ng.Edges = append(ng.Edges, Edge{ID: e.ID, U: u, V: v})
+		dst = append(dst, e)
 	}
-	return ng
+	return dst
 }
 
 // EdgeIDs returns the identities of every edge, ascending.

@@ -9,9 +9,21 @@ import "slices"
 // Multigraph admits. The buffers stay between calls: a warm Scratch
 // allocates only what Components returns for the caller to keep.
 //
+// A Scratch also keeps a stack that a recursion over subgraphs carves its
+// edge lists from (Carve, CarveComponents) in LIFO order: Mark records the
+// stack's height and Pop returns to it, releasing every list carved since.
+// A carved list is never moved, so another goroutine may read one while
+// the owner carves above it; it must be done before the owner pops it.
+//
 // A Scratch is not safe for concurrent use; give each goroutine its own.
 // The zero value is ready to use.
 type Scratch struct {
+	// The stack: edges holds carved edge lists, lists the group headers of
+	// CarveComponents; both grow by reallocation, which leaves carved
+	// lists where they are.
+	edges []Edge
+	lists [][]Edge
+
 	// Local numbering: stamp[v] == epoch marks node v as numbered by the
 	// current call, as local[v]; nodes maps local numbers back.
 	epoch uint32
@@ -99,6 +111,26 @@ func (s *Scratch) id(v int) int32 {
 	return s.local[v]
 }
 
+// Mark is a height of a Scratch's stack.
+type Mark struct{ edges, lists int }
+
+// Mark returns the stack's current height, for Pop.
+func (s *Scratch) Mark() Mark { return Mark{len(s.edges), len(s.lists)} }
+
+// Pop releases every list carved since Mark returned m.
+func (s *Scratch) Pop(m Mark) {
+	clear(s.lists[m.lists:]) // no stale header keeps an outgrown stack alive
+	s.edges, s.lists = s.edges[:m.edges], s.lists[:m.lists]
+}
+
+// Carve returns an empty edge list with room for n edges, carved from the
+// top of the stack; it is the caller's until a Pop below it.
+func (s *Scratch) Carve(n int) []Edge {
+	at := len(s.edges)
+	s.edges = slices.Grow(s.edges, n)[:at+n]
+	return s.edges[at : at : at+n]
+}
+
 // find returns the root of x's tree, halving the path as it goes.
 func find(parent []int32, x int32) int32 {
 	for parent[x] != x {
@@ -113,7 +145,13 @@ func find(parent []int32, x int32) int32 {
 // and allocates nothing, when the edges form fewer than two components.
 // The groups it does return are carved from one new slice that the caller
 // owns.
-func (s *Scratch) Components(edges []Edge) [][]Edge {
+func (s *Scratch) Components(edges []Edge) [][]Edge { return s.components(edges, false) }
+
+// CarveComponents is Components with the groups and their headers carved
+// from the stack, so a warm Scratch allocates nothing.
+func (s *Scratch) CarveComponents(edges []Edge) [][]Edge { return s.components(edges, true) }
+
+func (s *Scratch) components(edges []Edge, carve bool) [][]Edge {
 	k := s.number(edges)
 	parent := resize(s.parent, k)
 	s.parent = parent
@@ -150,14 +188,21 @@ func (s *Scratch) Components(edges []Edge) [][]Edge {
 	for c, r := range roots {
 		rank[r] = int32(c)
 	}
-	groups := make([][]Edge, comps)
+	var groups [][]Edge
+	var out []Edge
+	if carve {
+		at := len(s.lists)
+		s.lists = slices.Grow(s.lists, comps)[:at+comps]
+		groups, out = s.lists[at:], s.Carve(len(edges))[:len(edges)]
+	} else {
+		groups, out = make([][]Edge, comps), make([]Edge, len(edges))
+	}
 	counts := resize(s.fill, comps)
 	s.fill = counts
 	clear(counts)
 	for _, e := range edges {
 		counts[rank[find(parent, s.local[e.U])]]++
 	}
-	out := make([]Edge, len(edges))
 	at := int32(0)
 	for c, n := range counts {
 		groups[c] = out[at : at : at+n]

@@ -206,3 +206,55 @@ func edgeKey(mg *graph.Multigraph) string {
 	}
 	return string(buf)
 }
+
+// TestCarvedListsStayPut: lists carved from a Scratch's stack hold what
+// the allocating forms return — Components' groups, RemoveEdge's and
+// ContractEdge's edges — and keep it while later lists are carved above
+// them, through the stack's growth. After a Pop the stack reuses its
+// memory, so a warm Scratch carves without allocating.
+func TestCarvedListsStayPut(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	var s graph.Scratch
+	type carved struct {
+		edges  []graph.Edge
+		groups [][]graph.Edge
+		want   string
+	}
+	for trial := 0; trial < 200; trial++ {
+		base := s.Mark()
+		var kept []carved
+		for depth := 0; depth < 6; depth++ {
+			n := 2 + rng.Intn(10)
+			mg := &graph.Multigraph{N: n}
+			for i, m := 0, 1+rng.Intn(3*n); i < m; i++ {
+				mg.Edges = append(mg.Edges, graph.Edge{ID: i + 1, U: rng.Intn(n), V: rng.Intn(n)})
+			}
+			id := mg.Edges[rng.Intn(len(mg.Edges))].ID
+			kept = append(kept,
+				carved{edges: mg.AppendRemoved(s.Carve(len(mg.Edges)), id), want: fmt.Sprint(mg.RemoveEdge(id).Edges)},
+				carved{edges: mg.AppendContracted(s.Carve(len(mg.Edges)), id), want: fmt.Sprint(mg.ContractEdge(id).Edges)},
+				carved{groups: s.CarveComponents(mg.Edges), want: fmt.Sprint(s.Components(mg.Edges))})
+		}
+		for i, k := range kept {
+			got := fmt.Sprint(k.edges)
+			if k.groups != nil || k.edges == nil {
+				got = fmt.Sprint(k.groups)
+			}
+			if got != k.want {
+				t.Fatalf("trial %d list %d: carved %s, want %s", trial, i, got, k.want)
+			}
+		}
+		s.Pop(base)
+	}
+	mg := &graph.Multigraph{N: 6, Edges: []graph.Edge{{ID: 1, U: 0, V: 1}, {ID: 2, U: 2, V: 3}, {ID: 3, U: 3, V: 4}, {ID: 4, U: 5, V: 5}}}
+	allocs := testing.AllocsPerRun(10, func() {
+		m := s.Mark()
+		mg.AppendRemoved(s.Carve(len(mg.Edges)), 2)
+		mg.AppendContracted(s.Carve(len(mg.Edges)), 3)
+		s.CarveComponents(mg.Edges)
+		s.Pop(m)
+	})
+	if allocs != 0 {
+		t.Fatalf("carving on a warm Scratch allocated %.1f times", allocs)
+	}
+}

@@ -18,7 +18,9 @@ const searchCorpusCap = 1 << 14
 // candidate sites whose recursive space fits 2^14 (the files perfbench's
 // search-corpus sends, before its seeded constant edits), each on a fresh
 // compiler, all sharing one fresh FnCache as one cold daemon pass does.
-// ns/op, B/op and allocs/op are per pass; profile it with -cpuprofile or
+// ns/op, B/op and allocs/op are per pass, and so are evals/op (whole-config
+// cache misses) and misses/op (content-cache misses, closure compiles),
+// which show that a pass did the same work; profile it with -cpuprofile or
 // -memprofile to split a request's cost by layer without HTTP.
 func BenchmarkSearchCorpus(b *testing.B) {
 	var mods []*ir.Module
@@ -35,6 +37,7 @@ func BenchmarkSearchCorpus(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var evals, misses int64
 	for i := 0; i < b.N; i++ {
 		fc := compile.NewFnCache()
 		for _, m := range mods {
@@ -42,7 +45,11 @@ func BenchmarkSearchCorpus(b *testing.B) {
 			if _, ok := Optimal(c, Options{Workers: 1, MaxSpace: searchCorpusCap}); !ok {
 				b.Fatalf("%s: space over the cap", m.Name)
 			}
+			evals += c.Evaluations()
+			misses += c.FuncCacheStats().Misses
 		}
 	}
 	b.ReportMetric(float64(len(mods)), "files/op")
+	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+	b.ReportMetric(float64(misses)/float64(b.N), "misses/op")
 }

@@ -84,28 +84,32 @@ func SubspaceSize(mg *graph.Multigraph, limit uint64) (uint64, bool) {
 // under limit are stored: a capped count is a lower bound that depends on
 // the order the recursion summed it in, while an uncapped count is the
 // subtree's exact size, which the plain recursion would also return
-// uncapped wherever the subgraph recurs.
+// uncapped wherever the subgraph recurs. The subgraphs' edge lists are
+// carved from a pooled scratch's stack.
 func countSpace(mg *graph.Multigraph, limit uint64, sel selector) (uint64, bool) {
-	sc := spaceCounter{limit: limit, sel: sel, memo: make(map[string]uint64)}
-	return sc.count(mg)
+	s := scratchPool.Get().(*graph.Scratch)
+	defer scratchPool.Put(s)
+	sc := spaceCounter{limit: limit, sel: sel, memo: make(map[string]uint64), s: s, view: graph.Multigraph{N: mg.N}}
+	return sc.count(mg.Edges)
 }
 
 type spaceCounter struct {
-	limit   uint64
-	sel     selector
-	memo    map[string]uint64 // edge-list key -> exact subtree count
-	buf     []byte            // key scratch; lookups convert without allocating
-	scratch graph.Scratch
+	limit uint64
+	sel   selector
+	memo  map[string]uint64 // edge-list key -> exact subtree count
+	buf   []byte            // key scratch; lookups convert without allocating
+	s     *graph.Scratch    // its stack holds the subgraphs' edge lists
+	view  graph.Multigraph  // the subgraph sel is shown: a field, so handing it over allocates nothing
 }
 
 func (sc *spaceCounter) over(n uint64) bool { return sc.limit > 0 && n > sc.limit }
 
-func (sc *spaceCounter) count(mg *graph.Multigraph) (uint64, bool) {
-	if len(mg.Edges) == 0 {
+func (sc *spaceCounter) count(edges []graph.Edge) (uint64, bool) {
+	if len(edges) == 0 {
 		return 1, false
 	}
 	sc.buf = sc.buf[:0]
-	for _, e := range mg.Edges {
+	for _, e := range edges {
 		sc.buf = binary.AppendUvarint(sc.buf, uint64(e.ID))
 		sc.buf = binary.AppendUvarint(sc.buf, uint64(e.U))
 		sc.buf = binary.AppendUvarint(sc.buf, uint64(e.V))
@@ -114,7 +118,9 @@ func (sc *spaceCounter) count(mg *graph.Multigraph) (uint64, bool) {
 		return n, false
 	}
 	key := string(sc.buf)
-	n, capped := sc.split(mg)
+	m := sc.s.Mark()
+	n, capped := sc.split(edges)
+	sc.s.Pop(m)
 	if !capped {
 		sc.memo[key] = n
 	}
@@ -122,11 +128,11 @@ func (sc *spaceCounter) count(mg *graph.Multigraph) (uint64, bool) {
 }
 
 // split is one step of the plain recursion, recursing through count.
-func (sc *spaceCounter) split(mg *graph.Multigraph) (uint64, bool) {
-	if subs := edgeComponents(&sc.scratch, mg); subs != nil {
+func (sc *spaceCounter) split(edges []graph.Edge) (uint64, bool) {
+	if groups := sc.s.CarveComponents(edges); groups != nil {
 		total := uint64(1) // the combining evaluation of the components node
-		for i := range subs {
-			n, capped := sc.count(&subs[i])
+		for _, g := range groups {
+			n, capped := sc.count(g)
 			total += n
 			if capped || sc.over(total) {
 				return total, true
@@ -134,12 +140,14 @@ func (sc *spaceCounter) split(mg *graph.Multigraph) (uint64, bool) {
 		}
 		return total, false
 	}
-	e := sc.sel(&sc.scratch, mg)
-	n1, c1 := sc.count(mg.RemoveEdge(e.ID))
+	sc.view.Edges = edges
+	e := sc.sel(sc.s, &sc.view)
+	mg := graph.Multigraph{Edges: edges}
+	n1, c1 := sc.count(mg.AppendRemoved(sc.s.Carve(len(edges)), e.ID))
 	if c1 || sc.over(n1) {
 		return n1, true
 	}
-	n2, c2 := sc.count(mg.ContractEdge(e.ID))
+	n2, c2 := sc.count(mg.AppendContracted(sc.s.Carve(len(edges)), e.ID))
 	total := n1 + n2
 	return total, c2 || sc.over(total)
 }
@@ -159,8 +167,8 @@ func edgeComponents(s *graph.Scratch, mg *graph.Multigraph) []graph.Multigraph {
 	return subs
 }
 
-// scratchPool serves kernel scratch to goroutines that start without one:
-// SelectPartitionEdge's callers and the evaluator's spawned subtrees.
+// scratchPool serves kernel scratch to SelectPartitionEdge's callers and to
+// countSpace.
 var scratchPool = sync.Pool{New: func() any { return new(graph.Scratch) }}
 
 // SelectPartitionEdge implements the paper's partition-edge heuristic
@@ -256,7 +264,7 @@ func Optimal(c *compile.Compiler, opts Options) (Result, bool) {
 	}
 	cfg, size := newEvaluator(c, opts).run(g.Undirected(), callgraph.NewConfig())
 	return Result{
-		Config:      cfg.Clone(),
+		Config:      cfg,
 		Size:        size,
 		SpaceSize:   space,
 		Evaluations: c.Evaluations(),
@@ -271,8 +279,7 @@ func Optimal(c *compile.Compiler, opts Options) (Result, bool) {
 // independence theorem), so re-solving one component under a tuned context
 // yields the true component optimum given the rest.
 func OptimalCompletion(c *compile.Compiler, mg *graph.Multigraph, decided *callgraph.Config, opts Options) (*callgraph.Config, int) {
-	cfg, size := newEvaluator(c, opts).run(mg, decided)
-	return cfg.Clone(), size
+	return newEvaluator(c, opts).run(mg, decided)
 }
 
 // ComponentSubgraphs returns the edge-bearing connected components of the
@@ -313,24 +320,29 @@ func newEvaluator(c *compile.Compiler, opts Options) *evaluator {
 
 // labels is one inlining-tree node's decided labels together with their
 // size handle, derived on first use from the handle of the nearest
-// ancestor with fewer labels. Each node differs from its parent by one
-// label — the remove branch keeps its parent's labels (and shares its
-// labels value), the contract branch adds its partition edge, a
+// ancestor with fewer labels. Each node differs from its parent by the
+// labels it adds — the remove branch keeps its parent's labels (and shares
+// its labels value), the contract branch adds its partition edge, a
 // components node's combine adds what its components chose — so a derived
 // handle reprices only the closures those labels dirty.
 //
 // Derivation is lazy: a leaf or combine whose configuration the
 // whole-config cache already holds never builds a handle, so a repeated
 // search touches neither the content cache nor the delta engine. It runs
-// under a sync.Once, which parallelEach's concurrent subtrees may both
-// wait on; a derivation waits only on content-cache slots, never on
-// another tree node, so no waiter cycle can form.
+// under a sync.Once, which concurrent subtrees may both wait on; a
+// derivation waits only on content-cache slots, never on another tree
+// node, so no waiter cycle can form.
+//
+// A labels value is walker memory: the configuration, the handle and its
+// overlay are rewritten in place each time the walker hands it out again.
 type labels struct {
-	cfg    *callgraph.Config // not mutated once the node exists
-	parent *labels           // nil at the clean-slate root
+	cfg    callgraph.Config // not mutated while the node is in use
+	parent *labels          // nil at the clean-slate root
+	adds   []int            // the labels cfg adds to parent's
 
 	once   sync.Once
-	handle *compile.Sized
+	handle *compile.Sized // nil in checked mode
+	memory compile.Sized  // the handle's
 }
 
 // sized returns the node's handle, deriving its ancestors' first. A
@@ -338,11 +350,11 @@ type labels struct {
 // configuration from scratch.
 func (l *labels) sized(c *compile.Compiler) *compile.Sized {
 	l.once.Do(func() {
-		if l.parent == nil {
-			l.handle = c.Derive(nil, l.cfg.InlineSites())
-			return
+		var base *compile.Sized
+		if l.parent != nil {
+			base = l.parent.sized(c)
 		}
-		l.handle = c.Derive(l.parent.sized(c), l.cfg.DiffSites(l.parent.cfg))
+		l.handle = c.Derive(&l.memory, base, &l.cfg, l.adds)
 	})
 	return l.handle
 }
@@ -351,108 +363,192 @@ func (l *labels) sized(c *compile.Compiler) *compile.Sized {
 // whole-config cache request, which derives l's handle chain only on a
 // miss. In checked mode it is the whole-configuration path.
 func (ev *evaluator) sizeOf(l *labels) int {
-	return ev.c.SizeVia(l.cfg, func() *compile.Sized { return l.sized(ev.c) })
+	return ev.c.SizeVia(&l.cfg, func() *compile.Sized { return l.sized(ev.c) })
 }
 
-// run evaluates the inlining tree rooted at mg on pooled kernel scratch.
-// The handle chain starts at the clean slate; labels decided outside mg
-// are one step from it, so a completion compiles the closures that
-// pricing each leaf from the clean slate would. decided is only read. The
-// configuration it returns may be one of the tree's own, which its caller
-// clones before handing it out.
-func (ev *evaluator) run(mg *graph.Multigraph, decided *callgraph.Config) (*callgraph.Config, int) {
-	s := scratchPool.Get().(*graph.Scratch)
-	defer scratchPool.Put(s)
-	at := &labels{cfg: callgraph.NewConfig()}
-	if decided.InlineCount() > 0 {
-		at = &labels{cfg: decided, parent: at}
+// answer is a child subtree's result: its best configuration and size. A
+// child spawned on a goroutine of its own writes them there, and its
+// parent waits on pending before reading them.
+type answer struct {
+	cfg     callgraph.Config
+	size    int
+	pending sync.WaitGroup
+}
+
+// walker is one goroutine's memory for the tree walk, used in LIFO order:
+// kernel scratch whose stack holds the subtrees' edge lists, and the tree
+// nodes' labels and answers. A node takes what it needs on entry and gives
+// it back on return, so a walk allocates only where it reaches deeper or
+// wider than the walks before it on the same walker. A search takes one
+// walker from walkerPool, and so does each subtree it spawns.
+type walker struct {
+	s       graph.Scratch
+	labels  pile[labels]
+	answers pile[answer]
+}
+
+var walkerPool = sync.Pool{New: func() any { return new(walker) }}
+
+// pile hands out reusable values in LIFO order.
+type pile[T any] struct {
+	items []*T
+	n     int // items[:n] are in use
+}
+
+// take hands out the next n values.
+func (p *pile[T]) take(n int) []*T {
+	for len(p.items) < p.n+n {
+		p.items = append(p.items, new(T))
 	}
-	return ev.eval(s, mg, at)
+	p.n += n
+	return p.items[p.n-n : p.n]
+}
+
+// walkMark is a height of a walker's memory.
+type walkMark struct {
+	s               graph.Mark
+	labels, answers int
+}
+
+func (w *walker) mark() walkMark { return walkMark{w.s.Mark(), w.labels.n, w.answers.n} }
+
+// pop gives back everything taken since mark returned m.
+func (w *walker) pop(m walkMark) {
+	w.s.Pop(m.s)
+	w.labels.n, w.answers.n = m.labels, m.answers
+}
+
+// node takes a tree node below parent, labeled as parent is (the clean
+// slate when parent is nil) until its caller adds labels.
+func (w *walker) node(parent *labels) *labels {
+	l := w.labels.take(1)[0]
+	l.parent, l.adds, l.handle, l.once = parent, l.adds[:0], nil, sync.Once{}
+	if parent != nil {
+		l.cfg.CopyFrom(&parent.cfg)
+	} else {
+		l.cfg.CopyFrom(callgraph.NewConfig())
+	}
+	return l
+}
+
+// run evaluates the inlining tree rooted at mg on a pooled walker and
+// returns a copy of its best configuration, which is the caller's. The
+// handle chain starts at the clean slate; labels decided outside mg are
+// one step from it, so a completion compiles the closures that pricing
+// each leaf from the clean slate would. decided is only read.
+func (ev *evaluator) run(mg *graph.Multigraph, decided *callgraph.Config) (*callgraph.Config, int) {
+	w := walkerPool.Get().(*walker)
+	defer walkerPool.Put(w)
+	m := w.mark()
+	defer w.pop(m)
+	at := w.node(nil)
+	if decided.InlineCount() > 0 {
+		at = w.node(at)
+		at.cfg.CopyFrom(decided)
+		at.adds = decided.AppendInlineSites(at.adds)
+	}
+	best := w.answers.take(1)[0]
+	size := ev.eval(w, *mg, at, &best.cfg)
+	return best.cfg.Clone(), size
 }
 
 // eval is Algorithm 1 fused with Algorithm 2: it lazily builds and
-// evaluates the inlining tree rooted at the given graph state.
-// at holds the labels assigned on the path from the root; s is the
-// calling goroutine's kernel scratch. The configuration it returns is a
-// tree node's own, shared and never mutated: a leaf returns its labels'
-// configuration, a binary node its better child's, and a components node
-// the combined configuration it built.
-func (ev *evaluator) eval(s *graph.Scratch, mg *graph.Multigraph, at *labels) (*callgraph.Config, int) {
+// evaluates the inlining tree rooted at the given graph state, writes the
+// subtree's best configuration into best and returns its size. at holds
+// the labels assigned on the path from the root. Everything a node needs —
+// its children's edge lists, labels and answers — is taken from w on entry
+// and given back before it returns; only a child that wins a worker token
+// costs an allocation, for its goroutine.
+func (ev *evaluator) eval(w *walker, mg graph.Multigraph, at *labels, best *callgraph.Config) int {
 	if len(mg.Edges) == 0 {
 		// InliningTreeLeaf: a fully labeled (partial w.r.t. siblings)
 		// configuration; evaluate it.
-		return at.cfg, ev.sizeOf(at)
+		best.CopyFrom(&at.cfg)
+		return ev.sizeOf(at)
 	}
-	if subs := edgeComponents(s, mg); subs != nil {
+	m := w.mark()
+	defer w.pop(m)
+	if groups := w.s.CarveComponents(mg.Edges); groups != nil {
 		// InliningTreeComponentsNode: independent components explored
 		// independently, then combined with one extra evaluation.
-		results := make([]*callgraph.Config, len(subs))
-		ev.parallelEach(s, len(subs), func(s *graph.Scratch, i int) {
-			results[i], _ = ev.eval(s, &subs[i], at)
-		})
-		combined := at.cfg.Clone()
-		for _, sub := range results {
-			combined.Merge(sub)
-		}
-		return combined, ev.sizeOf(&labels{cfg: combined, parent: at})
-	}
-	// InliningTreeBinaryNode: label the partition edge both ways.
-	e := selectPartitionEdge(s, mg)
-	var cfg1, cfg2 *callgraph.Config
-	var size1, size2 int
-	ev.parallelEach(s, 2, func(s *graph.Scratch, i int) {
-		if i == 0 {
-			cfg1, size1 = ev.eval(s, mg.RemoveEdge(e.ID), at)
+		answers := w.answers.take(len(groups))
+		if ev.tokens == nil {
+			for i, a := range answers {
+				a.size = ev.eval(w, graph.Multigraph{N: mg.N, Edges: groups[i]}, at, &a.cfg)
+			}
 		} else {
-			inl := &labels{cfg: at.cfg.Clone().Set(e.ID, true), parent: at}
-			cfg2, size2 = ev.eval(s, mg.ContractEdge(e.ID), inl)
+			for i := 1; i < len(groups); i++ {
+				ev.spawnOrEval(w, graph.Multigraph{N: mg.N, Edges: groups[i]}, at, answers[i])
+			}
+			answers[0].size = ev.eval(w, graph.Multigraph{N: mg.N, Edges: groups[0]}, at, &answers[0].cfg)
+			for _, a := range answers[1:] {
+				a.pending.Wait()
+			}
 		}
-	})
-	if size1 <= size2 {
-		return cfg1, size1
+		combine := w.node(at)
+		for _, a := range answers {
+			combine.cfg.Merge(&a.cfg)
+		}
+		combine.adds = combine.cfg.AppendDiffSites(combine.adds, &at.cfg)
+		best.CopyFrom(&combine.cfg)
+		return ev.sizeOf(combine)
 	}
-	return cfg2, size2
+	// InliningTreeBinaryNode: label the partition edge both ways. The
+	// remove branch evaluates into best, the contract branch into an
+	// answer of its own, and the remove branch wins ties.
+	e := selectPartitionEdge(&w.s, &mg)
+	removed := graph.Multigraph{N: mg.N, Edges: mg.AppendRemoved(w.s.Carve(len(mg.Edges)), e.ID)}
+	contracted := graph.Multigraph{N: mg.N, Edges: mg.AppendContracted(w.s.Carve(len(mg.Edges)), e.ID)}
+	inl := w.node(at)
+	inl.cfg.Set(e.ID, true)
+	inl.adds = append(inl.adds, e.ID)
+	other := w.answers.take(1)[0]
+	var size int
+	if ev.tokens == nil {
+		size = ev.eval(w, removed, at, best)
+		other.size = ev.eval(w, contracted, inl, &other.cfg)
+	} else {
+		ev.spawnOrEval(w, contracted, inl, other)
+		size = ev.eval(w, removed, at, best)
+		other.pending.Wait()
+	}
+	if other.size < size {
+		best.CopyFrom(&other.cfg)
+		return other.size
+	}
+	return size
 }
 
-// parallelEach runs n closures, possibly concurrently if worker tokens are
-// available; it always runs index 0 on the calling goroutine. Closures run
-// on the caller's goroutine share its scratch s; a spawned one takes its
-// own from the pool.
+// spawnOrEval evaluates a child subtree into a: on a goroutine of its own
+// when a worker token is free, after which a.pending counts it until it is
+// done, or else on w.
 //
-// The pool is fire-and-forget by design: a closure either grabs a token and
+// The pool is fire-and-forget by design: a child either grabs a token and
 // runs on a fresh goroutine or runs inline on the caller, so a parent
 // blocked on children always has at least one child running on its own
 // stack — including when every token holder is parked on a single-flight
 // cache slot (the solver of that slot is itself running inline somewhere).
 // A FIFO work queue would deadlock exactly there.
-func (ev *evaluator) parallelEach(s *graph.Scratch, n int, fn func(s *graph.Scratch, i int)) {
-	if ev.tokens == nil || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(s, i)
-		}
-		return
+func (ev *evaluator) spawnOrEval(w *walker, mg graph.Multigraph, at *labels, a *answer) {
+	select {
+	case ev.tokens <- struct{}{}:
+		a.pending.Add(1)
+		go ev.spawned(mg, at, a)
+	default:
+		a.size = ev.eval(w, mg, at, &a.cfg)
 	}
-	done := make(chan int, n-1)
-	spawned := 0
-	for i := 1; i < n; i++ {
-		select {
-		case ev.tokens <- struct{}{}:
-			spawned++
-			go func(ix int) {
-				defer func() { <-ev.tokens }()
-				gs := scratchPool.Get().(*graph.Scratch)
-				fn(gs, ix)
-				scratchPool.Put(gs)
-				done <- ix
-			}(i)
-		default:
-			fn(s, i)
-		}
-	}
-	fn(s, 0)
-	for ; spawned > 0; spawned-- {
-		<-done
-	}
+}
+
+// spawned evaluates a subtree on a goroutine of its own, on a pooled
+// walker. Of its parent's walker it reads only mg's edge list, which the
+// parent carved before spawning it and keeps until a.pending is done, and
+// the labels of at and its ancestors.
+func (ev *evaluator) spawned(mg graph.Multigraph, at *labels, a *answer) {
+	w := walkerPool.Get().(*walker)
+	a.size = ev.eval(w, mg, at, &a.cfg)
+	walkerPool.Put(w)
+	<-ev.tokens
+	a.pending.Done()
 }
 
 // NaiveOptimal enumerates the full 2^E space; usable only for tiny graphs

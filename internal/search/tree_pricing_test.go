@@ -3,6 +3,7 @@ package search
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"optinline/internal/callgraph"
@@ -21,9 +22,9 @@ type pricingUnit struct {
 	large bool // a generated program or corpus file
 }
 
-// pricingUnits returns random modules, the generated MinC programs of the
-// compile package's differential fuzz test, and the files of a
-// quarter-scale SPEC-like corpus whose space fits searchCorpusCap. In
+// pricingUnits returns random modules, call chains, the generated MinC
+// programs of the compile package's differential fuzz test, and the files
+// of a quarter-scale SPEC-like corpus whose space fits searchCorpusCap. In
 // -short mode and under the race detector it keeps every third program
 // and every fourth corpus file.
 func pricingUnits(t *testing.T) []pricingUnit {
@@ -32,6 +33,14 @@ func pricingUnits(t *testing.T) []pricingUnit {
 	rng := rand.New(rand.NewSource(71))
 	for i := 0; i < 20; i++ {
 		units = append(units, pricingUnit{name: fmt.Sprintf("random%02d", i), mod: randomModule(rng)})
+	}
+	for _, shape := range [][2]int{{12, 1}, {5, 2}, {3, 3}} {
+		name := fmt.Sprintf("chain%dx%d", shape[0], shape[1])
+		mod, err := lang.Compile(name, chainSource(shape[0], shape[1]))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		units = append(units, pricingUnit{name: name, mod: mod})
 	}
 	subset := testing.Short() || raceEnabled
 	for seed := int64(1); seed <= 30; seed++ {
@@ -66,6 +75,26 @@ func pricingUnits(t *testing.T) []pricingUnit {
 	return units
 }
 
+// chainSource is a MinC program whose call graph is a chain of n+1
+// functions, each calling the next calls times: the all-inline leaf of its
+// inlining tree lies below n*calls contractions, more than a derived
+// handle chains overlays (maxOverlayDepth, 8), so the walk flattens
+// handles on the way down.
+func chainSource(n, calls int) string {
+	var sb strings.Builder
+	sb.WriteString("global acc;\n")
+	fmt.Fprintf(&sb, "func f%d(x) { acc = acc + x; return x * 3 + 1; }\n", n)
+	for i := n - 1; i >= 0; i-- {
+		fmt.Fprintf(&sb, "func f%d(x) {\n  var y = x + %d;\n", i, i)
+		for c := 0; c < calls; c++ {
+			fmt.Fprintf(&sb, "  y = y + f%d(y * %d);\n", i+1, c+2)
+		}
+		sb.WriteString("  return y;\n}\n")
+	}
+	sb.WriteString("export func main(n) { return f0(n); }\n")
+	return sb.String()
+}
+
 // searchCounters is what a search must reproduce besides its answer.
 type searchCounters struct {
 	evals       int64
@@ -95,14 +124,16 @@ func freshCompiler(m *ir.Module) *compile.Compiler {
 	return compile.NewWithOptions(m, codegen.TargetX86, compile.Options{FnCache: compile.NewFnCache()})
 }
 
-// TestTreePricingMatchesReference: pricing each inlining-tree node from its
-// parent's handle must give the clean-slate pricing's answers and do its
-// work — the same optimum size and configuration, evaluations,
-// whole-config cache counters and compiled closures — for whole-module
-// searches at every worker setting and for exact completions of each
-// component under the -Os labels of the rest. Only content-cache hits may
-// differ, and only downward. Each generated program and corpus file runs
-// one worker setting, in turn.
+// TestTreePricingMatchesReference: the walker must do what the walk it
+// replaced did — the same optimum size and configuration, evaluations,
+// whole-config cache counters and content-cache hits and misses — and
+// pricing each inlining-tree node from its parent's handle must give the
+// clean-slate pricing's answers and do its work, with content-cache hits
+// that may only fall. Both hold for whole-module searches at every worker
+// setting and for exact completions of each component under the -Os
+// labels of the rest. Each generated program and corpus file runs one
+// worker setting, in turn; the chains, whose trees contract more labels
+// in a row than a derived handle chains overlays, run every setting.
 func TestTreePricingMatchesReference(t *testing.T) {
 	units := pricingUnits(t)
 	settings := []int{-1, 1, 4}
@@ -114,25 +145,35 @@ func TestTreePricingMatchesReference(t *testing.T) {
 		}
 		for _, workers := range workerSet {
 			opts := Options{Workers: workers, MaxSpace: searchCorpusCap}
-			tc, rc := freshCompiler(u.mod), freshCompiler(u.mod)
+			tc, wc, rc := freshCompiler(u.mod), freshCompiler(u.mod), freshCompiler(u.mod)
 			got, ok1 := Optimal(tc, opts)
+			walked, ok3 := refWalkOptimal(wc, opts)
 			want, ok2 := refOptimal(rc, opts)
 			what := fmt.Sprintf("%s workers %d", u.name, workers)
-			if ok1 != ok2 || got.Size != want.Size || got.SpaceSize != want.SpaceSize ||
-				got.Evaluations != want.Evaluations {
-				t.Fatalf("%s: tree pricing (%v, size %d, space %d, %d evals), reference (%v, size %d, space %d, %d evals)",
-					what, ok1, got.Size, got.SpaceSize, got.Evaluations, ok2, want.Size, want.SpaceSize, want.Evaluations)
-			}
-			if ok1 && got.Config.Key() != want.Config.Key() {
-				t.Fatalf("%s: tree pricing chose {%s}, the reference {%s}", what, got.Config.Key(), want.Config.Key())
+			for _, ref := range []struct {
+				name string
+				ok   bool
+				res  Result
+			}{{"previous walk", ok3, walked}, {"clean-slate pricing", ok2, want}} {
+				if ok1 != ref.ok || got.Size != ref.res.Size || got.SpaceSize != ref.res.SpaceSize ||
+					got.Evaluations != ref.res.Evaluations {
+					t.Fatalf("%s: tree pricing (%v, size %d, space %d, %d evals), %s (%v, size %d, space %d, %d evals)",
+						what, ok1, got.Size, got.SpaceSize, got.Evaluations, ref.name, ref.ok, ref.res.Size, ref.res.SpaceSize, ref.res.Evaluations)
+				}
+				if ok1 && got.Config.Key() != ref.res.Config.Key() {
+					t.Fatalf("%s: tree pricing chose {%s}, %s {%s}", what, got.Config.Key(), ref.name, ref.res.Config.Key())
+				}
 			}
 			gw, ww := countersOf(tc), countersOf(rc)
+			if walk := countersOf(wc); gw != walk {
+				t.Fatalf("%s: walker counted %+v, the previous walk %+v", what, gw, walk)
+			}
 			checkSameWork(t, what, gw, ww)
 			treeHits += gw.fnHits
 			refHits += ww.fnHits
 		}
 
-		tc, rc := freshCompiler(u.mod), freshCompiler(u.mod)
+		tc, wc, rc := freshCompiler(u.mod), freshCompiler(u.mod), freshCompiler(u.mod)
 		osLabels := heuristic.OsConfig(tc.Module(), tc.Graph())
 		for i, comp := range ComponentSubgraphs(tc.Graph()) {
 			if _, over := SubspaceSize(comp, searchCorpusCap); over {
@@ -144,11 +185,15 @@ func TestTreePricingMatchesReference(t *testing.T) {
 			}
 			opts := Options{Workers: 1 + 3*(i%2)}
 			gotCfg, gotSize := OptimalCompletion(tc, comp, decided, opts)
+			walkCfg, walkSize := refWalkCompletion(wc, comp, decided, opts)
 			wantCfg, wantSize := refOptimalCompletion(rc, comp, decided, opts)
 			what := fmt.Sprintf("%s component %d", u.name, i)
-			if gotSize != wantSize || gotCfg.Key() != wantCfg.Key() {
-				t.Fatalf("%s: tree pricing ({%s}, %d), reference ({%s}, %d)",
-					what, gotCfg.Key(), gotSize, wantCfg.Key(), wantSize)
+			if gotSize != wantSize || gotCfg.Key() != wantCfg.Key() || walkSize != wantSize || walkCfg.Key() != wantCfg.Key() {
+				t.Fatalf("%s: tree pricing ({%s}, %d), previous walk ({%s}, %d), clean-slate pricing ({%s}, %d)",
+					what, gotCfg.Key(), gotSize, walkCfg.Key(), walkSize, wantCfg.Key(), wantSize)
+			}
+			if got, walk := countersOf(tc), countersOf(wc); got != walk {
+				t.Fatalf("%s: walker counted %+v, the previous walk %+v", what, got, walk)
 			}
 			checkSameWork(t, what, countersOf(tc), countersOf(rc))
 		}
