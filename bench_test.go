@@ -392,8 +392,8 @@ func BenchmarkFnCacheColdVsWarm(b *testing.B) {
 // candidate-edge budget — priced incrementally and through plain Size.
 // delta: the autotuner itself, where each probe recompiles only the toggled
 // edge's dirty closure against the round's Sized handle. full: the same
-// round's probes through SizeParallel, each a whole-configuration memo walk
-// over every function. Results are byte-identical; only the time differs, and
+// round's probes through Size, each a whole-configuration memo walk over
+// every function. Results are byte-identical; only the time differs, and
 // the gap widens with module size (the walk is O(functions) per probe, the
 // delta O(dirty closure)). Recorded in BENCH_search.json.
 func BenchmarkAutotuneRoundDeltaVsFull(b *testing.B) {
@@ -432,8 +432,8 @@ func BenchmarkAutotuneRoundDeltaVsFull(b *testing.B) {
 				probes[j] = callgraph.NewConfig().Set(s, true)
 			}
 			next := callgraph.NewConfig()
-			for j, size := range comp.SizeParallel(probes, 0) {
-				if size <= baseSize {
+			for j, probe := range probes {
+				if comp.Size(probe) <= baseSize {
 					next.Set(sites[j], true)
 				}
 			}
@@ -496,9 +496,11 @@ func BenchmarkCycleRepriceVsReinterp(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pr := newPricer(comp)
 			base := pr.Priced(callgraph.NewConfig())
+			var h compile.Cycled
 			var sum int64
 			for _, s := range sites {
-				sum += pr.CyclesDelta(base, []int{s})
+				cfg, toggles := callgraph.NewConfigOf([]int{s}), []int{s}
+				sum += pr.CyclesVia(cfg, func() *compile.Cycled { return pr.Derive(&h, base, cfg, toggles) })
 			}
 			if sum <= 0 {
 				b.Fatal("no cycles")

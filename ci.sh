@@ -176,8 +176,12 @@ ref_gate() {
 for f in examples/minc/*.minc testdata/matrixsum.minc; do
   ref_gate inlinesearch -max-space 65536 "$f"
 done
+# The tuners derive each probe's size and cycle handles from the round's
+# base; -check prices every probe as a whole configuration instead.
 for f in examples/minc/*.minc; do
   ref_gate inlinetune -objective weighted "$f"
+  ref_gate inlinetune -objective cycles "$f"
+  ref_gate inlinetune -groups -incremental "$f"
 done
 # The exact-component polish runs the optimal search under a tuned prefix;
 # its compilation count is on stdout, so both modes must count alike.

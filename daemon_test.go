@@ -42,6 +42,7 @@ type daemon struct {
 	cmd  *exec.Cmd
 	addr string
 	logs *bytes.Buffer
+	eof  chan struct{} // closed once stderr has been read to its end
 }
 
 // startDaemon launches inlined on an ephemeral port and parses the
@@ -57,7 +58,7 @@ func startDaemon(t *testing.T, bin string, extraArgs ...string) *daemon {
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("start inlined: %v", err)
 	}
-	d := &daemon{cmd: cmd, logs: &bytes.Buffer{}}
+	d := &daemon{cmd: cmd, logs: &bytes.Buffer{}, eof: make(chan struct{})}
 	t.Cleanup(func() {
 		if cmd.ProcessState == nil {
 			cmd.Process.Kill()
@@ -78,6 +79,7 @@ func startDaemon(t *testing.T, bin string, extraArgs ...string) *daemon {
 		t.Fatalf("inlined never printed its listen address; stderr:\n%s", d.logs)
 	}
 	go func() { // keep draining stderr so the child never blocks on a full pipe
+		defer close(d.eof)
 		for sc.Scan() {
 			d.logs.WriteString(sc.Text() + "\n")
 		}
@@ -86,6 +88,13 @@ func startDaemon(t *testing.T, bin string, extraArgs ...string) *daemon {
 }
 
 func (d *daemon) url(path string) string { return "http://" + d.addr + path }
+
+// wait reads the daemon's stderr to its end, then reaps the process: Wait
+// closes the pipe, so waiting first could drop the last lines logged.
+func (d *daemon) wait() error {
+	<-d.eof
+	return d.cmd.Wait()
+}
 
 func postJSON(t *testing.T, url string, body any) (int, []byte) {
 	t.Helper()
@@ -226,7 +235,7 @@ func TestInlinedDaemonMatchesBatchCLI(t *testing.T) {
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("SIGTERM: %v", err)
 	}
-	if err := d.cmd.Wait(); err != nil {
+	if err := d.wait(); err != nil {
 		t.Fatalf("inlined exit after SIGTERM: %v\nstderr:\n%s", err, d.logs)
 	}
 }
@@ -352,7 +361,7 @@ func TestInlinedGracefulDrain(t *testing.T) {
 	if err := json.Unmarshal(r.body, &cr); err != nil || cr.Size == 0 {
 		t.Fatalf("in-flight response malformed: %s", r.body)
 	}
-	if err := d.cmd.Wait(); err != nil {
+	if err := d.wait(); err != nil {
 		t.Fatalf("inlined exit after drain: %v\nstderr:\n%s", err, d.logs)
 	}
 	if !strings.Contains(d.logs.String(), "drained") {
@@ -385,7 +394,7 @@ func TestInlinedOfflineCompaction(t *testing.T) {
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("SIGTERM: %v", err)
 	}
-	if err := d.cmd.Wait(); err != nil {
+	if err := d.wait(); err != nil {
 		t.Fatalf("inlined exit: %v", err)
 	}
 

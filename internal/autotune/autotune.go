@@ -65,13 +65,14 @@ type Result struct {
 
 // Tune runs a tuning session starting from init (nil means clean slate).
 //
-// Rounds run on the compiler's delta-evaluation engine: the starting point
-// is priced once into a Sized handle, each per-edge probe is a SizeDelta
-// against it (recompiling only the toggled edge's dirty closure), and the
-// kept toggles Rebase the handle for the next round. On a checked compiler
-// (the reference evaluator) every call transparently falls back to
-// whole-configuration Size — results and evaluation counters are
-// byte-identical either way.
+// Rounds run on the compiler's delta-evaluation engine, priced the way the
+// search prices its tree: the starting point is priced once into a Sized
+// handle, each per-edge probe is one SizeVia request that on a miss
+// derives the probe's handle from it (compile.Derive, recompiling only the
+// toggled edge's dirty closure), and the next round's handle is derived
+// from it with the kept toggles. On a checked compiler (the reference
+// evaluator) every probe is a whole-configuration Size — results and
+// evaluation counters are byte-identical either way.
 func Tune(c *compile.Compiler, init *callgraph.Config, opts Options) Result {
 	return TuneExtended(c, init, ExtOptions{Options: opts})
 }

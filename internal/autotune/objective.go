@@ -1,7 +1,6 @@
 package autotune
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -12,7 +11,8 @@ import (
 // size autotuner is the special case Objective = compiled .text bytes; the
 // paper's Section 6 sketches tuning for runtime as the natural next target,
 // which this generalization enables (e.g. interpreter cycles under the
-// i-cache model, or any size/speed blend).
+// i-cache model, or any size/speed blend). A probe's configuration is the
+// tuner's scratch memory: the objective must not keep it.
 type Objective func(cfg *callgraph.Config) int64
 
 // TuneObjective runs the local autotuner against an arbitrary objective.
@@ -49,46 +49,18 @@ func (m *memoPricer) eval(cfg *callgraph.Config) price {
 	return price{size: int(v)}
 }
 
-// toggled returns the base with every listed site's label flipped.
-func (m *memoPricer) toggled(toggles []int) *callgraph.Config {
-	cfg := m.base.Clone()
-	for _, s := range toggles {
-		cfg.Set(s, !m.base.Inline(s))
-	}
-	return cfg
-}
-
 func (m *memoPricer) start(cfg *callgraph.Config) price {
-	m.base = cfg.Clone()
-	return m.eval(m.base)
+	m.base = cfg
+	return m.eval(cfg)
 }
 
-func (m *memoPricer) probe(toggles [][]int, workers int) []price {
-	out := make([]price, len(toggles))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(toggles) {
-		workers = len(toggles)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(toggles); i = int(next.Add(1)) - 1 {
-				out[i] = m.eval(m.toggled(toggles[i]))
-			}
-		}()
-	}
-	wg.Wait()
-	return out
+func (m *memoPricer) probe(mem *probeMemory, toggles []int) price {
+	return m.eval(mem.flip(m.base, toggles))
 }
 
-func (m *memoPricer) rebase(toggles []int) price {
-	m.base = m.toggled(toggles)
-	return m.eval(m.base)
+func (m *memoPricer) rebase(next *callgraph.Config, _ []int) price {
+	m.base = next
+	return m.eval(next)
 }
 
 func (m *memoPricer) evaluations() int64 { return m.evals.Load() }

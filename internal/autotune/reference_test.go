@@ -20,9 +20,31 @@ import (
 // each with its own keep rule and best/final bookkeeping, as references:
 // refTune (plain size rounds), refTuneBi (weighted and cycles-only rounds),
 // refTuneExtended (group toggles, incremental rounds, exact-component
-// polish) and refTuneObjective (memoized objective). TestSessionMatchesReference
+// polish) and refTuneObjective (memoized objective). They price every
+// probe as a whole configuration, explicitly toggled, through Size and
+// Cycles: none of them derives a handle. TestSessionMatchesReference
 // requires every tuner to reproduce them field for field, evaluation
 // counters included.
+
+// refFlip returns base with every listed site's label flipped relative to
+// base.
+func refFlip(base *callgraph.Config, sites []int) *callgraph.Config {
+	cfg := base.Clone()
+	for _, s := range sites {
+		cfg.Set(s, !base.Inline(s))
+	}
+	return cfg
+}
+
+// refSizes prices base with each toggle set flipped, one whole
+// configuration at a time.
+func refSizes(c *compile.Compiler, base *callgraph.Config, toggles [][]int) []int {
+	sizes := make([]int, len(toggles))
+	for i, t := range toggles {
+		sizes[i] = c.Size(refFlip(base, t))
+	}
+	return sizes
+}
 
 func refTune(c *compile.Compiler, init *callgraph.Config, opts Options) Result {
 	rounds := opts.Rounds
@@ -35,8 +57,7 @@ func refTune(c *compile.Compiler, init *callgraph.Config, opts Options) Result {
 	if init != nil {
 		base = init.Clone()
 	}
-	sized := c.Sized(base)
-	baseSize := sized.Size()
+	baseSize := c.Size(base)
 
 	res := Result{
 		Config:   base.Clone(),
@@ -44,9 +65,9 @@ func refTune(c *compile.Compiler, init *callgraph.Config, opts Options) Result {
 		InitSize: baseSize,
 	}
 	for round := 1; round <= rounds; round++ {
-		kept := refTuneRound(c, sized, baseSize, sites, opts.Workers)
-		nextSized := c.Rebase(sized, kept)
-		next, nextSize := nextSized.Config(), nextSized.Size()
+		kept := refTuneRound(c, base, baseSize, sites)
+		next := refFlip(base, kept)
+		nextSize := c.Size(next)
 		res.Rounds = append(res.Rounds, RoundTrace{
 			Round:      round,
 			Size:       nextSize,
@@ -61,7 +82,7 @@ func refTune(c *compile.Compiler, init *callgraph.Config, opts Options) Result {
 		if len(kept) == 0 {
 			break // fixpoint
 		}
-		sized, baseSize = nextSized, nextSize
+		base, baseSize = next, nextSize
 	}
 	if res.Final == nil {
 		res.Final, res.FinalSize = res.Config, res.Size
@@ -70,12 +91,12 @@ func refTune(c *compile.Compiler, init *callgraph.Config, opts Options) Result {
 	return res
 }
 
-func refTuneRound(c *compile.Compiler, base *compile.Sized, baseSize int, sites []int, workers int) []int {
+func refTuneRound(c *compile.Compiler, base *callgraph.Config, baseSize int, sites []int) []int {
 	toggles := make([][]int, len(sites))
 	for i, s := range sites {
 		toggles[i] = []int{s}
 	}
-	sizes := c.SizeDeltaParallel(base, toggles, workers)
+	sizes := refSizes(c, base, toggles)
 
 	var kept []int
 	for i, s := range sites {
@@ -104,30 +125,23 @@ func refTuneBi(c *compile.Compiler, pricer *compile.CyclePricer, weight func(int
 	if init != nil {
 		base = init.Clone()
 	}
-	sized := c.Sized(base)
-	cycled := pricer.Priced(base)
-	baseCost := weight(sized.Size(), cycled.Cycles())
+	baseSize, baseCycles := c.Size(base), pricer.Cycles(base)
+	baseCost := weight(baseSize, baseCycles)
 
 	res := Result{
 		Config:     base.Clone(),
-		Size:       sized.Size(),
-		Cycles:     cycled.Cycles(),
-		InitSize:   sized.Size(),
-		InitCycles: cycled.Cycles(),
+		Size:       baseSize,
+		Cycles:     baseCycles,
+		InitSize:   baseSize,
+		InitCycles: baseCycles,
 	}
 	bestCost := baseCost
 	for round := 1; round <= rounds; round++ {
-		toggles := make([][]int, len(sites))
-		for i, s := range sites {
-			toggles[i] = []int{s}
-		}
-		sizes := c.SizeDeltaParallel(sized, toggles, opts.Workers)
-		cycles := pricer.CyclesDeltaParallel(cycled, toggles, opts.Workers)
-
 		var kept []int
-		for i, s := range sites {
-			cost := weight(sizes[i], cycles[i])
-			toInline := !sized.Inline(s)
+		for _, s := range sites {
+			probe := refFlip(base, []int{s})
+			cost := weight(c.Size(probe), pricer.Cycles(probe))
+			toInline := !base.Inline(s)
 			keep := false
 			if toInline {
 				keep = cost <= baseCost
@@ -138,27 +152,26 @@ func refTuneBi(c *compile.Compiler, pricer *compile.CyclePricer, weight func(int
 				kept = append(kept, s)
 			}
 		}
-		nextSized := c.Rebase(sized, kept)
-		nextCycled := pricer.Rebase(cycled, kept)
-		next := nextSized.Config()
-		nextCost := weight(nextSized.Size(), nextCycled.Cycles())
+		next := refFlip(base, kept)
+		nextSize, nextCycles := c.Size(next), pricer.Cycles(next)
+		nextCost := weight(nextSize, nextCycles)
 		res.Rounds = append(res.Rounds, RoundTrace{
 			Round:      round,
-			Size:       nextSized.Size(),
-			Cycles:     nextCycled.Cycles(),
+			Size:       nextSize,
+			Cycles:     nextCycles,
 			Inlined:    next.InlineCount(),
 			NotInlined: len(sites) - next.InlineCount(),
 			Toggles:    len(kept),
 		})
 		if nextCost < bestCost {
-			res.Config, res.Size, res.Cycles = next.Clone(), nextSized.Size(), nextCycled.Cycles()
+			res.Config, res.Size, res.Cycles = next.Clone(), nextSize, nextCycles
 			bestCost = nextCost
 		}
-		res.Final, res.FinalSize, res.FinalCycles = next, nextSized.Size(), nextCycled.Cycles()
+		res.Final, res.FinalSize, res.FinalCycles = next, nextSize, nextCycles
 		if len(kept) == 0 {
 			break // fixpoint
 		}
-		sized, cycled, baseCost = nextSized, nextCycled, nextCost
+		base, baseCost = next, nextCost
 	}
 	if res.Final == nil {
 		res.Final, res.FinalSize, res.FinalCycles = res.Config, res.Size, res.Cycles
@@ -179,15 +192,13 @@ func refTuneExtended(c *compile.Compiler, init *callgraph.Config, opts ExtOption
 	if init != nil {
 		base = init.Clone()
 	}
-	sized := c.Sized(base)
-	baseSize := sized.Size()
+	baseSize := c.Size(base)
 	res := Result{Config: base.Clone(), Size: baseSize, InitSize: baseSize}
 
 	active := allSites // sites to evaluate this round
 	for round := 1; round <= rounds; round++ {
-		next, toggled := refExtRound(c, g, sized, baseSize, active, opts)
-		nextSized := c.Rebase(sized, sized.Config().DiffSites(next))
-		nextSize := nextSized.Size()
+		next, toggled := refExtRound(c, g, base, baseSize, active, opts)
+		nextSize := c.Size(next)
 		res.Rounds = append(res.Rounds, RoundTrace{
 			Round:      round,
 			Size:       nextSize,
@@ -202,7 +213,7 @@ func refTuneExtended(c *compile.Compiler, init *callgraph.Config, opts ExtOption
 		if len(toggled) == 0 {
 			break
 		}
-		sized, baseSize = nextSized, nextSize
+		base, baseSize = next, nextSize
 		if opts.Incremental {
 			active = refNeighbourhood(g, toggled)
 		}
@@ -217,7 +228,7 @@ func refTuneExtended(c *compile.Compiler, init *callgraph.Config, opts ExtOption
 	return res
 }
 
-func refExtRound(c *compile.Compiler, g *callgraph.Graph, base *compile.Sized, baseSize int, active []int, opts ExtOptions) (*callgraph.Config, []int) {
+func refExtRound(c *compile.Compiler, g *callgraph.Graph, base *callgraph.Config, baseSize int, active []int, opts ExtOptions) (*callgraph.Config, []int) {
 	toggleSets := make([][]int, 0, len(active)+8)
 	for _, s := range active {
 		toggleSets = append(toggleSets, []int{s})
@@ -262,9 +273,9 @@ func refExtRound(c *compile.Compiler, g *callgraph.Graph, base *compile.Sized, b
 		}
 	}
 
-	sizes := c.SizeDeltaParallel(base, toggleSets, opts.Workers)
+	sizes := refSizes(c, base, toggleSets)
 
-	next := base.Config()
+	next := base.Clone()
 	var toggled []int
 	for i, s := range active {
 		toInline := !base.Inline(s)

@@ -1,6 +1,10 @@
 package autotune
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
 	"optinline/internal/callgraph"
 	"optinline/internal/compile"
 )
@@ -15,13 +19,14 @@ import (
 // What varies between tuners is how probes are priced (a pricer: size
 // deltas, size and cycle deltas, or a memoized objective), the scalar the
 // session minimizes (cost), and which probes a round asks for (the §5.2.1
-// group toggles and the §6 incremental active set).
+// group toggles and the §6 incremental active set). A round's probes run
+// on up to one goroutine per element of mem, each on its own memory.
 type Session struct {
-	p       pricer
-	cost    func(price) float64
-	g       *callgraph.Graph
-	sites   []int // every candidate site, ascending
-	workers int
+	p     pricer
+	cost  func(price) float64
+	g     *callgraph.Graph
+	sites []int         // every candidate site, ascending
+	mem   []probeMemory // one per worker
 
 	// groups lists, per internal callee with several call sites, every
 	// site calling it (empty unless ExtOptions.GroupCallees).
@@ -47,13 +52,32 @@ type price struct {
 type pricer interface {
 	// start prices the session's initial labels and makes them the base.
 	start(cfg *callgraph.Config) price
-	// probe prices base⊕t for every toggle set t (each listed site's label
-	// flipped relative to the base), in order.
-	probe(toggles [][]int, workers int) []price
-	// rebase advances the base by toggles and returns its price.
-	rebase(toggles []int) price
+	// probe prices the base with every site in toggles flipped, on one
+	// worker's memory. The probes of a round run concurrently.
+	probe(m *probeMemory, toggles []int) price
+	// rebase makes next, the base with the toggled sites flipped, the base
+	// and returns its price.
+	rebase(next *callgraph.Config, toggles []int) price
 	// evaluations is the counter a Result reports.
 	evaluations() int64
+}
+
+// probeMemory is one worker's memory for pricing probes: the probe's
+// configuration and the handles derived for it, rewritten by every probe.
+type probeMemory struct {
+	cfg    callgraph.Config
+	sized  compile.Sized
+	cycled compile.Cycled
+}
+
+// flip writes base with every listed site's label flipped into m's
+// configuration and returns it (duplicate sites flip once).
+func (m *probeMemory) flip(base *callgraph.Config, toggles []int) *callgraph.Config {
+	m.cfg.CopyFrom(base)
+	for _, s := range toggles {
+		m.cfg.Set(s, !base.Inline(s))
+	}
+	return &m.cfg
 }
 
 // sizeCost is the size objective. Costs are float64 so that one keep rule
@@ -83,8 +107,13 @@ func newSession(g *callgraph.Graph, p pricer, cost func(price) float64, init *ca
 		cfg = init.Clone()
 	}
 	sites := g.Sites()
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	return &Session{
-		p: p, cost: cost, g: g, sites: sites, workers: opts.Workers,
+		p: p, cost: cost, g: g, sites: sites,
+		mem:    make([]probeMemory, max(1, min(workers, len(sites)+len(groups)))),
 		groups: groups, incremental: opts.Incremental, active: sites,
 		cfg: cfg, at: p.start(cfg),
 	}
@@ -124,7 +153,7 @@ func (s *Session) Step() RoundTrace {
 		next, toggled := s.next()
 		// toggled can revisit a site (a single-edge toggle later overridden
 		// by a winning group), so rebase on the configuration diff.
-		s.at = s.p.rebase(s.cfg.DiffSites(next))
+		s.at = s.p.rebase(next, s.cfg.DiffSites(next))
 		s.cfg = next
 		toggles = len(toggled)
 		if toggles == 0 {
@@ -154,8 +183,8 @@ func (s *Session) Step() RoundTrace {
 // callee). It returns the next labels and the toggled sites.
 func (s *Session) next() (*callgraph.Config, []int) {
 	probes := make([][]int, len(s.active), len(s.active)+len(s.groups))
-	for i, site := range s.active {
-		probes[i] = []int{site}
+	for i := range s.active {
+		probes[i] = s.active[i : i+1 : i+1]
 	}
 	var groups [][]int
 	if len(s.groups) > 0 {
@@ -178,7 +207,7 @@ func (s *Session) next() (*callgraph.Config, []int) {
 			}
 		}
 	}
-	prices := s.p.probe(probes, s.workers)
+	prices := s.probe(probes)
 
 	base := s.cost(s.at)
 	next := s.cfg.Clone()
@@ -203,6 +232,32 @@ func (s *Session) next() (*callgraph.Config, []int) {
 	return next, toggled
 }
 
+// probe prices every probe against the base, in order: inline on one
+// worker's memory, or on up to len(s.mem) goroutines, each on its own.
+func (s *Session) probe(probes [][]int) []price {
+	out := make([]price, len(probes))
+	workers := min(len(s.mem), len(probes))
+	if workers <= 1 {
+		for i, t := range probes {
+			out[i] = s.p.probe(&s.mem[0], t)
+		}
+		return out
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func(m *probeMemory) {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(probes); i = int(next.Add(1)) - 1 {
+				out[i] = s.p.probe(m, probes[i])
+			}
+		}(&s.mem[w])
+	}
+	wg.Wait()
+	return out
+}
+
 // Converged reports whether a past round kept no toggles.
 func (s *Session) Converged() bool { return s.done }
 
@@ -213,47 +268,87 @@ func (s *Session) Config() *callgraph.Config { return s.cfg }
 // Size returns the current round's size.
 func (s *Session) Size() int { return s.at.size }
 
-// deltaPricer prices probes on the compiler's delta engine and, when cp is
-// set, on the cycle pricer's: a probe recompiles only the toggled sites'
-// dirty closures and replays only their events.
+// deltaPricer prices a probe the way the search prices an inlining-tree
+// node: one whole-config cache request (SizeVia, CyclesVia) that, on a
+// miss, derives the probe's handle from the base's (Derive) on the
+// worker's memory, so a probe recompiles only the toggled sites' dirty
+// closures and replays only their events. A rebase derives the next base's
+// handle the same way, into memory of its own. A nil base handle — on a
+// checked compiler, or once a base failed to compile — has no terms to
+// derive from, and prices whole configurations from then on.
 type deltaPricer struct {
 	c      *compile.Compiler
-	sized  *compile.Sized
 	cp     *compile.CyclePricer // nil prices bytes only
+	cfg    *callgraph.Config    // the base
+	sized  *compile.Sized
 	cycled *compile.Cycled
 }
 
 func (d *deltaPricer) start(cfg *callgraph.Config) price {
-	d.sized = d.c.Sized(cfg)
+	d.cfg, d.sized = cfg, d.c.Sized(cfg)
 	p := price{size: d.sized.Size()}
+	if d.c.Checked() || p.size == compile.InfSize {
+		d.sized = nil
+	}
 	if d.cp != nil {
 		d.cycled = d.cp.Priced(cfg)
-		p.cycles = d.cycled.Cycles()
-	}
-	return p
-}
-
-func (d *deltaPricer) probe(toggles [][]int, workers int) []price {
-	out := make([]price, len(toggles))
-	for i, size := range d.c.SizeDeltaParallel(d.sized, toggles, workers) {
-		out[i].size = size
-	}
-	if d.cp != nil {
-		for i, cycles := range d.cp.CyclesDeltaParallel(d.cycled, toggles, workers) {
-			out[i].cycles = cycles
+		if p.cycles = d.cycled.Cycles(); d.c.Checked() || p.cycles == compile.InfCycles {
+			d.cycled = nil
 		}
 	}
-	return out
+	return p
 }
 
-func (d *deltaPricer) rebase(toggles []int) price {
-	d.sized = d.c.Rebase(d.sized, toggles)
-	p := price{size: d.sized.Size()}
+func (d *deltaPricer) probe(m *probeMemory, toggles []int) price {
+	cfg := m.flip(d.cfg, toggles)
+	var p price
+	p.size, _ = d.sizeOf(cfg, toggles, &m.sized)
 	if d.cp != nil {
-		d.cycled = d.cp.Rebase(d.cycled, toggles)
-		p.cycles = d.cycled.Cycles()
+		p.cycles, _ = d.cyclesOf(cfg, toggles, &m.cycled)
 	}
 	return p
+}
+
+func (d *deltaPricer) rebase(next *callgraph.Config, toggles []int) price {
+	var p price
+	var derived bool
+	sized := new(compile.Sized)
+	if p.size, derived = d.sizeOf(next, toggles, sized); d.sized == nil || p.size == compile.InfSize {
+		sized = nil
+	} else if !derived {
+		d.c.Derive(sized, d.sized, next, toggles) // a cached configuration still needs its handle
+	}
+	if d.cp != nil {
+		cycled := new(compile.Cycled)
+		if p.cycles, derived = d.cyclesOf(next, toggles, cycled); d.cycled == nil || p.cycles == compile.InfCycles {
+			cycled = nil
+		} else if !derived {
+			d.cp.Derive(cycled, d.cycled, next, toggles)
+		}
+		d.cycled = cycled
+	}
+	d.cfg, d.sized = next, sized
+	return p
+}
+
+// sizeOf prices cfg, the base with the toggled sites flipped: through the
+// config cache, deriving h from the base's handle on a miss, or whole
+// without a base handle. It reports whether it derived h.
+func (d *deltaPricer) sizeOf(cfg *callgraph.Config, toggles []int, h *compile.Sized) (size int, derived bool) {
+	if d.sized == nil {
+		return d.c.Size(cfg), false
+	}
+	size = d.c.SizeVia(cfg, func() *compile.Sized { derived = true; return d.c.Derive(h, d.sized, cfg, toggles) })
+	return size, derived
+}
+
+// cyclesOf is sizeOf for cycles.
+func (d *deltaPricer) cyclesOf(cfg *callgraph.Config, toggles []int, h *compile.Cycled) (cycles int64, derived bool) {
+	if d.cycled == nil {
+		return d.cp.Cycles(cfg), false
+	}
+	cycles = d.cp.CyclesVia(cfg, func() *compile.Cycled { derived = true; return d.cp.Derive(h, d.cycled, cfg, toggles) })
+	return cycles, derived
 }
 
 func (d *deltaPricer) evaluations() int64 { return d.c.Evaluations() }

@@ -10,11 +10,12 @@ import (
 
 // This file makes runtime a first-class tuning objective. Where Tune prices
 // every probe in bytes through the size delta engine, the sessions below
-// price each probe twice — bytes through compile.SizeDelta, cycles through
-// the profile-driven compile.CyclePricer — and minimize a blend. Both
-// engines are incremental and share the inverse-reachability dirty set, so
-// a weighted round costs the same shape of work as a size round: n dirty-
-// closure recompiles plus n event replays, never a re-interpretation.
+// price each probe twice — bytes through compile.SizeVia and Derive,
+// cycles through the profile-driven compile.CyclePricer's CyclesVia and
+// Derive — and minimize a blend. Both engines are incremental and share
+// the inverse-reachability dirty set, so a weighted round costs the same
+// shape of work as a size round: n dirty-closure recompiles plus n event
+// replays, never a re-interpretation.
 
 // TuneWeighted tunes the blended objective size + lambda·cycles from init
 // (nil means clean slate). lambda = 0 degenerates to the size objective;

@@ -154,7 +154,7 @@ func (c *Config) Merge(other *Config) *Config {
 
 // DiffSites returns the sites labeled differently by c and other, in
 // ascending order — the toggle set that turns one configuration into the
-// other (compile.SizeDelta's currency).
+// other (compile.Derive's currency).
 func (c *Config) DiffSites(other *Config) []int { return c.AppendDiffSites(nil, other) }
 
 // AppendDiffSites appends DiffSites' sites to dst and returns the extended

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -114,61 +113,52 @@ func (e *CheckError) Unwrap() error { return e.Err }
 // The key is Config.CacheKey, the raw bitset words. Retention matters as
 // much as speed here: the table holds one entry per configuration a search
 // or tuner ever priced, hundreds of thousands on big runs. So a finished
-// entry is just its value under a compact pointer-free key, and only an
-// in-flight computation has a flight record. The record makes its channel
-// only when a waiter arrives: most computations have none.
+// entry is just its value under a compact pointer-free key, an in-flight
+// computation is just its key in a set, and a caller that finds its key in
+// flight waits on the table's one condition, which every finished
+// computation broadcasts.
 type configTable[V any] struct {
 	mu       sync.Mutex
+	finished sync.Cond // L is mu
 	done     map[string]V
-	inflight map[string]*flight[V]
-}
-
-// flight is one in-flight computation. ready, made under the table's lock
-// by the first waiter, closes once val is set.
-type flight[V any] struct {
-	ready chan struct{}
-	val   V
+	inflight map[string]struct{}
 }
 
 func newConfigTable[V any]() *configTable[V] {
-	return &configTable[V]{done: make(map[string]V), inflight: make(map[string]*flight[V])}
+	t := &configTable[V]{done: make(map[string]V), inflight: make(map[string]struct{})}
+	t.finished.L = &t.mu
+	return t
 }
 
 // get returns cfg's value and whether the table served it (a finished
 // entry, or another caller's computation it waited for). On a miss it runs
 // compute, stores the result and wakes the waiters. A hit on a finished
-// entry does not allocate.
+// entry does not allocate, and a miss allocates only the key it keeps.
 func (t *configTable[V]) get(cfg *callgraph.Config, compute func() V) (V, bool) {
 	var buf [64]byte
 	key := cfg.AppendCacheKey(buf[:0])
 	t.mu.Lock()
-	if v, ok := t.done[string(key)]; ok {
-		t.mu.Unlock()
-		return v, true
-	}
-	if f, ok := t.inflight[string(key)]; ok {
-		if f.ready == nil {
-			f.ready = make(chan struct{})
+	for {
+		if v, ok := t.done[string(key)]; ok {
+			t.mu.Unlock()
+			return v, true
 		}
-		t.mu.Unlock()
-		<-f.ready
-		return f.val, true
+		if _, ok := t.inflight[string(key)]; !ok {
+			break
+		}
+		t.finished.Wait()
 	}
 	k := string(key)
-	f := &flight[V]{}
-	t.inflight[k] = f
+	t.inflight[k] = struct{}{}
 	t.mu.Unlock()
 
-	f.val = compute()
+	v := compute()
 	t.mu.Lock()
-	t.done[k] = f.val
+	t.done[k] = v
 	delete(t.inflight, k)
-	ready := f.ready
 	t.mu.Unlock()
-	if ready != nil {
-		close(ready)
-	}
-	return f.val, false
+	t.finished.Broadcast()
+	return v, false
 }
 
 // New prepares a compiler for the module. The module is cloned defensively;
@@ -339,41 +329,6 @@ func (c *Compiler) measure(cfg *callgraph.Config) int {
 		return InfSize
 	}
 	return codegen.ModuleSize(m, c.target)
-}
-
-// SizeParallel evaluates many configurations concurrently and returns their
-// sizes in order. workers <= 0 selects GOMAXPROCS.
-func (c *Compiler) SizeParallel(cfgs []*callgraph.Config, workers int) []int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	out := make([]int, len(cfgs))
-	if workers <= 1 {
-		for i, cfg := range cfgs {
-			out[i] = c.Size(cfg)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cfgs) {
-					return
-				}
-				out[i] = c.Size(cfgs[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
 }
 
 // Evaluations returns the number of distinct configurations evaluated so

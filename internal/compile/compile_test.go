@@ -2,7 +2,9 @@ package compile
 
 import (
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"optinline/internal/callgraph"
@@ -160,6 +162,9 @@ func TestBuildPreservesSemantics(t *testing.T) {
 	}
 }
 
+// TestSizeParallelMatchesSequential: 8 goroutines pricing many
+// configurations through one compiler get the sizes sequential pricing
+// gets, with the same evaluation count.
 func TestSizeParallelMatchesSequential(t *testing.T) {
 	c := newCompiler(t)
 	sites := c.Graph().Sites()
@@ -178,18 +183,33 @@ func TestSizeParallelMatchesSequential(t *testing.T) {
 	for i, cfg := range cfgs {
 		want[i] = seq.Size(cfg)
 	}
-	got := c.SizeParallel(cfgs, 8)
+	got := make([]int, len(cfgs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(cfgs); i = int(next.Add(1)) - 1 {
+				got[i] = c.Size(cfgs[i])
+			}
+		}()
+	}
+	wg.Wait()
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("cfg %d: parallel %d != sequential %d", i, got[i], want[i])
 		}
+	}
+	if g, w := c.Evaluations(), seq.Evaluations(); g != w {
+		t.Fatalf("parallel evaluations %d != sequential %d", g, w)
 	}
 }
 
 // TestConcurrentSizeIsSafe: many goroutines pricing overlapping
 // configurations stay race-free, and goroutines pricing one configuration
 // through every entry point of the shared whole-configuration table — Size,
-// SizeDelta, Rebase and Sized for sizes, Cycles and CyclesDelta for cycles —
+// SizeVia and Sized for sizes, Cycles, CyclesVia and Priced for cycles —
 // compute it exactly once per table: the first arrival computes, the rest
 // wait for it or hit.
 func TestConcurrentSizeIsSafe(t *testing.T) {
@@ -219,28 +239,36 @@ func TestConcurrentSizeIsSafe(t *testing.T) {
 	toggles := []int{1, 3}
 	cfg := callgraph.NewConfigOf(toggles)
 	const n = 8
-	sizes := make([]int, 4*n)
-	cycles := make([]int64, 2*n)
+	sizes := make([]int, 3*n)
+	cycles := make([]int64, 3*n)
 	start := make(chan struct{})
 	for g := 0; g < n; g++ {
 		wg.Add(6)
 		go func() { defer wg.Done(); <-start; sizes[g] = c.Size(cfg) }()
-		go func() { defer wg.Done(); <-start; sizes[n+g] = c.SizeDelta(base, toggles) }()
-		go func() { defer wg.Done(); <-start; sizes[2*n+g] = c.Rebase(base, toggles).Size() }()
-		go func() { defer wg.Done(); <-start; sizes[3*n+g] = c.Sized(cfg).Size() }()
+		go func() {
+			defer wg.Done()
+			<-start
+			sizes[n+g] = c.SizeVia(cfg, func() *Sized { return c.Derive(new(Sized), base, cfg, toggles) })
+		}()
+		go func() { defer wg.Done(); <-start; sizes[2*n+g] = c.Sized(cfg).Size() }()
 		go func() { defer wg.Done(); <-start; cycles[g] = p.Cycles(cfg) }()
-		go func() { defer wg.Done(); <-start; cycles[n+g] = p.CyclesDelta(cbase, toggles) }()
+		go func() {
+			defer wg.Done()
+			<-start
+			cycles[n+g] = p.CyclesVia(cfg, func() *Cycled { return p.Derive(new(Cycled), cbase, cfg, toggles) })
+		}()
+		go func() { defer wg.Done(); <-start; cycles[2*n+g] = p.Priced(cfg).Cycles() }()
 	}
 	close(start)
 	wg.Wait()
 	if got := c.Evaluations(); got != 1 {
 		t.Errorf("%d size evaluations of one configuration, want 1", got)
 	}
-	if got := c.CacheHits(); got != 4*n-1 {
-		t.Errorf("%d size cache hits, want %d", got, 4*n-1)
+	if got := c.CacheHits(); got != 3*n-1 {
+		t.Errorf("%d size cache hits, want %d", got, 3*n-1)
 	}
-	if st := p.Stats(); st.Repricings != 2 || st.CacheHits != 2*n-1 {
-		t.Errorf("cycle pricer %+v: want 2 repricings (base and config) and %d hits", st, 2*n-1)
+	if st := p.Stats(); st.Repricings != 2 || st.CacheHits != 3*n-1 {
+		t.Errorf("cycle pricer %+v: want 2 repricings (base and config) and %d hits", st, 3*n-1)
 	}
 	for _, s := range sizes {
 		if s != sizes[0] {
@@ -270,24 +298,29 @@ func TestConfigTableHitDoesNotAllocate(t *testing.T) {
 }
 
 // TestConfigTableWaitersShareOneFlight: callers that arrive while one
-// configuration is being computed wait on that one computation, which
-// makes the slot's channel only when the first of them arrives; every
+// configuration is being computed wait on that one computation: every
 // caller gets its value, only the computing one reports a miss, and the
-// finished entry keeps no flight. Run it under -race.
+// finished entry is no longer in flight. Run it under -race.
 func TestConfigTableWaitersShareOneFlight(t *testing.T) {
 	tab := newConfigTable[int]()
 	cfg := callgraph.NewConfig().Set(3, true).Set(70, true)
 	key := string(cfg.AppendCacheKey(nil))
-	slot := func() *flight[int] {
+	inflight := func() bool {
 		tab.mu.Lock()
 		defer tab.mu.Unlock()
-		return tab.inflight[key]
+		_, ok := tab.inflight[key]
+		return ok
 	}
-	waiting := func() bool {
-		tab.mu.Lock()
-		defer tab.mu.Unlock()
-		f := tab.inflight[key]
-		return f != nil && f.ready != nil
+	// waiting counts the goroutines parked on the table's condition.
+	waiting := func() int {
+		buf := make([]byte, 1<<20)
+		n := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "sync.(*Cond).Wait") && strings.Contains(g, "configTable") {
+				n++
+			}
+		}
+		return n
 	}
 	const waiters = 8
 	vals, hits := make([]int, waiters+1), make([]bool, waiters+1)
@@ -299,11 +332,8 @@ func TestConfigTableWaitersShareOneFlight(t *testing.T) {
 		defer wg.Done()
 		vals[0], hits[0] = tab.get(cfg, func() int { computes++; <-release; return 42 })
 	}()
-	for slot() == nil {
+	for !inflight() {
 		runtime.Gosched()
-	}
-	if slot().ready != nil {
-		t.Fatal("a flight without waiters made its channel")
 	}
 	for i := 1; i <= waiters; i++ {
 		wg.Add(1)
@@ -312,10 +342,10 @@ func TestConfigTableWaitersShareOneFlight(t *testing.T) {
 			vals[i], hits[i] = tab.get(cfg, func() int { computes++; return -1 })
 		}(i)
 	}
-	for !waiting() {
+	for waiting() < waiters {
 		runtime.Gosched()
 	}
-	close(release) // later waiters find the slot in flight or finished
+	close(release)
 	wg.Wait()
 	if computes != 1 || hits[0] {
 		t.Fatalf("%d computations, first caller hit %v", computes, hits[0])
@@ -325,8 +355,8 @@ func TestConfigTableWaitersShareOneFlight(t *testing.T) {
 			t.Fatalf("waiter %d got %d (hit %v), want 42 from the flight", i, vals[i], hits[i])
 		}
 	}
-	if slot() != nil || tab.done[key] != 42 {
-		t.Fatalf("finished entry: in flight %v, value %d", slot() != nil, tab.done[key])
+	if inflight() || tab.done[key] != 42 {
+		t.Fatalf("finished entry: in flight %v, value %d", inflight(), tab.done[key])
 	}
 }
 

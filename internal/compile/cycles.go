@@ -3,8 +3,6 @@ package compile
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -341,33 +339,66 @@ func (p *CyclePricer) replay(cfg *callgraph.Config, sizes []int32) int64 {
 	return penalty
 }
 
-// Cycled is a priced configuration handle: the configuration, its total
-// cycles, and (when the incremental path is active) the per-function entry
-// counts, per-entry costs and sizes the total decomposes into. Handles are
-// immutable and safe for concurrent use.
+// Cycled is a priced configuration's cycle handle: its total cycles and
+// (when the incremental path is active) the per-function entry counts,
+// per-entry costs and sizes the total decomposes into. Priced returns one;
+// Derive writes one into caller memory from a handle of a nearby
+// configuration. A handle that Priced returns is immutable and safe for
+// concurrent use.
 type Cycled struct {
-	cfg     *callgraph.Config
 	total   int64
 	entries []int64
 	perEnt  []int64
 	sizes   []int32
-	full    bool
+	full    bool // no terms: a derivation from it starts afresh
 }
 
 // Cycles returns the handle's total cycle count.
 func (h *Cycled) Cycles() int64 { return h.total }
 
-// Config returns a copy of the handle's configuration.
-func (h *Cycled) Config() *callgraph.Config { return h.cfg.Clone() }
+// fail rewrites h as the handle of a configuration that failed to compile.
+func (h *Cycled) fail() *Cycled {
+	*h = Cycled{entries: h.entries[:0], perEnt: h.perEnt[:0], sizes: h.sizes[:0], total: InfCycles, full: true}
+	return h
+}
 
 // Cycles prices one configuration, compiling at most once per canonical
 // configuration (single-flight, like Compiler.Size).
 func (p *CyclePricer) Cycles(cfg *callgraph.Config) int64 {
+	return p.CyclesVia(cfg, func() *Cycled { return p.Derive(new(Cycled), nil, cfg, nil) })
+}
+
+// Priced evaluates cfg and returns the handle derivations start from. In
+// checked mode the handle carries only the total.
+func (p *CyclePricer) Priced(cfg *callgraph.Config) *Cycled {
+	if p.c.check {
+		return &Cycled{total: p.Cycles(cfg), full: true}
+	}
+	var h *Cycled
+	pull := func() *Cycled {
+		if h == nil {
+			h = p.Derive(new(Cycled), nil, cfg, nil)
+		}
+		return h
+	}
+	if p.CyclesVia(cfg, pull) == InfCycles {
+		return new(Cycled).fail()
+	}
+	return pull() // on a hit the cost cache is resident: a walk, not a compile
+}
+
+// CyclesVia is Cycles for a configuration the caller can derive a handle
+// for, the cycle twin of Compiler.SizeVia: a cached configuration costs
+// what it costs Cycles, and a miss is charged as one repricing and priced
+// as the total of pull's handle, which must be cfg's. In checked mode pull
+// is never called: the whole-module model prices the miss.
+func (p *CyclePricer) CyclesVia(cfg *callgraph.Config, pull func() *Cycled) int64 {
 	cycles, hit := p.cycles.get(cfg, func() int64 {
 		if p.c.check {
 			return p.fullCycles(cfg)
 		}
-		return p.pricedMiss(cfg).total
+		p.repricings.Add(1)
+		return pull().total
 	})
 	if hit {
 		p.cacheHits.Add(1)
@@ -375,60 +406,68 @@ func (p *CyclePricer) Cycles(cfg *callgraph.Config) int64 {
 	return cycles
 }
 
-// Priced evaluates cfg and returns the handle the delta calls start from.
-func (p *CyclePricer) Priced(cfg *callgraph.Config) *Cycled {
+// Derive is the cycle twin of Compiler.Derive: it makes h the handle of
+// cfg, which differs from base's configuration by exactly the toggled
+// sites (with a nil base, or one that failed to compile: cfg is priced
+// from scratch), and returns it, without consulting or charging the
+// whole-config cache or the repricing counter. From a base it recomputes
+// only the dirty functions' terms — the size engine's dirty set — before
+// the replay, which is the per-evaluation floor of the engine: O(profiled
+// events), independent of module size. cfg is read only during the call;
+// Derive reuses the buffers h holds from an earlier derivation. Returns
+// nil in checked mode.
+func (p *CyclePricer) Derive(h, base *Cycled, cfg *callgraph.Config, toggles []int) *Cycled {
 	if p.c.check {
-		return &Cycled{cfg: cfg.Clone(), total: p.Cycles(cfg), full: true}
+		return nil
 	}
-	var h *Cycled
-	cycles, hit := p.cycles.get(cfg, func() int64 {
-		h = p.pricedMiss(cfg)
-		return h.total
-	})
-	if !hit {
-		return h
-	}
-	p.cacheHits.Add(1)
-	if cycles == InfCycles {
-		return &Cycled{cfg: cfg.Clone(), total: InfCycles, full: true}
-	}
-	return p.contribCycled(cfg) // cost cache resident: a walk, not a compile
-}
-
-// pricedMiss prices cfg from scratch on the incremental path, recording
-// per-function terms.
-func (p *CyclePricer) pricedMiss(cfg *callgraph.Config) *Cycled {
-	p.repricings.Add(1)
-	return p.contribCycled(cfg)
-}
-
-func (p *CyclePricer) contribCycled(cfg *callgraph.Config) *Cycled {
 	ms := p.c.memo
-	h := &Cycled{
-		cfg:     cfg.Clone(),
-		entries: make([]int64, len(ms.funcs)),
-		perEnt:  make([]int64, len(ms.funcs)),
-		sizes:   make([]int32, len(ms.funcs)),
-	}
 	sc := dirtyPool.Get().(*dirtyScratch)
 	defer sc.release()
+	h.full = false
+	if base == nil || base.full {
+		n := len(ms.funcs)
+		h.entries = append(h.entries[:0], make([]int64, n)...)
+		h.perEnt = append(h.perEnt[:0], make([]int64, n)...)
+		h.sizes = append(h.sizes[:0], make([]int32, n)...)
+		for i := range ms.funcs {
+			if !p.reprice(sc, h, int32(i), cfg) {
+				return h.fail()
+			}
+		}
+	} else {
+		h.entries = append(h.entries[:0], base.entries...)
+		h.perEnt = append(h.perEnt[:0], base.perEnt...)
+		h.sizes = append(h.sizes[:0], base.sizes...)
+		for _, i := range ms.dirty(sc, toggles) {
+			if !p.reprice(sc, h, i, cfg) {
+				return h.fail()
+			}
+		}
+	}
 	var instr int64
-	for i, fi := range ms.funcs {
-		n := p.entriesUnder(fi, cfg)
-		h.entries[i] = n
-		if n == 0 {
-			continue
-		}
-		cost, size, ok := p.closureCost(sc, fi, cfg)
-		if !ok {
-			return &Cycled{cfg: cfg.Clone(), total: InfCycles, full: true}
-		}
-		h.perEnt[i] = cost
-		h.sizes[i] = size
-		instr += n * cost
+	for i, n := range h.entries {
+		instr += n * h.perEnt[i]
 	}
 	h.total = instr + p.replay(cfg, h.sizes)
 	return h
+}
+
+// reprice sets function i's terms in h under cfg: its entries, and the
+// per-entry cost and size of its final body when it is entered at all. It
+// reports false if the closure fails to compile.
+func (p *CyclePricer) reprice(sc *dirtyScratch, h *Cycled, i int32, cfg *callgraph.Config) bool {
+	fi := p.c.memo.funcs[i]
+	n := p.entriesUnder(fi, cfg)
+	var cost int64
+	var size int32
+	if n > 0 {
+		var ok bool
+		if cost, size, ok = p.closureCost(sc, fi, cfg); !ok {
+			return false
+		}
+	}
+	h.entries[i], h.perEnt[i], h.sizes[i] = n, cost, size
+	return true
 }
 
 // fullCycles prices cfg with a whole-module Build — the checked-mode
@@ -462,151 +501,4 @@ func (p *CyclePricer) fullCycles(cfg *callgraph.Config) int64 {
 		instr += n * p.bodyCost(fn)
 	}
 	return instr + p.replay(cfg, sizes)
-}
-
-// toggledCfg returns base's configuration with every listed site flipped.
-func (h *Cycled) toggledCfg(toggles []int) *callgraph.Config {
-	cfg := h.cfg.Clone()
-	for _, s := range toggles {
-		cfg.Set(s, !h.cfg.Inline(s))
-	}
-	return cfg
-}
-
-// CyclesDelta prices the configuration that differs from base by the given
-// toggles, recomputing only the dirty functions' terms before the replay.
-// Byte-identical to Cycles(toggled config) on every path.
-func (p *CyclePricer) CyclesDelta(base *Cycled, toggles []int) int64 {
-	cfg := base.toggledCfg(toggles)
-	if base.full || p.c.check {
-		return p.Cycles(cfg)
-	}
-	cycles, hit := p.cycles.get(cfg, func() int64 { return p.measureCycleDelta(base, cfg, toggles, nil) })
-	if hit {
-		p.cacheHits.Add(1)
-	}
-	return cycles
-}
-
-// CyclesDeltaParallel prices many toggle sets against the same base
-// concurrently, in order. workers <= 0 selects GOMAXPROCS.
-func (p *CyclePricer) CyclesDeltaParallel(base *Cycled, toggles [][]int, workers int) []int64 {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(toggles) {
-		workers = len(toggles)
-	}
-	out := make([]int64, len(toggles))
-	if workers <= 1 {
-		for i, t := range toggles {
-			out[i] = p.CyclesDelta(base, t)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(toggles) {
-					return
-				}
-				out[i] = p.CyclesDelta(base, toggles[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// Rebase prices base⊕toggles and carries the updated per-function terms
-// forward, so a round-based client advances its base without re-walking
-// the module.
-func (p *CyclePricer) Rebase(base *Cycled, toggles []int) *Cycled {
-	cfg := base.toggledCfg(toggles)
-	if base.full || p.c.check {
-		return &Cycled{cfg: cfg, total: p.Cycles(cfg), full: true}
-	}
-	h := &Cycled{
-		cfg:     cfg,
-		entries: append([]int64(nil), base.entries...),
-		perEnt:  append([]int64(nil), base.perEnt...),
-		sizes:   append([]int32(nil), base.sizes...),
-	}
-	cycles, hit := p.cycles.get(cfg, func() int64 { return p.measureCycleDelta(base, cfg, toggles, h) })
-	if hit {
-		p.cacheHits.Add(1)
-		if cycles != InfCycles {
-			p.applyCycleDelta(base, cfg, toggles, h)
-		}
-	}
-	if cycles == InfCycles {
-		return &Cycled{cfg: cfg, total: InfCycles, full: true}
-	}
-	h.total = cycles
-	return h
-}
-
-// measureCycleDelta is the miss path of CyclesDelta/Rebase.
-func (p *CyclePricer) measureCycleDelta(base *Cycled, cfg *callgraph.Config, toggles []int, into *Cycled) int64 {
-	p.repricings.Add(1)
-	return p.applyCycleDelta(base, cfg, toggles, into)
-}
-
-// applyCycleDelta recomputes the dirty functions' terms under cfg and
-// returns the adjusted total. When into is non-nil (carrying copies of
-// base's vectors) the dirty entries are updated in place. The replay runs
-// over the updated sizes either way; it is the per-evaluation floor of the
-// engine — O(profiled events), independent of module size.
-func (p *CyclePricer) applyCycleDelta(base *Cycled, cfg *callgraph.Config, toggles []int, into *Cycled) int64 {
-	ms := p.c.memo
-	sc := dirtyPool.Get().(*dirtyScratch)
-	defer sc.release()
-	dirty := ms.dirty(sc, toggles)
-	// The replay needs the full size vector with dirty slots updated; base
-	// handles are immutable, so update into's copy or a scratch copy.
-	sizes := base.sizes
-	if into != nil {
-		sizes = into.sizes
-	} else {
-		sizes = append([]int32(nil), base.sizes...)
-	}
-	var instr int64
-	for i := range base.entries {
-		instr += base.entries[i] * base.perEnt[i]
-	}
-	for _, i := range dirty {
-		fi := ms.funcs[i]
-		n := p.entriesUnder(fi, cfg)
-		var cost int64
-		var size int32
-		if n > 0 {
-			var ok bool
-			cost, size, ok = p.closureCost(sc, fi, cfg)
-			if !ok {
-				return InfCycles
-			}
-		}
-		instr += n*cost - base.entries[i]*base.perEnt[i]
-		sizes[i] = size
-		if into != nil {
-			into.entries[i], into.perEnt[i] = n, cost
-		}
-	}
-	return instr + p.replay(cfg, sizes)
-}
-
-// DirtySorted exposes the dirty-set computation for tests.
-func (p *CyclePricer) DirtySorted(toggles []int) []int {
-	d := p.c.memo.dirty(new(dirtyScratch), toggles)
-	out := make([]int, len(d))
-	for i, v := range d {
-		out[i] = int(v)
-	}
-	sort.Ints(out)
-	return out
 }

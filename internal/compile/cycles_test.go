@@ -2,6 +2,8 @@ package compile
 
 import (
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"optinline/internal/callgraph"
@@ -51,6 +53,13 @@ func cycleCorpus(t testing.TB) []struct {
 	return out
 }
 
+// cyclesNear prices cfg, base's configuration with the toggled sites
+// flipped, as the autotuner prices a probe: one CyclesVia request that
+// derives cfg's handle from base on a miss.
+func cyclesNear(p *CyclePricer, base *Cycled, cfg *callgraph.Config, toggles []int) int64 {
+	return p.CyclesVia(cfg, func() *Cycled { return p.Derive(new(Cycled), base, cfg, toggles) })
+}
+
 // TestCyclesDeltaMatchesFull is the exactness theorem of the cycle engine:
 // for arbitrary bases and toggle sets, the incremental price must equal the
 // checked compiler's whole-module evaluation of the same configuration.
@@ -83,8 +92,8 @@ func TestCyclesDeltaMatchesFull(t *testing.T) {
 				t.Fatalf("%s base %v: Priced %d != full %d", fc.file.Name, baseCfg, got, want)
 			}
 			for _, s := range sites {
-				cfg := baseCfg.Clone().Set(s, !baseCfg.Inline(s))
-				if got, want := delta.CyclesDelta(base, []int{s}), full.Cycles(cfg); got != want {
+				cfg := flipped(baseCfg, []int{s})
+				if got, want := cyclesNear(delta, base, cfg, []int{s}), full.Cycles(cfg); got != want {
 					t.Fatalf("%s base %v toggle %d: delta %d != full %d",
 						fc.file.Name, baseCfg, s, got, want)
 				}
@@ -95,11 +104,8 @@ func TestCyclesDeltaMatchesFull(t *testing.T) {
 					multi = append(multi, s)
 				}
 			}
-			cfg := baseCfg.Clone()
-			for _, s := range multi {
-				cfg.Set(s, !baseCfg.Inline(s))
-			}
-			if got, want := delta.CyclesDelta(base, multi), full.Cycles(cfg); got != want {
+			cfg := flipped(baseCfg, multi)
+			if got, want := cyclesNear(delta, base, cfg, multi), full.Cycles(cfg); got != want {
 				t.Fatalf("%s base %v toggles %v: delta %d != full %d",
 					fc.file.Name, baseCfg, multi, got, want)
 			}
@@ -113,7 +119,9 @@ func TestCyclesDeltaMatchesFull(t *testing.T) {
 	}
 }
 
-// TestCycleRebaseAdvancesHandle mirrors the size engine's Rebase contract.
+// TestCycleRebaseAdvancesHandle mirrors the size engine's rebase contract:
+// the handle derived for a round's kept toggles, on a cached or a fresh
+// configuration, prices them exactly and stays a correct base.
 func TestCycleRebaseAdvancesHandle(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for _, fc := range cycleCorpus(t) {
@@ -132,31 +140,36 @@ func TestCycleRebaseAdvancesHandle(t *testing.T) {
 					toggles = append(toggles, s)
 				}
 			}
-			for _, s := range toggles {
-				cfg.Set(s, !cfg.Inline(s))
+			next := flipped(cfg, toggles)
+			if step%2 == 1 {
+				delta.Cycles(next) // cached before the rebase
 			}
-			handle = delta.Rebase(handle, toggles)
-			if got, want := handle.Cycles(), full.Cycles(cfg); got != want {
-				t.Fatalf("%s step %d: rebased cycles %d != full %d", fc.file.Name, step, got, want)
+			var h *Cycled
+			cycles := delta.CyclesVia(next, func() *Cycled { h = delta.Derive(new(Cycled), handle, next, toggles); return h })
+			if h == nil {
+				h = delta.Derive(new(Cycled), handle, next, toggles)
 			}
-			if !handle.Config().Equal(cfg) {
-				t.Fatalf("%s step %d: rebased config drifted", fc.file.Name, step)
+			cfg, handle = next, h
+			if want := full.Cycles(cfg); cycles != want || handle.Cycles() != want {
+				t.Fatalf("%s step %d: rebased cycles %d, handle %d, full %d", fc.file.Name, step, cycles, handle.Cycles(), want)
 			}
 			s := sites[rng.Intn(len(sites))]
-			probe := cfg.Clone().Set(s, !cfg.Inline(s))
-			if got, want := delta.CyclesDelta(handle, []int{s}), full.Cycles(probe); got != want {
+			probe := flipped(cfg, []int{s})
+			if got, want := cyclesNear(delta, handle, probe, []int{s}), full.Cycles(probe); got != want {
 				t.Fatalf("%s step %d probe %d: delta %d != full %d", fc.file.Name, step, s, got, want)
 			}
 		}
 	}
 }
 
-// TestCyclesParallelDeterminism: CyclesDeltaParallel must return identical
-// prices for workers 1, 2, and 8 — the cycle analogue of the CLIs'
-// bit-identical -jobs guarantee.
+// TestCyclesParallelDeterminism: probing from 1, 2 and 8 goroutines, each
+// deriving into its own reused memory, must return identical prices and
+// counters — the cycle analogue of the CLIs' bit-identical -jobs
+// guarantee.
 func TestCyclesParallelDeterminism(t *testing.T) {
 	fc := cycleCorpus(t)[0]
 	var want []int64
+	var wantStats CyclePricerStats
 	for _, workers := range []int{1, 2, 8} {
 		c := New(fc.file.Module, codegen.TargetX86)
 		p, err := c.NewCyclePricer(fc.prof, CycleOptions{})
@@ -169,9 +182,24 @@ func TestCyclesParallelDeterminism(t *testing.T) {
 			toggles[i] = []int{s}
 		}
 		base := p.Priced(callgraph.NewConfig())
-		got := p.CyclesDeltaParallel(base, toggles, workers)
+		got := make([]int64, len(toggles))
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var cfg callgraph.Config
+				var h Cycled
+				for i := int(next.Add(1)) - 1; i < len(toggles); i = int(next.Add(1)) - 1 {
+					cfg.CopyFrom(callgraph.NewConfigOf(toggles[i]))
+					got[i] = p.CyclesVia(&cfg, func() *Cycled { return p.Derive(&h, base, &cfg, toggles[i]) })
+				}
+			}()
+		}
+		wg.Wait()
 		if want == nil {
-			want = got
+			want, wantStats = got, p.Stats()
 			continue
 		}
 		for i := range want {
@@ -179,11 +207,15 @@ func TestCyclesParallelDeterminism(t *testing.T) {
 				t.Fatalf("workers=%d toggle %d: %d != %d", workers, i, got[i], want[i])
 			}
 		}
+		if st := p.Stats(); st != wantStats {
+			t.Fatalf("workers=%d: counters %+v, sequential %+v", workers, st, wantStats)
+		}
 	}
 }
 
 // TestCyclePricerDisabledPaths: a checked compiler's pricer must force the
-// full Build path, transparently.
+// full Build path, transparently: Derive makes no handle and CyclesVia
+// never pulls one.
 func TestCyclePricerDisabledPaths(t *testing.T) {
 	fc := cycleCorpus(t)[0]
 	ref := New(fc.file.Module, codegen.TargetX86)
@@ -197,12 +229,15 @@ func TestCyclePricerDisabledPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := p.Priced(callgraph.NewConfig())
-	if got := p.CyclesDelta(base, []int{s}); got != want {
-		t.Fatalf("fallback price %d != incremental %d", got, want)
+	if got, want := p.Priced(callgraph.NewConfig()).Cycles(), fast.Cycles(callgraph.NewConfig()); got != want {
+		t.Fatalf("fallback Priced %d != incremental %d", got, want)
 	}
-	if got := p.Rebase(base, []int{s}).Cycles(); got != want {
-		t.Fatalf("fallback Rebase %d != incremental %d", got, want)
+	if p.Derive(new(Cycled), nil, probe, nil) != nil {
+		t.Fatal("Derive returned a handle")
+	}
+	pull := func() *Cycled { t.Fatal("CyclesVia pulled a handle in checked mode"); return nil }
+	if got := p.CyclesVia(probe, pull); got != want {
+		t.Fatalf("fallback price %d != incremental %d", got, want)
 	}
 	if st := p.Stats(); st.Repricings != 0 || st.FullEvals == 0 {
 		t.Fatalf("checked pricer took the incremental path: %+v", st)

@@ -2,10 +2,7 @@ package compile
 
 import (
 	"cmp"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"optinline/internal/callgraph"
 )
@@ -18,9 +15,12 @@ import (
 // label-based DFE maps — even when the configuration differs from an
 // already-priced one in a single label.
 //
-// A Sized handle pins a priced base configuration together with its
-// per-function contributions. SizeDelta prices a toggled variant by
-// recomputing only the dirty functions:
+// A Sized handle pins a priced configuration's per-function
+// contributions. Both clients price a configuration a few labels away from
+// a priced one the same way: the search at every inlining-tree node, the
+// autotuner at every probe of a round. SizeVia asks the whole-config cache,
+// and only on a miss Derive builds the configuration's handle from the
+// nearby one by recomputing only the dirty functions:
 //
 //   - the toggled sites' owners' ancestors in the candidate call graph
 //     (precomputed once per Compiler, memo.go) — the only functions whose
@@ -34,16 +34,17 @@ import (
 // Everything else — survival and size alike — provably cannot change, so
 // an n-edge autotuner round costs n dirty-closure recompiles instead of n
 // whole-module memo walks. Results are byte-identical to the full path:
-// delta totals come from the same funcSize cache the full path fills, the
+// derived totals come from the same funcSize cache the full path fills, the
 // same single-flight whole-config cache dedupes and counts evaluations, so
 // sizes, configurations, and evaluation counters never depend on which
 // path priced a configuration.
 
-// Sized is a priced configuration handle: the configuration, its total
-// size, and (when the delta engine is active) the per-function size
-// contributions the total decomposes into. SizeDelta, Rebase and Derive
-// price toggled variants from a handle. A handle that Sized or Rebase
-// returns is immutable and safe for concurrent use.
+// Sized is a priced configuration's size handle: its total size and (when
+// the delta engine is active) the per-function size contributions the
+// total decomposes into. Sized returns one; Derive writes one into caller
+// memory from a handle of a nearby configuration. The configuration itself
+// is the caller's. A handle that Sized returns is immutable and safe for
+// concurrent use.
 //
 // A handle holds its contributions in full, or, when Derive made it, as an
 // overlay on its base: the entries its toggles dirtied, over the base's.
@@ -51,13 +52,12 @@ import (
 // chain to the nearest full vector, and a derivation that would make the
 // chain longer than maxOverlayDepth stores a full vector instead.
 type Sized struct {
-	cfg     *callgraph.Config
 	total   int
 	contrib []int    // per memoState.funcs index; 0 for DFE-dead functions
 	base    *Sized   // an overlay's base; nil when contrib is full
 	overlay []fnSize // the contributions that differ from base's, by index
 	depth   int32    // overlays from here to the nearest full vector
-	full    bool     // no contributions: delta requests fall back to Size
+	full    bool     // no contributions: a derivation from it starts afresh
 }
 
 // fnSize is one overlay entry: function fn contributes size.
@@ -101,14 +101,20 @@ func (s *Sized) appendContrib(dst []int) []int {
 	return dst
 }
 
-// reset readies s to be rewritten as cfg's handle, keeping its buffers.
-func (s *Sized) reset(cfg *callgraph.Config) {
-	*s = Sized{cfg: cfg, contrib: s.contrib[:0], overlay: s.overlay[:0]}
+// reset readies s to be rewritten, keeping its buffers.
+func (s *Sized) reset() {
+	*s = Sized{contrib: s.contrib[:0], overlay: s.overlay[:0]}
 }
 
-// record stores function i's contribution under the handle's
-// configuration: in place in a full vector, appended to an overlay (which
-// applyDelta fills in ascending order).
+// fail rewrites s as the handle of a configuration that failed to compile.
+func (s *Sized) fail() *Sized {
+	s.reset()
+	s.total, s.full = InfSize, true
+	return s
+}
+
+// record stores function i's contribution: in place in a full vector,
+// appended to an overlay (which Derive fills in ascending order).
 func (s *Sized) record(i int32, size int) {
 	if s.base == nil {
 		s.contrib[i] = size
@@ -120,82 +126,101 @@ func (s *Sized) record(i int32, size int) {
 // Size returns the total size of the handle's configuration.
 func (s *Sized) Size() int { return s.total }
 
-// Config returns a copy of the handle's configuration.
-func (s *Sized) Config() *callgraph.Config { return s.cfg.Clone() }
-
-// Inline reports the handle configuration's label for a site.
-func (s *Sized) Inline(site int) bool { return s.cfg.Inline(site) }
-
-// toggled returns base's configuration with every listed site's label
-// flipped relative to the base (duplicates are therefore harmless).
-func (c *Compiler) toggled(base *Sized, toggles []int) *callgraph.Config {
-	cfg := base.cfg.Clone()
-	for _, s := range toggles {
-		cfg.Set(s, !base.cfg.Inline(s))
-	}
-	return cfg
-}
-
 // Sized evaluates cfg — charging the whole-config cache and the evaluation
-// counters exactly like Size — and returns the handle the delta calls
-// start from. In checked mode the handle carries only the total and every
-// derived request falls back to the full path.
+// counters exactly like Size — and returns the handle derivations start
+// from. In checked mode the handle carries only the total.
 func (c *Compiler) Sized(cfg *callgraph.Config) *Sized {
 	if c.check {
-		return &Sized{cfg: cfg.Clone(), total: c.Size(cfg), full: true}
+		return &Sized{total: c.Size(cfg), full: true}
 	}
 	var h *Sized
 	size, hit := c.sizes.get(cfg, func() int {
-		h = c.newHandle(cfg)
+		c.evals.Add(1)
+		if h = c.Derive(new(Sized), nil, cfg, nil); h.total == InfSize {
+			c.errors.Add(1)
+		}
 		return h.total
 	})
-	if hit {
-		c.hits.Add(1)
-		return c.handleFor(cfg, size)
+	if !hit {
+		return h
 	}
-	return h
+	c.hits.Add(1)
+	if size == InfSize {
+		return new(Sized).fail()
+	}
+	// Every per-function term is memo-resident: a cache walk, not a compile.
+	return c.Derive(new(Sized), nil, cfg, nil)
 }
 
 // Derive makes h the handle of cfg, which differs from base's
 // configuration by exactly the toggled sites (with a nil base: cfg is
 // priced from the clean slate), and returns it, without consulting or
-// charging the whole-config cache or the evaluation counters. It is
-// Rebase for clients that charge their own evaluations, through SizeVia,
-// and that own their configurations: the search derives each
-// inlining-tree node's handle from its parent's this way, into memory the
-// search reuses. From a base it reprices only the functions the toggles
-// dirty; from nil, or from a base that failed to compile, it prices every
-// function.
+// charging the whole-config cache or the evaluation counters: clients
+// charge their requests through SizeVia. The search derives each
+// inlining-tree node's handle from its parent's this way, and the
+// autotuner each probe's and each round's from the round's base, into
+// memory they reuse. From a base it reprices only the functions the
+// toggles dirty; from nil, or from a base that failed to compile, it
+// prices every function.
 //
-// h keeps cfg, which must not change while h is in use, and its base,
-// which must outlive it. Derive reuses the buffers h holds from an earlier
-// derivation, so h must no longer be in use, nor be another handle's
-// base. Returns nil in checked mode.
+// cfg is read only during the call. h keeps its base, which must outlive
+// it. Derive reuses the buffers h holds from an earlier derivation, so h
+// must no longer be in use, nor be another handle's base. Returns nil in
+// checked mode.
 func (c *Compiler) Derive(h, base *Sized, cfg *callgraph.Config, toggles []int) *Sized {
 	if c.check {
 		return nil
 	}
-	h.reset(cfg)
+	h.reset()
+	ms := c.memo
+	sc := dirtyPool.Get().(*dirtyScratch)
+	defer sc.release()
 	if base == nil || base.full {
-		return c.price(h)
+		h.contrib = append(h.contrib, make([]int, len(ms.funcs))...)
+		for i, fi := range ms.funcs {
+			if !ms.alive(fi, cfg) {
+				continue
+			}
+			s := c.funcSize(sc, fi, cfg)
+			if s == InfSize {
+				return h.fail()
+			}
+			h.contrib[i] = s
+			h.total += s
+		}
+		return h
 	}
 	h.base, h.depth = base, base.depth+1
 	if h.depth > maxOverlayDepth {
 		h.contrib, h.base, h.depth = base.appendContrib(h.contrib), nil, 0
 	}
-	if h.total = c.applyDelta(base, cfg, toggles, h); h.total == InfSize {
-		h.reset(cfg)
-		h.total, h.full = InfSize, true
+	dirty := ms.dirty(sc, toggles)
+	c.deltaDirty.Add(int64(len(dirty)))
+	if h.base != nil {
+		h.overlay = slices.Grow(h.overlay, len(dirty))
+	}
+	h.total = base.total
+	for _, i := range dirty {
+		fi := ms.funcs[i]
+		size := 0
+		if ms.alive(fi, cfg) {
+			if size = c.funcSize(sc, fi, cfg); size == InfSize {
+				return h.fail()
+			}
+		}
+		h.record(i, size)
+		h.total += size - base.contribOf(i)
 	}
 	return h
 }
 
 // SizeVia is Size for a configuration the caller can derive a handle for:
 // a cached configuration costs what it costs Size, and a miss is charged
-// like SizeDelta's — one evaluation, one delta evaluation — and priced as
-// the total of pull's handle, which must be cfg's. Clients that derive
-// their handles lazily therefore build them only for configurations the
-// cache does not already hold. In checked mode pull is never called.
+// as a delta evaluation — one evaluation, one delta evaluation — and
+// priced as the total of pull's handle, which must be cfg's. Clients that
+// derive their handles lazily therefore build them only for
+// configurations the cache does not already hold. In checked mode pull is
+// never called.
 func (c *Compiler) SizeVia(cfg *callgraph.Config, pull func() *Sized) int {
 	if c.check {
 		return c.Size(cfg)
@@ -213,174 +238,4 @@ func (c *Compiler) SizeVia(cfg *callgraph.Config, pull func() *Sized) int {
 		c.hits.Add(1)
 	}
 	return size
-}
-
-// SizeDelta prices the configuration that differs from base by the given
-// toggles. It is the incremental equivalent of Size(toggled config): same
-// single-flight cache, same counters, byte-identical result — but a miss
-// recomputes only the dirty functions instead of walking the module.
-func (c *Compiler) SizeDelta(base *Sized, toggles []int) int {
-	cfg := c.toggled(base, toggles)
-	if base.full || c.check {
-		return c.Size(cfg)
-	}
-	size, hit := c.sizes.get(cfg, func() int { return c.measureDelta(base, cfg, toggles, nil) })
-	if hit {
-		c.hits.Add(1)
-	}
-	return size
-}
-
-// SizeDeltaParallel prices many toggle sets against the same base
-// concurrently, in order. workers <= 0 selects GOMAXPROCS.
-func (c *Compiler) SizeDeltaParallel(base *Sized, toggles [][]int, workers int) []int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(toggles) {
-		workers = len(toggles)
-	}
-	out := make([]int, len(toggles))
-	if workers <= 1 {
-		for i, t := range toggles {
-			out[i] = c.SizeDelta(base, t)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(toggles) {
-					return
-				}
-				out[i] = c.SizeDelta(base, toggles[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// Rebase is SizeDelta returning a full handle: it prices base⊕toggles
-// (one cache request, like SizeDelta) and carries the updated per-function
-// contributions forward, so a round-based client advances its base without
-// re-walking the module.
-func (c *Compiler) Rebase(base *Sized, toggles []int) *Sized {
-	cfg := c.toggled(base, toggles)
-	if base.full || c.check {
-		return &Sized{cfg: cfg, total: c.Size(cfg), full: true}
-	}
-	h := &Sized{cfg: cfg, contrib: base.appendContrib(nil)}
-	size, hit := c.sizes.get(cfg, func() int { return c.measureDelta(base, cfg, toggles, h) })
-	if hit {
-		c.hits.Add(1)
-		if size != InfSize {
-			c.applyDelta(base, cfg, toggles, h)
-		}
-	}
-	if size == InfSize {
-		return &Sized{cfg: cfg, total: InfSize, full: true}
-	}
-	h.total = size
-	return h
-}
-
-// measureDelta is the miss path of SizeDelta/Rebase: it mirrors measure()'s
-// counter discipline (one evaluation; one error on a failed build) while
-// doing only the dirty work.
-func (c *Compiler) measureDelta(base *Sized, cfg *callgraph.Config, toggles []int, into *Sized) int {
-	c.evals.Add(1)
-	c.deltaEvals.Add(1)
-	total := c.applyDelta(base, cfg, toggles, into)
-	if total == InfSize {
-		c.errors.Add(1)
-	}
-	return total
-}
-
-// applyDelta recomputes the dirty functions' contributions under cfg and
-// returns the adjusted total (InfSize if any dirty closure fails to
-// compile). When into is non-nil (cfg's handle: a copy of base's
-// contributions, or an empty overlay on base) it records the dirty
-// entries.
-func (c *Compiler) applyDelta(base *Sized, cfg *callgraph.Config, toggles []int, into *Sized) int {
-	ms := c.memo
-	sc := dirtyPool.Get().(*dirtyScratch)
-	defer sc.release()
-	dirty := ms.dirty(sc, toggles)
-	c.deltaDirty.Add(int64(len(dirty)))
-	if into != nil && into.base != nil {
-		into.overlay = slices.Grow(into.overlay[:0], len(dirty))
-	}
-	total := base.total
-	for _, i := range dirty {
-		fi := ms.funcs[i]
-		size := 0
-		if ms.alive(fi, cfg) {
-			size = c.funcSize(sc, fi, cfg)
-			if size == InfSize {
-				return InfSize
-			}
-		}
-		if into != nil {
-			into.record(i, size)
-		}
-		total += size - base.contribOf(i)
-	}
-	return total
-}
-
-// newHandle is the miss path of Sized: measureMemo with per-function
-// contribution recording.
-func (c *Compiler) newHandle(cfg *callgraph.Config) *Sized {
-	c.evals.Add(1)
-	h := c.contribHandle(cfg)
-	if h.total == InfSize {
-		c.errors.Add(1)
-	}
-	return h
-}
-
-// handleFor rebuilds the contribution vector of an already-priced
-// configuration; every per-function term is memo-resident, so this is a
-// cache walk, not a compilation.
-func (c *Compiler) handleFor(cfg *callgraph.Config, size int) *Sized {
-	if size == InfSize {
-		return &Sized{cfg: cfg.Clone(), total: InfSize, full: true}
-	}
-	return c.contribHandle(cfg)
-}
-
-// contribHandle prices cfg function by function, recording contributions.
-// It touches only the per-function memo, never the whole-config cache.
-func (c *Compiler) contribHandle(cfg *callgraph.Config) *Sized {
-	return c.price(&Sized{cfg: cfg.Clone()})
-}
-
-// price fills h, reset for its configuration, with every function's
-// contribution and their total, or marks it failed.
-func (c *Compiler) price(h *Sized) *Sized {
-	ms := c.memo
-	sc := dirtyPool.Get().(*dirtyScratch)
-	defer sc.release()
-	h.contrib = append(h.contrib[:0], make([]int, len(ms.funcs))...)
-	for i, fi := range ms.funcs {
-		if !ms.alive(fi, h.cfg) {
-			continue
-		}
-		s := c.funcSize(sc, fi, h.cfg)
-		if s == InfSize {
-			h.reset(h.cfg)
-			h.total, h.full = InfSize, true
-			return h
-		}
-		h.contrib[i] = s
-		h.total += s
-	}
-	return h
 }

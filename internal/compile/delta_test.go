@@ -2,15 +2,50 @@ package compile
 
 import (
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"optinline/internal/callgraph"
 	"optinline/internal/codegen"
 )
 
+// flipped returns cfg with every listed site's label flipped relative to
+// cfg (duplicates are therefore harmless).
+func flipped(cfg *callgraph.Config, toggles []int) *callgraph.Config {
+	out := cfg.Clone()
+	for _, s := range toggles {
+		out.Set(s, !cfg.Inline(s))
+	}
+	return out
+}
+
+// sizeNear prices cfg, base's configuration with the toggled sites
+// flipped, as the autotuner prices a probe: one SizeVia request that
+// derives cfg's handle from base on a miss.
+func sizeNear(c *Compiler, base *Sized, cfg *callgraph.Config, toggles []int) int {
+	return c.SizeVia(cfg, func() *Sized { return c.Derive(new(Sized), base, cfg, toggles) })
+}
+
+// rebased is the autotuner's rebase: it prices cfg like sizeNear and
+// returns cfg's handle, derived on a hit too, or nil in checked mode or
+// when cfg fails to compile.
+func rebased(c *Compiler, base *Sized, cfg *callgraph.Config, toggles []int) (int, *Sized) {
+	var h *Sized
+	size := c.SizeVia(cfg, func() *Sized { h = c.Derive(new(Sized), base, cfg, toggles); return h })
+	if size == InfSize {
+		return size, nil
+	}
+	if h == nil {
+		h = c.Derive(new(Sized), base, cfg, toggles)
+	}
+	return size, h
+}
+
 // TestSizeDeltaMatchesSizeOnCorpus is the exactness theorem of the delta
-// engine: for arbitrary bases and toggle sets, SizeDelta must equal the
-// whole-module size of the toggled configuration.
+// engine: for arbitrary bases and toggle sets, a size derived from the
+// base's handle must equal the whole-module size of the toggled
+// configuration.
 func TestSizeDeltaMatchesSizeOnCorpus(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, f := range memoCorpus(t) {
@@ -34,8 +69,8 @@ func TestSizeDeltaMatchesSizeOnCorpus(t *testing.T) {
 			}
 			// Single-site toggles (the autotuner's probes) ...
 			for _, s := range sites {
-				cfg := baseCfg.Clone().Set(s, !baseCfg.Inline(s))
-				if got, want := delta.SizeDelta(base, []int{s}), full(cfg); got != want {
+				cfg := flipped(baseCfg, []int{s})
+				if got, want := sizeNear(delta, base, cfg, []int{s}), full(cfg); got != want {
 					t.Fatalf("%s base %v toggle %d: delta %d != full %d",
 						f.Name, baseCfg, s, got, want)
 				}
@@ -47,11 +82,8 @@ func TestSizeDeltaMatchesSizeOnCorpus(t *testing.T) {
 					multi = append(multi, s)
 				}
 			}
-			cfg := baseCfg.Clone()
-			for _, s := range multi {
-				cfg.Set(s, !baseCfg.Inline(s))
-			}
-			if got, want := delta.SizeDelta(base, multi), full(cfg); got != want {
+			cfg := flipped(baseCfg, multi)
+			if got, want := sizeNear(delta, base, cfg, multi), full(cfg); got != want {
 				t.Fatalf("%s base %v toggles %v: delta %d != full %d",
 					f.Name, baseCfg, multi, got, want)
 			}
@@ -59,9 +91,10 @@ func TestSizeDeltaMatchesSizeOnCorpus(t *testing.T) {
 	}
 }
 
-// TestRebaseAdvancesHandle: Rebase must price the toggled configuration
-// exactly and hand back a handle that remains a correct base for further
-// deltas — the autotuner's round-to-round advance.
+// TestRebaseAdvancesHandle: a rebase must price the toggled configuration
+// exactly and derive a handle that remains a correct base for further
+// deltas — the autotuner's round-to-round advance, on cached and fresh
+// configurations alike.
 func TestRebaseAdvancesHandle(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, f := range memoCorpus(t) {
@@ -78,20 +111,20 @@ func TestRebaseAdvancesHandle(t *testing.T) {
 					toggles = append(toggles, s)
 				}
 			}
-			for _, s := range toggles {
-				cfg.Set(s, !cfg.Inline(s))
+			next := flipped(cfg, toggles)
+			if step%2 == 1 {
+				delta.Size(next) // cached before the rebase
 			}
-			handle = delta.Rebase(handle, toggles)
-			if got, want := handle.Size(), full(cfg); got != want {
-				t.Fatalf("%s step %d: rebased size %d != full %d", f.Name, step, got, want)
-			}
-			if !handle.Config().Equal(cfg) {
-				t.Fatalf("%s step %d: rebased config %v != %v", f.Name, step, handle.Config(), cfg)
+			var size int
+			size, handle = rebased(delta, handle, next, toggles)
+			cfg = next
+			if got, want := size, full(cfg); got != want || handle.Size() != want {
+				t.Fatalf("%s step %d: rebased size %d, handle %d, full %d", f.Name, step, got, handle.Size(), want)
 			}
 			// The rebased handle must still price probes exactly.
 			s := sites[rng.Intn(len(sites))]
-			probe := cfg.Clone().Set(s, !cfg.Inline(s))
-			if got, want := delta.SizeDelta(handle, []int{s}), full(probe); got != want {
+			probe := flipped(cfg, []int{s})
+			if got, want := sizeNear(delta, handle, probe, []int{s}), full(probe); got != want {
 				t.Fatalf("%s step %d probe %d: delta %d != full %d", f.Name, step, s, got, want)
 			}
 		}
@@ -112,10 +145,10 @@ func TestDeltaCounterParity(t *testing.T) {
 		// Delta path: base handle, one probe per site, rebase on the winners.
 		base := delta.Sized(callgraph.NewConfig())
 		for _, s := range sites {
-			delta.SizeDelta(base, []int{s})
+			sizeNear(delta, base, callgraph.NewConfigOf([]int{s}), []int{s})
 		}
 		kept := sites[:1+len(sites)/2]
-		delta.Rebase(base, kept)
+		rebased(delta, base, callgraph.NewConfigOf(kept), kept)
 
 		// Full path: the same requests as whole configurations.
 		baseCfg := callgraph.NewConfig()
@@ -146,7 +179,8 @@ func TestDeltaCounterParity(t *testing.T) {
 }
 
 // TestDeltaDisabledFallsBack: in checked mode the delta API must
-// transparently become the classic whole-configuration path.
+// transparently become the classic whole-configuration path: Derive makes
+// no handle and SizeVia never pulls one.
 func TestDeltaDisabledFallsBack(t *testing.T) {
 	f := memoCorpus(t)[0]
 	c := NewWithOptions(f.Module, codegen.TargetX86, Options{Check: true})
@@ -156,41 +190,67 @@ func TestDeltaDisabledFallsBack(t *testing.T) {
 	if c.Derive(new(Sized), nil, callgraph.NewConfig(), nil) != nil {
 		t.Fatal("Derive returned a handle")
 	}
-	base := c.Sized(callgraph.NewConfig())
-	if got, want := c.SizeDelta(base, []int{s}), ref.Size(probe); got != want {
-		t.Fatalf("fallback SizeDelta %d != Size %d", got, want)
+	if got, want := c.Sized(callgraph.NewConfig()).Size(), ref.Size(callgraph.NewConfig()); got != want {
+		t.Fatalf("fallback Sized %d != Size %d", got, want)
 	}
-	if got, want := c.Rebase(base, []int{s}).Size(), ref.Size(probe); got != want {
-		t.Fatalf("fallback Rebase %d != Size %d", got, want)
+	pull := func() *Sized { t.Fatal("SizeVia pulled a handle in checked mode"); return nil }
+	if got, want := c.SizeVia(probe, pull), ref.Size(probe); got != want {
+		t.Fatalf("fallback SizeVia %d != Size %d", got, want)
+	}
+	if got, h := rebased(c, nil, probe, []int{s}); got != ref.Size(probe) || h != nil {
+		t.Fatalf("fallback rebase %d (handle %v) != Size %d", got, h != nil, ref.Size(probe))
 	}
 	if got := c.DeltaStats().Evals; got != 0 {
 		t.Fatalf("%d delta evals in checked mode", got)
 	}
 }
 
-// TestSizeDeltaParallelMatchesSequential: parallel probing must return the
-// same sizes in the same order as sequential, with identical counters
-// (single-flight dedupes shared work).
+// TestSizeDeltaParallelMatchesSequential: probing from 8 goroutines, each
+// deriving into its own reused memory, must return the same sizes as
+// probing sequentially, with identical counters (single-flight dedupes
+// shared work).
 func TestSizeDeltaParallelMatchesSequential(t *testing.T) {
 	f := memoCorpus(t)[0]
 	seq := New(f.Module, codegen.TargetX86)
 	par := New(f.Module, codegen.TargetX86)
 	sites := seq.Graph().Sites()
-	toggles := make([][]int, len(sites))
-	for i, s := range sites {
-		toggles[i] = []int{s}
+	toggles := make([][]int, 2*len(sites)) // every probe twice: hits race misses
+	for i := range toggles {
+		toggles[i] = []int{sites[i%len(sites)]}
 	}
 	sb := seq.Sized(callgraph.NewConfig())
 	pb := par.Sized(callgraph.NewConfig())
-	want := seq.SizeDeltaParallel(sb, toggles, 1)
-	got := par.SizeDeltaParallel(pb, toggles, 8)
+	want := make([]int, len(toggles))
+	for i, ts := range toggles {
+		want[i] = sizeNear(seq, sb, callgraph.NewConfigOf(ts), ts)
+	}
+	got := make([]int, len(toggles))
+	clean := callgraph.NewConfig()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var cfg callgraph.Config
+			var h Sized
+			for i := int(next.Add(1)) - 1; i < len(toggles); i = int(next.Add(1)) - 1 {
+				cfg.CopyFrom(clean)
+				for _, s := range toggles[i] {
+					cfg.Set(s, true)
+				}
+				got[i] = par.SizeVia(&cfg, func() *Sized { return par.Derive(&h, pb, &cfg, toggles[i]) })
+			}
+		}()
+	}
+	wg.Wait()
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("toggle %v: parallel %d != sequential %d", toggles[i], got[i], want[i])
 		}
 	}
-	if g, w := par.Evaluations(), seq.Evaluations(); g != w {
-		t.Fatalf("parallel evaluations %d != sequential %d", g, w)
+	if g, w := par.ConfigCacheStats(), seq.ConfigCacheStats(); g != w {
+		t.Fatalf("parallel config cache %+v != sequential %+v", g, w)
 	}
 }
 
@@ -211,7 +271,7 @@ func TestDeltaRecomputesOnlyDirtyClosure(t *testing.T) {
 		base := c.Sized(callgraph.NewConfig())
 		for _, e := range c.Graph().Edges {
 			before := c.DeltaStats()
-			c.SizeDelta(base, []int{e.Site})
+			sizeNear(c, base, callgraph.NewConfigOf([]int{e.Site}), []int{e.Site})
 			ds := c.DeltaStats()
 			if ds.Evals != before.Evals+1 {
 				t.Fatalf("%s: delta evals %d, want %d", f.Name, ds.Evals, before.Evals+1)

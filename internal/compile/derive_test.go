@@ -25,7 +25,8 @@ func TestDeriveChainsMatchSize(t *testing.T) {
 	for _, f := range memoCorpus(t) {
 		c := New(f.Module, codegen.TargetX86)
 		sites := c.Graph().Sites()
-		h := derived(c, nil, nil)
+		cfg := callgraph.NewConfig()
+		h := c.Derive(new(Sized), nil, cfg, nil)
 		for step := 0; step < 3*maxOverlayDepth+2; step++ {
 			var toggles []int
 			for n := 1 + rng.Intn(3); n > 0; n-- {
@@ -33,10 +34,11 @@ func TestDeriveChainsMatchSize(t *testing.T) {
 			}
 			if step == 4 {
 				// A failed base carries no contributions.
-				h = &Sized{cfg: h.cfg, total: InfSize, full: true}
+				h = new(Sized).fail()
 			}
-			h = derived(c, h, toggles)
-			if got, want := h.Size(), wholeModuleSize(c, h.cfg); got != want {
+			cfg = flipped(cfg, toggles)
+			h = c.Derive(new(Sized), h, cfg, toggles)
+			if got, want := h.Size(), wholeModuleSize(c, cfg); got != want {
 				t.Fatalf("%s step %d: derived %d, whole module %d", f.Name, step, got, want)
 			}
 			if h.full {
@@ -45,11 +47,11 @@ func TestDeriveChainsMatchSize(t *testing.T) {
 			if h.depth > maxOverlayDepth || (h.base == nil) != (h.depth == 0) {
 				t.Fatalf("%s step %d: overlay depth %d, base %v", f.Name, step, h.depth, h.base != nil)
 			}
-			if got, want := h.appendContrib(nil), c.contribHandle(h.cfg).contrib; !slices.Equal(got, want) {
+			if got, want := h.appendContrib(nil), c.Derive(new(Sized), nil, cfg, nil).contrib; !slices.Equal(got, want) {
 				t.Fatalf("%s step %d: contributions %v, from scratch %v", f.Name, step, got, want)
 			}
 		}
-		if got, want := derived(c, nil, h.cfg.InlineSites()).Size(), h.Size(); got != want {
+		if got, want := c.Derive(new(Sized), nil, cfg, cfg.InlineSites()).Size(), h.Size(); got != want {
 			t.Fatalf("%s: priced from scratch %d, derived %d", f.Name, got, want)
 		}
 		if c.Evaluations() != 0 || c.CacheHits() != 0 || c.DeltaStats().Evals != 0 {
@@ -59,38 +61,24 @@ func TestDeriveChainsMatchSize(t *testing.T) {
 	}
 }
 
-// derived is the handle of base's configuration (of the clean slate when
-// base is nil) with the toggled sites flipped, derived into new memory.
-func derived(c *Compiler, base *Sized, toggles []int) *Sized {
-	cfg := callgraph.NewConfig()
-	if base != nil {
-		cfg = base.cfg
-	}
-	cfg = cfg.Clone()
-	for _, s := range toggles {
-		cfg.Set(s, !cfg.Inline(s))
-	}
-	return c.Derive(new(Sized), base, cfg, toggles)
-}
-
-// TestSizeViaChargesLikeSizeDelta: SizeVia must count a miss and a hit
-// exactly as SizeDelta does, and pull a handle only on a miss.
+// TestSizeViaChargesLikeSizeDelta: SizeVia must count misses and hits as
+// Size does, charge every miss as one delta evaluation, as the tuner's
+// probes always were, and pull a handle only on a miss.
 func TestSizeViaChargesLikeSizeDelta(t *testing.T) {
 	f := memoCorpus(t)[0]
-	via, delta := New(f.Module, codegen.TargetX86), New(f.Module, codegen.TargetX86)
-	root := derived(via, nil, nil)
-	base := derived(delta, nil, nil)
+	via, whole := New(f.Module, codegen.TargetX86), New(f.Module, codegen.TargetX86)
+	root := via.Derive(new(Sized), nil, callgraph.NewConfig(), nil)
 	pulls := 0
 	for _, s := range append(via.Graph().Sites(), via.Graph().Sites()...) {
 		cfg := callgraph.NewConfigOf([]int{s})
-		got := via.SizeVia(cfg, func() *Sized { pulls++; return derived(via, root, []int{s}) })
-		if want := delta.SizeDelta(base, []int{s}); got != want {
-			t.Fatalf("site %d: SizeVia %d, SizeDelta %d", s, got, want)
+		got := via.SizeVia(cfg, func() *Sized { pulls++; return via.Derive(new(Sized), root, cfg, []int{s}) })
+		if want := whole.Size(cfg); got != want {
+			t.Fatalf("site %d: SizeVia %d, Size %d", s, got, want)
 		}
 	}
-	if via.ConfigCacheStats() != delta.ConfigCacheStats() || via.DeltaStats().Evals != delta.DeltaStats().Evals {
-		t.Fatalf("SizeVia counted %+v and %d delta evals, SizeDelta %+v and %d",
-			via.ConfigCacheStats(), via.DeltaStats().Evals, delta.ConfigCacheStats(), delta.DeltaStats().Evals)
+	if via.ConfigCacheStats() != whole.ConfigCacheStats() || via.DeltaStats().Evals != via.Evaluations() {
+		t.Fatalf("SizeVia counted %+v and %d delta evals, Size %+v",
+			via.ConfigCacheStats(), via.DeltaStats().Evals, whole.ConfigCacheStats())
 	}
 	if int64(pulls) != via.Evaluations() {
 		t.Fatalf("%d pulls for %d misses", pulls, via.Evaluations())
@@ -208,11 +196,13 @@ func TestDeriveAllocatesItsDirtySet(t *testing.T) {
 	slices.SortStableFunc(sites, func(a, b int) int {
 		return cmp.Compare(len(c.memo.dirty(&sc, []int{a})), len(c.memo.dirty(&sc, []int{b})))
 	})
-	h := derived(c, nil, nil)
+	cfg := callgraph.NewConfig()
+	h := c.Derive(new(Sized), nil, cfg, nil)
 	for _, s := range sites[:3] {
 		dirty := len(c.memo.dirty(&sc, []int{s}))
 		base := h
-		h = derived(c, base, []int{s}) // compiles the dirty closures
+		cfg = flipped(cfg, []int{s})
+		h = c.Derive(new(Sized), base, cfg, []int{s}) // compiles the dirty closures
 		if h.contrib != nil || len(h.overlay) != dirty {
 			t.Fatalf("site %d: derived handle holds %d contributions in full, %d in its overlay; %d are dirty",
 				s, len(h.contrib), len(h.overlay), dirty)
@@ -224,7 +214,7 @@ func TestDeriveAllocatesItsDirtySet(t *testing.T) {
 		const runs = 50
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			c.Derive(new(Sized), base, h.cfg, []int{s})
+			c.Derive(new(Sized), base, cfg, []int{s})
 		}
 		runtime.ReadMemStats(&after)
 		perDerive := (after.TotalAlloc - before.TotalAlloc) / runs

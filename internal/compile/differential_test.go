@@ -208,7 +208,7 @@ func TestCheckedModeFuzzGeneratedPrograms(t *testing.T) {
 
 // TestDeltaFuzzMatchesFullAndChecked is the delta engine's differential
 // front: across the 30-seed generated-program corpus, every configuration is
-// priced three ways — incrementally (SizeDelta/Rebase against a handle),
+// priced three ways — incrementally (SizeVia and Derive against a handle),
 // through the whole-configuration memo path (a separate compiler's Size),
 // and in checked compilation mode — and all three must agree byte-for-byte. The
 // toggle sets deliberately include ones that kill functions via label-based
@@ -268,7 +268,7 @@ func TestDeltaFuzzMatchesFullAndChecked(t *testing.T) {
 			for _, s := range ts {
 				cfg.Set(s, true)
 			}
-			got := delta.SizeDelta(base, ts)
+			got := sizeNear(delta, base, cfg, ts)
 			want := full.Size(cfg)
 			chkGot := chk.Size(cfg)
 			if err := chk.CheckFailure(); err != nil {
@@ -283,17 +283,14 @@ func TestDeltaFuzzMatchesFullAndChecked(t *testing.T) {
 
 		// Rebase onto all-inline, then un-inline single sites: each probe can
 		// resurrect a DFE-killed callee, and must still match both oracles.
-		reb := delta.Rebase(base, sites)
-		allCfg := callgraph.NewConfig()
-		for _, s := range sites {
-			allCfg.Set(s, true)
-		}
+		allCfg := callgraph.NewConfigOf(sites)
+		_, reb := rebased(delta, base, allCfg, sites)
 		if got, want := reb.Size(), full.Size(allCfg); got != want {
 			t.Fatalf("seed %d: rebased all-inline size %d != full %d", seed, got, want)
 		}
 		for _, s := range sites[:min(3, len(sites))] {
 			cfg := allCfg.Clone().Set(s, false)
-			got := delta.SizeDelta(reb, []int{s})
+			got := sizeNear(delta, reb, cfg, []int{s})
 			want := full.Size(cfg)
 			chkGot := chk.Size(cfg)
 			if err := chk.CheckFailure(); err != nil {

@@ -190,7 +190,9 @@ func refOptimalCompletion(c *compile.Compiler, mg *graph.Multigraph, decided *ca
 
 func (ev *refEvaluator) sizeOf(cfg *callgraph.Config) int {
 	if ev.base != nil {
-		return ev.c.SizeDelta(ev.base, cfg.InlineSites())
+		return ev.c.SizeVia(cfg, func() *compile.Sized {
+			return ev.c.Derive(new(compile.Sized), ev.base, cfg, cfg.InlineSites())
+		})
 	}
 	return ev.c.Size(cfg)
 }

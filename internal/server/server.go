@@ -406,6 +406,55 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, ep *endpointCoun
 	return true
 }
 
+// unitFields are what every single-unit request (/analyze, /compile,
+// /search, /tune) carries for its prologue.
+type unitFields struct {
+	name, source, target string
+	jobs, delayMs        int
+}
+
+func (r *AnalyzeRequest) unit() unitFields {
+	return unitFields{r.Name, r.Source, r.Target, r.Jobs, r.DelayMs}
+}
+func (r *CompileRequest) unit() unitFields {
+	return unitFields{r.Name, r.Source, r.Target, r.Jobs, r.DelayMs}
+}
+func (r *SearchRequest) unit() unitFields {
+	return unitFields{r.Name, r.Source, r.Target, r.Jobs, r.DelayMs}
+}
+func (r *TuneRequest) unit() unitFields {
+	return unitFields{r.Name, r.Source, r.Target, r.Jobs, r.DelayMs}
+}
+
+// openUnit runs the prologue the single-unit endpoints share: count the
+// request, decode its body into req, admit it, parse its target, require
+// a name and source, and fetch the pooled compiler. When ok is false the
+// response has been written and the caller must return; when true, the
+// caller must defer wr.release().
+func (s *Server) openUnit(w http.ResponseWriter, r *http.Request, endpoint string, req interface{ unit() unitFields }) (wr *workRequest, target codegen.Target, comp *compile.Compiler, ok bool) {
+	ep := s.ep(endpoint)
+	ep.count.Add(1)
+	if !s.decode(w, r, ep, req) {
+		return nil, 0, nil, false
+	}
+	u := req.unit()
+	if wr, ok = s.admit(w, r, ep, u.jobs, u.delayMs); !ok {
+		return nil, 0, nil, false
+	}
+	target, err := codegen.ParseTarget(u.target)
+	if err != nil {
+		s.fail(w, ep, http.StatusBadRequest, "%v", err)
+	} else if u.name == "" || u.source == "" {
+		s.fail(w, ep, http.StatusBadRequest, "name and source are required")
+	} else if comp, err = s.compiler(u.name, u.source, target); err != nil {
+		s.fail(w, ep, http.StatusUnprocessableEntity, "%v", err)
+	} else {
+		return wr, target, comp, true
+	}
+	wr.release()
+	return nil, 0, nil, false
+}
+
 func (s *Server) fail(w http.ResponseWriter, ep *endpointCounters, code int, format string, args ...any) {
 	ep.errors.Add(1)
 	writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
@@ -592,32 +641,12 @@ func (s *Server) evictPricersLocked() {
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	ep := s.ep("compile")
-	ep.count.Add(1)
 	var req CompileRequest
-	if !s.decode(w, r, ep, &req) {
-		return
-	}
-	wr, ok := s.admit(w, r, ep, req.Jobs, req.DelayMs)
+	wr, target, comp, ok := s.openUnit(w, r, "compile", &req)
 	if !ok {
 		return
 	}
 	defer wr.release()
-
-	target, err := codegen.ParseTarget(req.Target)
-	if err != nil {
-		s.fail(w, wr.ep, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.Name == "" || req.Source == "" {
-		s.fail(w, wr.ep, http.StatusBadRequest, "name and source are required")
-		return
-	}
-	comp, err := s.compiler(req.Name, req.Source, target)
-	if err != nil {
-		s.fail(w, wr.ep, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
 	g := comp.Graph()
 	mode := req.Inline
 	if mode == "" {
@@ -666,32 +695,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	ep := s.ep("search")
-	ep.count.Add(1)
 	var req SearchRequest
-	if !s.decode(w, r, ep, &req) {
-		return
-	}
-	wr, ok := s.admit(w, r, ep, req.Jobs, req.DelayMs)
+	wr, target, comp, ok := s.openUnit(w, r, "search", &req)
 	if !ok {
 		return
 	}
 	defer wr.release()
-
-	target, err := codegen.ParseTarget(req.Target)
-	if err != nil {
-		s.fail(w, wr.ep, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.Name == "" || req.Source == "" {
-		s.fail(w, wr.ep, http.StatusBadRequest, "name and source are required")
-		return
-	}
-	comp, err := s.compiler(req.Name, req.Source, target)
-	if err != nil {
-		s.fail(w, wr.ep, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
 	g := comp.Graph()
 	hc := heuristic.OsConfig(comp.Module(), g)
 	maxSpace := req.MaxSpace
@@ -718,32 +727,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
-	ep := s.ep("tune")
-	ep.count.Add(1)
 	var req TuneRequest
-	if !s.decode(w, r, ep, &req) {
-		return
-	}
-	wr, ok := s.admit(w, r, ep, req.Jobs, req.DelayMs)
+	wr, target, comp, ok := s.openUnit(w, r, "tune", &req)
 	if !ok {
 		return
 	}
 	defer wr.release()
-
-	target, err := codegen.ParseTarget(req.Target)
-	if err != nil {
-		s.fail(w, wr.ep, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.Name == "" || req.Source == "" {
-		s.fail(w, wr.ep, http.StatusBadRequest, "name and source are required")
-		return
-	}
-	comp, err := s.compiler(req.Name, req.Source, target)
-	if err != nil {
-		s.fail(w, wr.ep, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
 	mode, err := parseTuneMode(req.Init, req.Objective)
 	if err != nil {
 		s.fail(w, wr.ep, http.StatusBadRequest, "%v", err)
@@ -857,32 +846,12 @@ func parseTuneMode(init, objective string) (tuneMode, error) {
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	ep := s.ep("analyze")
-	ep.count.Add(1)
 	var req AnalyzeRequest
-	if !s.decode(w, r, ep, &req) {
-		return
-	}
-	wr, ok := s.admit(w, r, ep, req.Jobs, req.DelayMs)
+	wr, target, comp, ok := s.openUnit(w, r, "analyze", &req)
 	if !ok {
 		return
 	}
 	defer wr.release()
-
-	target, err := codegen.ParseTarget(req.Target)
-	if err != nil {
-		s.fail(w, wr.ep, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.Name == "" || req.Source == "" {
-		s.fail(w, wr.ep, http.StatusBadRequest, "name and source are required")
-		return
-	}
-	comp, err := s.compiler(req.Name, req.Source, target)
-	if err != nil {
-		s.fail(w, wr.ep, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
 	mod, g := comp.Module(), comp.Graph()
 	ms := interproc.Analyze(mod, g, s.ipcache)
 	fnJSON, err := ms.JSON()
